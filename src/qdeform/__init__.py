@@ -77,7 +77,6 @@ from .qgaussian import (
     normalization,
     q_gaussian_pdf,
     q_log_likelihood,
-    tail_mass_bounds,
 )
 from .tables import FigureTable
 from .verify import SUITE_NAMES, CaseResult, SuiteReport, run_all, run_suite

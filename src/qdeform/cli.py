@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -27,18 +28,19 @@ from .algebra import q_product, q_ratio
 from .canonical import build_distribution, canonical_form
 from .combinatorics import tsallis_entropy
 from .core import q_exp, q_log
-from .dynamics import fig2_data
+from .dynamics import FIG2_GRID, FIG2_INDEX, FIG2_SCALES, fig2_data
 from .errors import QDeformError
-from .qgaussian import fig3_data
+from .qgaussian import FIG3_GRID, FIG3_INDEX, FIG3_SCALES, fig3_data
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFICATION_FAILED = 2
 
-_FIG_DEFAULTS = {
-    "fig2": {"q": 1.3, "scales": (1.0, 10.0, 20.0), "grid": (0.0, 5.0, 501)},
-    "fig3": {"q": 1.7, "scales": (1.0, 10.0, 100.0), "grid": (-5.0, 5.0, 501)},
+# table builder and its default index, scales and (min, max, points) grid
+_FIGURES = {
+    "fig2": (fig2_data, FIG2_INDEX, FIG2_SCALES, FIG2_GRID),
+    "fig3": (fig3_data, FIG3_INDEX, FIG3_SCALES, FIG3_GRID),
 }
 
 
@@ -55,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() first: numpy scalars subclass float but repr differently
+        return repr(float(value))
     return str(value)
 
 
@@ -146,18 +149,25 @@ def _cmd_eval(args) -> int:
             raise _CliInputError(f"eval {args.fn} requires {flag}")
         return value
 
-    if args.fn == "qlog":
-        value = q_log(args.q, need("--y", args.y))
-    elif args.fn == "qexp":
-        value = q_exp(args.q, need("--x", args.x), cutoff=args.cutoff_mode)
-    elif args.fn == "qprod":
-        value = q_product(args.q, need("--x", args.x), need("--y", args.y))
-    elif args.fn == "qratio":
-        value = q_ratio(args.q, need("--x", args.x), need("--y", args.y))
-    else:
-        probs = _parse_floats(need("--p", args.p), "--p")
-        value = tsallis_entropy(args.q, probs)
-    sys.stdout.write(_fmt(float(value)) + "\n")
+    evaluate = {
+        "qlog": lambda: q_log(args.q, need("--y", args.y)),
+        "qexp": lambda: q_exp(args.q, need("--x", args.x), cutoff=args.cutoff_mode),
+        "qprod": lambda: q_product(args.q, need("--x", args.x), need("--y", args.y)),
+        "qratio": lambda: q_ratio(args.q, need("--x", args.x), need("--y", args.y)),
+        "tsallis": lambda: tsallis_entropy(
+            args.q, _parse_floats(need("--p", args.p), "--p")),
+    }[args.fn]
+    try:
+        value = float(evaluate())
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        given = " ".join(f"--{flag} {getattr(args, flag)!r}"
+                         for flag in ("q", "x", "y", "p")
+                         if getattr(args, flag) is not None)
+        raise _CliInputError(
+            f"error: eval {args.fn} {given}: result is not a finite double")
+    sys.stdout.write(_fmt(value) + "\n")
     return EXIT_OK
 
 
@@ -177,11 +187,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fig(args) -> int:
-    defaults = _FIG_DEFAULTS[args.which]
-    q = args.q if args.q is not None else defaults["q"]
-    scales = (_parse_floats(args.scales, "--scales")
-              if args.scales else defaults["scales"])
-    lo, hi, points = defaults["grid"]
+    build, q, scales, (lo, hi, points) = _FIGURES[args.which]
+    if args.q is not None:
+        q = args.q
+    if args.scales:
+        scales = _parse_floats(args.scales, "--scales")
     if args.grid_min is not None:
         lo = args.grid_min
     if args.grid_max is not None:
@@ -192,9 +202,7 @@ def _cmd_fig(args) -> int:
         points = args.grid_points
     if not lo < hi:
         raise _CliInputError("--grid-min must be below --grid-max")
-    grid = np.linspace(lo, hi, points)
-    table = fig2_data(scales, q, grid) if args.which == "fig2" \
-        else fig3_data(scales, q, grid)
+    table = build(scales, q, np.linspace(lo, hi, points))
     if args.format == "csv":
         text = _csv_text(table.columns, table.rows)
     else:

@@ -48,6 +48,7 @@ __all__ = [
 
 FIG2_SCALES = (1.0, 10.0, 20.0)
 FIG2_INDEX = 1.3
+FIG2_GRID = (0.0, 5.0, 501)  # rescaled abscissas: min, max, points
 
 
 def _check_direction(direction) -> float:
@@ -216,15 +217,16 @@ def fig2_data(scales=FIG2_SCALES, q: float = FIG2_INDEX, grid=None) -> FigureTab
     """Decay curves for several rescale factors, plus their deformed-log line.
 
     For each scale C the raw curve y(x) = C * exp_q(-x / C**(1-q)) is
-    sampled over a shared *rescaled* grid (default 501 uniform points on
-    [0, 5]), so the rescaled columns (x/C**(1-q), y/C) are directly
-    comparable across scales: they coincide pointwise.  ``qlog_y`` is the
+    sampled over a shared *rescaled* grid (default ``FIG2_GRID``: 501
+    uniform points on [0, 5]), so the rescaled columns (x/C**(1-q), y/C)
+    are directly comparable across scales: they coincide pointwise.
+    ``qlog_y`` is the
     deformed log of the raw curve and satisfies
     qlog_y = -x_raw + log_q(C) (slope -1, intercept log_q(C)).
     """
     q = check_index(q)
     if grid is None:
-        grid = np.linspace(0.0, 5.0, 501)
+        grid = np.linspace(*FIG2_GRID)
     grid = np.asarray(grid, dtype=float)
     rows = []
     intercepts = []

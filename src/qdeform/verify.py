@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import algebra, canonical, combinatorics, dynamics, qgaussian
 from .core import q_exp, q_exp_bracket, q_log, q_log_of_ratio, round_trip_check
@@ -81,12 +80,31 @@ def _draw_index(rng) -> float:
     return float(rng.uniform(0.2, 2.8))
 
 
-def _draw_exp_arg(rng, q, lo=-3.0, hi=3.0, margin=_BRACKET_MARGIN) -> float:
+def _sample(draw):
+    """Rejection sampling: the first result of ``draw()`` that is not None
+    and raises no :class:`DomainViolation`, within ``_MAX_DRAWS`` calls."""
     for _ in range(_MAX_DRAWS):
-        x = float(rng.uniform(lo, hi))
-        if q_exp_bracket(q, x) > margin:
-            return x
+        try:
+            value = draw()
+        except DomainViolation:
+            continue
+        if value is not None:
+            return value
     raise RuntimeError("rejection sampling failed to find a domain point")
+
+
+def _inside(q, *args) -> bool:
+    """Whether exp_q of every argument has its bracket above the margin; the
+    bracket 1 + (1-q)*x is monotone in x, so the extreme argument decides."""
+    return q_exp_bracket(q, min(args) if q < 1.0 else max(args)) > _BRACKET_MARGIN
+
+
+def _draw_exp_arg(rng, q, lo=-3.0, hi=3.0, shift=0.0) -> float:
+    """Uniform x on [lo, hi] with exp_q(x + shift) inside the margin."""
+    def draw():
+        x = float(rng.uniform(lo, hi))
+        return x if _inside(q, x + shift) else None
+    return _sample(draw)
 
 
 def _draw_positive(rng, lo=0.2, hi=5.0) -> float:
@@ -120,13 +138,13 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     worst = 0.0
     for _ in range(samples):
         q = _draw_index(rng)
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             x1 = float(rng.uniform(-2.0, 2.0))
             x2 = float(rng.uniform(-2.0, 2.0))
-            if (q_exp_bracket(q, x1) > _BRACKET_MARGIN
-                    and q_exp_bracket(q, x2) > _BRACKET_MARGIN
-                    and q_exp_bracket(q, x1 + x2) > _BRACKET_MARGIN):
-                break
+            if _inside(q, x1, x2, x1 + x2):
+                return x1, x2
+        x1, x2 = _sample(draw)
         worst = max(worst, algebra.q_exp_law_check(q, x1, x2))
     cases.append(_case("q_exp_law", worst, 1e-12))
 
@@ -134,20 +152,20 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     worst_assoc = 0.0
     for _ in range(samples):
         q = _draw_index(rng)
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             x = _draw_positive(rng)
             y = _draw_positive(rng)
             z = _draw_positive(rng)
-            if (_product_bracket(q, x, y) > _BRACKET_MARGIN
+            if not (_product_bracket(q, x, y) > _BRACKET_MARGIN
                     and _product_bracket(q, y, z) > _BRACKET_MARGIN):
-                try:
-                    xy = algebra.q_product(q, x, y)
-                    yz = algebra.q_product(q, y, z)
-                    if (_product_bracket(q, xy, z) > _BRACKET_MARGIN
-                            and _product_bracket(q, x, yz) > _BRACKET_MARGIN):
-                        break
-                except DomainViolation:
-                    pass
+                return None
+            xy = algebra.q_product(q, x, y)
+            yz = algebra.q_product(q, y, z)
+            if (_product_bracket(q, xy, z) > _BRACKET_MARGIN
+                    and _product_bracket(q, x, yz) > _BRACKET_MARGIN):
+                return x, y, z, xy, yz
+        x, y, z, xy, yz = _sample(draw)
         worst_comm = max(worst_comm,
                          abs(xy - algebra.q_product(q, y, x)) / xy)
         left = algebra.q_product(q, xy, z)
@@ -160,10 +178,7 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     for _ in range(samples):
         q = _draw_index(rng)
         c = _draw_exp_arg(rng, q, -2.0, 2.0)
-        for _ in range(_MAX_DRAWS):
-            x = float(rng.uniform(-3.0, 3.0))
-            if q_exp_bracket(q, x + c) > _BRACKET_MARGIN:
-                break
+        x = _draw_exp_arg(rng, q, shift=c)
         y_scale, x_scale = dynamics.shift_expansion(q, c)
         lhs = q_exp(q, x + c)
         rhs = y_scale * q_exp(q, x / x_scale)
@@ -173,12 +188,14 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     worst = 0.0
     for _ in range(samples):
         q = _draw_index(rng)
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             y = _draw_positive(rng, 0.1, 10.0)
             x = _draw_positive(rng, 0.1, 10.0)
             # keep the ratio away from 1 so the relative metric is meaningful
             if abs(y / x - 1.0) > 0.05:
-                break
+                return y, x
+        y, x = _sample(draw)
         a = q_log_of_ratio(q, y, x)
         b = q_log(q, y / x)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
@@ -201,15 +218,14 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     worst = 0.0
     for _ in range(2000):
         q = _draw_index(rng)
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             shifts = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 7)))
-            try:
-                seq = algebra.scale_drift_expand(q, shifts)
-            except DomainViolation:
-                continue
+            seq = algebra.scale_drift_expand(q, shifts)
             total = float(np.sum(shifts))
-            if q_exp_bracket(q, total) > _BRACKET_MARGIN:
-                break
+            if _inside(q, total):
+                return seq, total
+        seq, total = _sample(draw)
         product = math.prod(q_exp(q, o) for o in seq.observed)
         ref = q_exp(q, total)
         worst = max(worst, abs(product - ref) / ref)
@@ -218,14 +234,19 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     worst = 0.0
     for _ in range(2000):
         q = _draw_index(rng)
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             factors = [_draw_positive(rng, 0.3, 4.0)
                        for _ in range(int(rng.integers(1, 6)))]
-            try:
-                folded = algebra.q_product_fold(q, factors)
-                break
-            except DomainViolation:
-                continue
+            # every step of the left fold keeps its bracket inside the margin
+            acc = factors[0]
+            for f in factors[1:]:
+                if not _product_bracket(q, acc, f) > _BRACKET_MARGIN:
+                    return None
+                acc = algebra.q_product(q, acc, f)
+            return factors
+        factors = _sample(draw)
+        folded = algebra.q_product_fold(q, factors)
         ref = q_exp(q, algebra.q_log_sum(q, factors))
         worst = max(worst, abs(folded - ref) / ref)
     cases.append(_case("fold_vs_qlog_sum", worst, 1e-12))
@@ -274,10 +295,7 @@ def _dynamics(seed: int) -> tuple:
     for _ in range(1000):
         qi = _draw_index(rng)
         c = _draw_exp_arg(rng, qi, -2.0, 2.0)
-        for _ in range(_MAX_DRAWS):
-            x = float(rng.uniform(-3.0, 3.0))
-            if q_exp_bracket(qi, x + c) > _BRACKET_MARGIN:
-                break
+        x = _draw_exp_arg(rng, qi, shift=c)
         y_scale, x_scale = dynamics.shift_expansion(qi, c)
         lhs = q_exp(qi, x + c)
         worst = max(worst, abs(lhs - y_scale * q_exp(qi, x / x_scale)) / lhs)
@@ -286,15 +304,14 @@ def _dynamics(seed: int) -> tuple:
     worst = 0.0
     for _ in range(1000):
         qi = _draw_index(rng)
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             c1 = float(rng.uniform(-1.5, 1.5))
             c2 = float(rng.uniform(-1.5, 1.5))
             x = float(rng.uniform(-2.0, 2.0))
-            if (q_exp_bracket(qi, c1) > _BRACKET_MARGIN
-                    and q_exp_bracket(qi, c2) > _BRACKET_MARGIN
-                    and q_exp_bracket(qi, c1 + c2) > _BRACKET_MARGIN
-                    and q_exp_bracket(qi, x + c1 + c2) > _BRACKET_MARGIN):
-                break
+            if _inside(qi, c1, c2, c1 + c2, x + c1 + c2):
+                return c1, c2, x
+        c1, c2, x = _sample(draw)
         direct = q_exp(qi, x + c1 + c2)
         # pulling one shift out, the remainder staying in the rescaled argument
         e1 = q_exp(qi, c1)
@@ -412,6 +429,9 @@ def _stirling(seed: int) -> tuple:
 
 def _integrate_density(model) -> float:
     """Independent full-line quadrature of the normalized density."""
+    # imported here so that importing the package does not load scipy
+    from scipy.integrate import quad
+
     pdf = lambda e: qgaussian.q_gaussian_pdf(model, e)
     if model.q < 1.0:
         edge = model.support_halfwidth()
@@ -516,11 +536,13 @@ def _canonical(seed: int) -> tuple:
     worst = 0.0
     for i in range(200):
         qi = (0.5, 1.0, 1.5, 2.0)[i % 4]
-        for _ in range(_MAX_DRAWS):
+
+        def draw():
             pts = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 12)))
             shift = float(rng.uniform(-0.5, 1.5))
-            if all(q_exp_bracket(qi, -x + shift) > _BRACKET_MARGIN for x in pts):
-                break
+            if _inside(qi, *(-x + shift for x in pts)):
+                return pts, shift
+        pts, shift = _sample(draw)
         dist = canonical.build_distribution(qi, pts, shift)
         form = canonical.canonical_form(dist)
         for x, p in zip(dist.xs, dist.probabilities):

@@ -59,6 +59,21 @@ class TestEval:
         assert code == 1
         assert "requires" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("qexp", "--q", "1", "--x", "1000"),
+        ("qlog", "--q", "-800", "--y", "10"),
+        ("qexp", "--q", "0.999999", "--x", "1e6"),
+        ("qprod", "--q", "1", "--x", "1e300", "--y", "1e300"),
+    ])
+    def test_overflow_exits_one_without_traceback(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "qdeform", "eval", *argv],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"eval {argv[0]}" in result.stderr
+
     def test_output_round_trips_exactly(self, capsys):
         _, out, _ = run_cli(capsys, "eval", "qexp", "--q", "1.3", "--x", "-1")
         from qdeform import q_exp
@@ -124,6 +139,11 @@ class TestFig:
                            "x_rescaled", "y_rescaled", "qlog_y"]
         assert len(rows) == 1 + 3 * 501
         assert "\r" not in out  # LF line endings
+        for which in ("fig2", "fig3"):
+            _, out, _ = run_cli(capsys, "fig", which)
+            for row in list(csv.reader(io.StringIO(out)))[1:]:
+                for cell in row:
+                    float(cell)  # e.g. "np.float64(0.01)" would not parse
 
     def test_csv_round_trips_qlog_column(self, capsys):
         _, out, _ = run_cli(capsys, "fig", "fig2")
@@ -251,3 +271,14 @@ class TestDeterminism:
                 capture_output=True)
             assert result.returncode == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # only the verify suites import scipy, lazily: importing it up front
+    # dominated the start-up time of every command
+    code = ("import qdeform, qdeform.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

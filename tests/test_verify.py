@@ -24,8 +24,11 @@ def test_individual_suites_pass(name):
     assert all(c.max_rel_err < c.tolerance for c in report.cases)
 
 
-def test_identities_suite_passes():
-    report = run_suite("identities", seed=1)
+# at 28, 51 and 71 the fold sampler meets folds whose last bracket lies
+# within 2e-4 of 0, which it must reject
+@pytest.mark.parametrize("seed", [1, 28, 51, 71])
+def test_identities_suite_passes(seed):
+    report = run_suite("identities", seed=seed)
     assert report.passed
 
 
