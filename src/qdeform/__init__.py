@@ -22,6 +22,7 @@ from .algebra import (
     q_exp_law_check,
     q_log_sum,
     q_product,
+    q_product_bracket,
     q_product_fold,
     q_ratio,
     scale_drift_expand,

@@ -32,6 +32,7 @@ from .errors import DomainViolation, NonPositiveArgument
 __all__ = [
     "ObservationSequence",
     "q_product",
+    "q_product_bracket",
     "q_ratio",
     "q_exp_law_check",
     "scale_drift_expand",
@@ -63,6 +64,18 @@ class ObservationSequence:
             partial += x
 
 
+def _product_excess(q: float, x: float, y: float) -> float:
+    # the bracket less 1, which q_product takes log1p of so as not to cancel
+    omq = 1.0 - q
+    return math.expm1(omq * math.log(x)) + math.expm1(omq * math.log(y))
+
+
+def q_product_bracket(q: float, x: float, y: float) -> float:
+    """Domain certificate x**(1-q) + y**(1-q) - 1 of the deformed product:
+    for x, y > 0, ``q_product(q, x, y)`` is defined exactly where it is > 0."""
+    return 1.0 + _product_excess(q, x, y)
+
+
 def q_product(q: float, x: float, y: float) -> float:
     """Deformed product; commutative and associative with identity 1.
 
@@ -78,12 +91,11 @@ def q_product(q: float, x: float, y: float) -> float:
         raise NonPositiveArgument("y", y)
     if q == 1.0:
         return x * y
-    omq = 1.0 - q
-    d = math.expm1(omq * math.log(x)) + math.expm1(omq * math.log(y))
+    d = _product_excess(q, x, y)
     w = 1.0 + d
     if w <= 0.0:
         raise DomainViolation("q_product bracket x^(1-q) + y^(1-q) - 1", w)
-    return math.exp(math.log1p(d) / omq)
+    return math.exp(math.log1p(d) / (1.0 - q))
 
 
 def q_ratio(q: float, x: float, y: float) -> float:

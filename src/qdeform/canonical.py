@@ -115,6 +115,8 @@ def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
             raise DomainViolation(f"frequency argument for x[{i}]={x!r}", w, index=i)
         freqs.append(q_exp(q, u))
     total = math.fsum(freqs)
+    if not total > 0.0:  # every frequency underflowed to 0
+        raise NonPositiveArgument("total", total)
     probs = tuple(f / total for f in freqs)
     return DiscreteQDistribution(q=q, xs=tuple(points), shift=shift,
                                  frequencies=tuple(freqs), total=total,

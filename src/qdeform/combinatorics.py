@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import check_index, q_log
+from .core import _q_log_array, check_index, q_log
 
 __all__ = [
     "q_log_factorial",
@@ -61,13 +61,7 @@ def q_log_factorial(q: float, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k = np.arange(1, n + 1, dtype=float)
-    if q == 1.0:
-        terms = np.log(k)
-    else:
-        omq = 1.0 - q
-        terms = np.expm1(omq * np.log(k)) / omq
-    return math.fsum(terms.tolist())
+    return math.fsum(_q_log_array(q, np.arange(1, n + 1, dtype=float)).tolist())
 
 
 def q_stirling(q: float, n: int) -> float:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainViolation, NonPositiveArgument
 
 __all__ = [
@@ -97,6 +99,49 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
             return 0.0
         raise DomainViolation("exp_q argument outside domain", w)
     return math.exp(math.log1p(omq * x) / omq)
+
+
+def _check_all(ok: np.ndarray, error) -> None:
+    """Raise ``error(i)`` at the flat index i of the first False in ``ok``."""
+    if not ok.all():
+        raise error(int(np.argmin(ok)))
+
+
+def _finite(q: float, name: str, values: np.ndarray) -> np.ndarray:
+    _check_all(np.isfinite(values), lambda i: OverflowError(
+        f"{name} at q={q!r} overflows a double (element {i})"))
+    return values
+
+
+def _q_log_array(q: float, y) -> np.ndarray:
+    """Elementwise :func:`q_log` for a checked index.  Errors name the first
+    failing element; a result past the largest double raises
+    :class:`OverflowError`, as ``math.expm1`` does."""
+    y = np.asarray(y, dtype=float)
+    _check_all((y > 0.0) & np.isfinite(y),
+               lambda i: NonPositiveArgument(f"y[{i}]", float(y.flat[i])))
+    if q == 1.0:
+        return np.log(y)
+    omq = 1.0 - q
+    with np.errstate(over="ignore"):
+        return _finite(q, "log_q", np.expm1(omq * np.log(y)) / omq)
+
+
+def _q_exp_array(q: float, x) -> np.ndarray:
+    """Elementwise :func:`q_exp` without cutoff, for a checked index.  Errors
+    name the first failing element; a result past the largest double
+    raises :class:`OverflowError`, as ``math.exp`` does."""
+    x = np.asarray(x, dtype=float)
+    _check_all(np.isfinite(x), lambda i: ValueError(
+        f"argument must be finite, got {float(x.flat[i])!r} (element {i})"))
+    with np.errstate(over="ignore"):
+        if q != 1.0:
+            omq = 1.0 - q
+            w = 1.0 + omq * x
+            _check_all(w > 0.0, lambda i: DomainViolation(
+                "exp_q argument outside domain", float(w.flat[i]), index=i))
+            x = np.log1p(omq * x) / omq
+        return _finite(q, "exp_q", np.exp(x))
 
 
 def q_log_of_ratio(q: float, y: float, x: float) -> float:

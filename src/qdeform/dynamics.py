@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import check_index, q_exp, q_exp_bracket, q_log
 from .errors import BlowupDetected, NonPositiveArgument
-from .tables import FigureTable
+from .tables import FigureTable, _scaled_family
 
 __all__ = [
     "Trajectory",
@@ -220,38 +220,8 @@ def fig2_data(scales=FIG2_SCALES, q: float = FIG2_INDEX, grid=None) -> FigureTab
     sampled over a shared *rescaled* grid (default ``FIG2_GRID``: 501
     uniform points on [0, 5]), so the rescaled columns (x/C**(1-q), y/C)
     are directly comparable across scales: they coincide pointwise.
-    ``qlog_y`` is the
-    deformed log of the raw curve and satisfies
+    ``qlog_y`` is the deformed log of the raw curve and satisfies
     qlog_y = -x_raw + log_q(C) (slope -1, intercept log_q(C)).
     """
-    q = check_index(q)
-    if grid is None:
-        grid = np.linspace(*FIG2_GRID)
-    grid = np.asarray(grid, dtype=float)
-    rows = []
-    intercepts = []
-    for ci, c in enumerate(scales):
-        c = float(c)
-        if not (c > 0.0) or not math.isfinite(c):
-            raise NonPositiveArgument(f"scales[{ci}]", c)
-        s = c ** (1.0 - q)
-        intercepts.append(q_log(q, c))
-        for xt in grid:
-            x_raw = xt * s
-            y_raw = analytic_solution(q, c, -1, x_raw)
-            rows.append((ci, c, x_raw, y_raw, x_raw / s, y_raw / c,
-                         q_log(q, y_raw)))
-    meta = {
-        "q": q,
-        "direction": -1.0,
-        "scales": [float(c) for c in scales],
-        "grid_points": int(grid.size),
-        "qlog_slope": -1.0,
-        "qlog_intercepts": intercepts,
-    }
-    return FigureTable(
-        columns=("curve_id", "scale", "x_raw", "y_raw", "x_rescaled",
-                 "y_rescaled", "qlog_y"),
-        rows=tuple(rows),
-        meta=meta,
-    )
+    grid = np.linspace(*FIG2_GRID) if grid is None else grid
+    return _scaled_family(q, scales, grid, 1, {"direction": -1.0, "qlog_slope": -1.0})

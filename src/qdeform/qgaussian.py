@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_index, q_exp, q_exp_bracket, q_log
+from .core import _q_exp_array, check_index, q_exp, q_exp_bracket, q_log
 from .errors import DomainViolation, NonPositiveArgument, UnnormalizableModel
-from .tables import FigureTable
+from .tables import FigureTable, _scaled_family
 
 __all__ = [
     "QGaussianModel",
@@ -252,12 +252,14 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
         raise NonPositiveArgument("gamma", gamma)
     scale = q_exp(q, float(log_offset))
     x_scale = scale ** ((1.0 - q) / 2.0)
-    rows = []
-    for et in np.asarray(grid, dtype=float):
-        e_raw = et * x_scale
-        f_raw = q_exp(q, -gamma * e_raw * e_raw + log_offset)
-        rows.append((e_raw, f_raw, e_raw / x_scale, f_raw / scale,
-                     q_exp(q, -gamma * et * et)))
+    grid = np.asarray(grid, dtype=float)
+    # an overflow to inf here is reported by the kernel
+    with np.errstate(over="ignore"):
+        e_raw = grid * x_scale
+        f_raw = _q_exp_array(q, -gamma * e_raw * e_raw + log_offset)
+        reference = _q_exp_array(q, -gamma * grid * grid)
+    rows = zip(e_raw.tolist(), f_raw.tolist(), (e_raw / x_scale).tolist(),
+               (f_raw / scale).tolist(), reference.tolist())
     meta = {"q": q, "gamma": gamma, "log_offset": float(log_offset),
             "scale": scale, "x_scale": x_scale}
     return FigureTable(
@@ -275,33 +277,5 @@ def fig3_data(scales=FIG3_SCALES, q: float = FIG3_INDEX, grid=None) -> FigureTab
     uniform points on [-5, 5]); the rescaled columns coincide across scales, and
     ``qlog_y`` = log_q(y_raw) = -x_raw**2 + log_q(c).
     """
-    q = check_index(q)
-    if grid is None:
-        grid = np.linspace(*FIG3_GRID)
-    grid = np.asarray(grid, dtype=float)
-    rows = []
-    intercepts = []
-    for ci, c in enumerate(scales):
-        c = float(c)
-        if not (c > 0.0) or not math.isfinite(c):
-            raise NonPositiveArgument(f"scales[{ci}]", c)
-        x_scale = c ** ((1.0 - q) / 2.0)
-        intercepts.append(q_log(q, c))
-        for xt in grid:
-            x_raw = xt * x_scale
-            u = x_raw / x_scale
-            y_raw = c * q_exp(q, -(u * u))
-            rows.append((ci, c, x_raw, y_raw, u, y_raw / c, q_log(q, y_raw)))
-    meta = {
-        "q": q,
-        "scales": [float(c) for c in scales],
-        "grid_points": int(grid.size),
-        "qlog_curvature": -1.0,
-        "qlog_intercepts": intercepts,
-    }
-    return FigureTable(
-        columns=("curve_id", "scale", "x_raw", "y_raw", "x_rescaled",
-                 "y_rescaled", "qlog_y"),
-        rows=tuple(rows),
-        meta=meta,
-    )
+    grid = np.linspace(*FIG3_GRID) if grid is None else grid
+    return _scaled_family(q, scales, grid, 2, {"qlog_curvature": -1.0})

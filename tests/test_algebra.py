@@ -14,6 +14,7 @@ from qdeform import (
     q_log,
     q_log_sum,
     q_product,
+    q_product_bracket,
     q_product_fold,
     q_ratio,
     scale_drift_expand,
@@ -39,6 +40,8 @@ class TestQProduct:
         with pytest.raises(DomainViolation) as err:
             q_product(3.0, 4.0, 4.0)
         assert err.value.constraint < 0.0
+        assert q_product_bracket(3.0, 4.0, 4.0) == err.value.constraint
+        assert q_product_bracket(1.0, 4.0, 4.0) == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveArgument):

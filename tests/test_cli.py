@@ -273,6 +273,24 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("fig", "fig2", "--q", "1", "--grid-min=-1000"),  # exp(1000) overflows
+    ("canonicalize", "{pts}", "--q", "1", "--c", "1000"),
+    ("canonicalize", "{pts}", "--q", "1", "--c", "-1000"),  # total underflows to 0
+])
+def test_out_of_range_exits_one_without_traceback(argv, tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0\n1\n2\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "qdeform", *(a.format(pts=pts) for a in argv)],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
 def test_import_loads_no_scipy():
     # only the verify suites import scipy, lazily: importing it up front
     # dominated the start-up time of every command

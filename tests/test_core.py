@@ -1,6 +1,7 @@
 """Unit and property tests for the deformed log/exp pair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qdeform import (
     q_log_of_ratio,
     round_trip_check,
 )
+from qdeform.core import _q_exp_array, _q_log_array
 
 # 40-digit evaluation of (1 + 0.3)**(-1/0.3)
 QEXP_13_MINUS1 = 0.4170506723141460936064
@@ -134,3 +136,46 @@ def test_ratio_identity_property(q, y, x):
     a = q_log_of_ratio(q, y, x)
     b = q_log(q, y / x)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+# The array kernels use numpy's exp/log/expm1/log1p, the scalar ones libm's;
+# both are within a few ulp, and the exponent arg = log1p((1-q)x)/(1-q)
+# amplifies a relative error by |arg| <= ~6 on these inputs (bracket kept
+# above 1e-2, |x| <= 3), so 1e-14 bounds the gap with room to spare.
+KERNEL_INDICES = [float(q) for q in np.linspace(0.2, 2.8, 27)] + [
+    1.0, 1.0 - 1e-12, 1.0 + 1e-12]
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("q", KERNEL_INDICES)
+    def test_agrees_with_scalar(self, q):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3.0, 3.0, size=2000)
+        x = x[1.0 + (1.0 - q) * x > 1e-2]
+        np.testing.assert_allclose(_q_exp_array(q, x), [q_exp(q, v) for v in x],
+                                   rtol=1e-14, atol=0.0)
+        y = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=2000))
+        np.testing.assert_allclose(_q_log_array(q, y), [q_log(q, v) for v in y],
+                                   rtol=1e-14, atol=0.0)
+
+    def test_domain_violation_names_first_bad_element(self):
+        with pytest.raises(DomainViolation) as info:
+            _q_exp_array(1.5, [0.0, 1.0, 3.0, 5.0])  # brackets 1, .5, -.5, -1.5
+        assert info.value.index == 2
+        assert info.value.constraint == -0.5
+
+    def test_nonpositive_argument_names_first_bad_element(self):
+        with pytest.raises(NonPositiveArgument) as info:
+            _q_log_array(1.5, [1.0, 0.0, -1.0])
+        assert info.value.name == "y[1]"
+
+    @pytest.mark.parametrize("kernel, q, values", [
+        (_q_exp_array, 1.0, [0.0, 1000.0]),
+        (_q_exp_array, 0.999999, [1.0, 1e6]),
+        (_q_log_array, -800.0, [1.0, 10.0]),
+    ])
+    def test_overflow_raises_without_warning(self, kernel, q, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="element 1"):
+                kernel(q, values)
