@@ -138,10 +138,11 @@ def test_ratio_identity_property(q, y, x):
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
-# The array kernels use numpy's exp/log/expm1/log1p, the scalar ones libm's;
-# both are within a few ulp, and the exponent arg = log1p((1-q)x)/(1-q)
-# amplifies a relative error by |arg| <= ~6 on these inputs (bracket kept
-# above 1e-2, |x| <= 3), so 1e-14 bounds the gap with room to spare.
+# The array kernels use numpy's exp/log/expm1/log1p, the scalar ones libm's,
+# each within a few ulp.  A relative error in an exponent is amplified by the
+# exponent's size: at most ~6 for exp_q's log1p((1-q)x)/(1-q) (bracket kept
+# above 1e-2, |x| <= 3) and ~13 for log_q's (1-q)log(y) (y in [1e-3, 1e3]),
+# so 1e-14 relative bounds the gap.
 KERNEL_INDICES = [float(q) for q in np.linspace(0.2, 2.8, 27)] + [
     1.0, 1.0 - 1e-12, 1.0 + 1e-12]
 
