@@ -47,7 +47,7 @@ def _check_probabilities(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("probability vector must be 1-d and non-empty")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0.0).all() and np.isfinite(arr).all()):
         raise ValueError("probabilities must be finite and non-negative")
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > 1e-12:

@@ -4,10 +4,14 @@ Each suite draws its inputs from ``numpy.random.default_rng(seed)`` (PCG64;
 the seed is recorded in the report) so a report is reproducible
 byte-for-byte.  A case's ``max_rel_err`` is the worst error metric observed
 over all sampled inputs; trend/ordering checks report a violation count
-instead, with tolerance 0.5 (i.e. zero violations pass).  Rejection
-sampling keeps every drawn tuple inside the domain brackets with a safety
-margin, so reported errors measure the identities, not boundary
-conditioning.
+instead, with tolerance 0.5 (i.e. zero violations pass).
+
+A randomized case draws all of its rows up front with array Generator calls
+and checks each row through the public scalar functions the CLI serves.
+Rows lie inside their domain brackets with a safety margin, so reported
+errors measure the identities, not boundary conditioning: a lone exp_q
+argument is drawn uniformly on the part of its range that clears the
+margin, and rows under several constraints are redrawn until all hold.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from . import algebra, canonical, combinatorics, dynamics, qgaussian
 from .core import q_exp, q_exp_bracket, q_log, q_log_of_ratio, round_trip_check
-from .errors import DomainViolation
 
 __all__ = ["CaseResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]
 
@@ -73,42 +76,54 @@ def _case(name: str, err: float, tol: float) -> CaseResult:
 # samplers
 
 
-def _draw_index(rng) -> float:
-    """Deformation index: occasionally the exact classical point."""
-    if rng.uniform() < 0.1:
-        return 1.0
-    return float(rng.uniform(0.2, 2.8))
+def _draw_indices(rng, n: int) -> np.ndarray:
+    """Deformation indices: 10% exactly the classical point, the rest
+    uniform on [0.2, 2.8]."""
+    q = rng.uniform(0.2, 2.8, size=n)
+    q[rng.random(n) < 0.1] = 1.0
+    return q
 
 
-def _sample(draw):
-    """Rejection sampling: the first result of ``draw()`` that is not None
-    and raises no :class:`DomainViolation`, within ``_MAX_DRAWS`` calls."""
+def _draw_positives(rng, shape, lo=0.2, hi=5.0) -> np.ndarray:
+    """Log-uniform values on [lo, hi]."""
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size=shape))
+
+
+def _draw_exp_args(rng, q, lo=-3.0, hi=3.0, shift=0.0) -> np.ndarray:
+    """Per row, x uniform on [lo, hi] cut to 1 + (1-q)(x + shift) > margin."""
+    omq = 1.0 - q
+    cut = (_BRACKET_MARGIN - 1.0) / np.where(omq == 0.0, 1.0, omq) - shift
+    low = np.where(omq > 0.0, np.maximum(lo, cut), lo)
+    high = np.where(omq < 0.0, np.minimum(hi, cut), hi)
+    if not np.all(low < high):
+        raise RuntimeError("no exp_q argument in range clears the bracket margin")
+    return rng.uniform(low, high)
+
+
+def _in_margin(q, *args) -> np.ndarray:
+    """Rows where exp_q has its bracket above the margin at every argument."""
+    return np.logical_and.reduce([q_exp_bracket(q, a) > _BRACKET_MARGIN
+                                  for a in args])
+
+
+def _product_terms(q, v) -> np.ndarray:
+    """(1-q) log_q(v) = expm1((1-q) ln v): log_q is additive over q-products,
+    so a product's bracket is 1 plus the sum of its factors' terms."""
+    return np.expm1((1.0 - q) * np.log(v))
+
+
+def _sample_rows(n: int, draw, accept) -> list:
+    """Rejection sampling of n rows at once: ``draw(k)`` returns arrays of k
+    rows, and the rows where ``accept(*values)`` is False are drawn again,
+    up to ``_MAX_DRAWS`` times."""
+    values = list(draw(n))
     for _ in range(_MAX_DRAWS):
-        try:
-            value = draw()
-        except DomainViolation:
-            continue
-        if value is not None:
-            return value
+        rejected = np.flatnonzero(~accept(*values))
+        if rejected.size == 0:
+            return values
+        for full, part in zip(values, draw(rejected.size)):
+            full[rejected] = part
     raise RuntimeError("rejection sampling failed to find a domain point")
-
-
-def _inside(q, *args) -> bool:
-    """Whether exp_q of every argument has its bracket above the margin; the
-    bracket 1 + (1-q)*x is monotone in x, so the extreme argument decides."""
-    return q_exp_bracket(q, min(args) if q < 1.0 else max(args)) > _BRACKET_MARGIN
-
-
-def _draw_exp_arg(rng, q, lo=-3.0, hi=3.0, shift=0.0) -> float:
-    """Uniform x on [lo, hi] with exp_q(x + shift) inside the margin."""
-    def draw():
-        x = float(rng.uniform(lo, hi))
-        return x if _inside(q, x + shift) else None
-    return _sample(draw)
-
-
-def _draw_positive(rng, lo=0.2, hi=5.0) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -119,78 +134,62 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
     rng = np.random.default_rng(seed)
     cases = []
 
+    q = _draw_indices(rng, samples)
+    x = _draw_exp_args(rng, q)
+    y = _draw_positives(rng, samples, 0.05, 20.0)
     worst = 0.0
-    for _ in range(samples):
-        q = _draw_index(rng)
-        x = _draw_exp_arg(rng, q)
-        worst = max(worst, round_trip_check(q, x) / max(1.0, abs(x)))
-        y = _draw_positive(rng, 0.05, 20.0)
-        worst = max(worst, abs(q_exp(q, q_log(q, y)) - y) / y)
+    for qi, xi, yi in zip(q.tolist(), x.tolist(), y.tolist()):
+        worst = max(worst, round_trip_check(qi, xi) / max(1.0, abs(xi)),
+                    abs(q_exp(qi, q_log(qi, yi)) - yi) / yi)
     cases.append(_case("round_trip", worst, 1e-12))
 
-    worst = 0.0
-    for _ in range(samples):
-        q = _draw_index(rng)
-
-        def draw():
-            x1 = float(rng.uniform(-2.0, 2.0))
-            x2 = float(rng.uniform(-2.0, 2.0))
-            if _inside(q, x1, x2, x1 + x2):
-                return x1, x2
-        x1, x2 = _sample(draw)
-        worst = max(worst, algebra.q_exp_law_check(q, x1, x2))
+    q = _draw_indices(rng, samples)
+    x1, x2 = _sample_rows(samples, lambda k: rng.uniform(-2.0, 2.0, size=(2, k)),
+                          lambda x1, x2: _in_margin(q, x1, x2, x1 + x2))
+    worst = max(map(algebra.q_exp_law_check, q.tolist(), x1.tolist(), x2.tolist()))
     cases.append(_case("q_exp_law", worst, 1e-12))
 
+    def products_in_margin(x, y, z):
+        # brackets of x*y, y*z, and of (x*y)*z and x*(y*z)
+        tx, ty, tz = (_product_terms(q, v) for v in (x, y, z))
+        lowest = np.minimum(np.minimum(tx, tz) + ty, tx + ty + tz)
+        return lowest > _BRACKET_MARGIN - 1.0
+
+    q = _draw_indices(rng, samples)
+    x, y, z = _sample_rows(samples, lambda k: _draw_positives(rng, (3, k)),
+                           products_in_margin)
     worst_comm = 0.0
     worst_assoc = 0.0
-    for _ in range(samples):
-        q = _draw_index(rng)
-
-        def draw():
-            x = _draw_positive(rng)
-            y = _draw_positive(rng)
-            z = _draw_positive(rng)
-            if not (algebra.q_product_bracket(q, x, y) > _BRACKET_MARGIN
-                    and algebra.q_product_bracket(q, y, z) > _BRACKET_MARGIN):
-                return None
-            xy = algebra.q_product(q, x, y)
-            yz = algebra.q_product(q, y, z)
-            if (algebra.q_product_bracket(q, xy, z) > _BRACKET_MARGIN
-                    and algebra.q_product_bracket(q, x, yz) > _BRACKET_MARGIN):
-                return x, y, z, xy, yz
-        x, y, z, xy, yz = _sample(draw)
+    for qi, xi, yi, zi in zip(q.tolist(), x.tolist(), y.tolist(), z.tolist()):
+        xy = algebra.q_product(qi, xi, yi)
+        yz = algebra.q_product(qi, yi, zi)
         worst_comm = max(worst_comm,
-                         abs(xy - algebra.q_product(q, y, x)) / xy)
-        left = algebra.q_product(q, xy, z)
-        right = algebra.q_product(q, x, yz)
+                         abs(xy - algebra.q_product(qi, yi, xi)) / xy)
+        left = algebra.q_product(qi, xy, zi)
+        right = algebra.q_product(qi, xi, yz)
         worst_assoc = max(worst_assoc, abs(left - right) / max(left, right))
     cases.append(_case("q_product_commutative", worst_comm, 1e-12))
     cases.append(_case("q_product_associative", worst_assoc, 1e-12))
 
+    q = _draw_indices(rng, samples)
+    c = _draw_exp_args(rng, q, -2.0, 2.0)
+    x = _draw_exp_args(rng, q, shift=c)
     worst = 0.0
-    for _ in range(samples):
-        q = _draw_index(rng)
-        c = _draw_exp_arg(rng, q, -2.0, 2.0)
-        x = _draw_exp_arg(rng, q, shift=c)
-        y_scale, x_scale = dynamics.shift_expansion(q, c)
-        lhs = q_exp(q, x + c)
-        rhs = y_scale * q_exp(q, x / x_scale)
+    for qi, ci, xi in zip(q.tolist(), c.tolist(), x.tolist()):
+        y_scale, x_scale = dynamics.shift_expansion(qi, ci)
+        lhs = q_exp(qi, xi + ci)
+        rhs = y_scale * q_exp(qi, xi / x_scale)
         worst = max(worst, abs(lhs - rhs) / lhs)
     cases.append(_case("shift_expansion", worst, 1e-12))
 
+    q = _draw_indices(rng, samples)
+    # keep the ratio away from 1 so the relative metric is meaningful
+    y, x = _sample_rows(samples, lambda k: _draw_positives(rng, (2, k), 0.1, 10.0),
+                        lambda y, x: np.abs(y / x - 1.0) > 0.05)
     worst = 0.0
-    for _ in range(samples):
-        q = _draw_index(rng)
-
-        def draw():
-            y = _draw_positive(rng, 0.1, 10.0)
-            x = _draw_positive(rng, 0.1, 10.0)
-            # keep the ratio away from 1 so the relative metric is meaningful
-            if abs(y / x - 1.0) > 0.05:
-                return y, x
-        y, x = _sample(draw)
-        a = q_log_of_ratio(q, y, x)
-        b = q_log(q, y / x)
+    for qi, yi, xi in zip(q.tolist(), y.tolist(), x.tolist()):
+        a = q_log_of_ratio(qi, yi, xi)
+        b = q_log(qi, yi / xi)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
     cases.append(_case("q_log_of_ratio", worst, 1e-12))
 
@@ -208,39 +207,42 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
             worst = max(worst, abs(q_exp(q, float(x)) - ref) / ref)
     cases.append(_case("classical_limit_continuity", worst, 1e-4))
 
-    worst = 0.0
-    for _ in range(2000):
-        q = _draw_index(rng)
+    def drifts(k):
+        # one to six shifts a row, zeros after them leaving every sum alone
+        count = rng.integers(1, 7, size=k)
+        shifts = rng.uniform(-1.0, 1.0, size=(k, 6))
+        shifts[np.arange(6) >= count[:, None]] = 0.0
+        return count, shifts
 
-        def draw():
-            shifts = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 7)))
-            seq = algebra.scale_drift_expand(q, shifts)
-            total = float(np.sum(shifts))
-            if _inside(q, total):
-                return seq, total
-        seq, total = _sample(draw)
-        product = math.prod(q_exp(q, o) for o in seq.observed)
-        ref = q_exp(q, total)
+    def drift_in_domain(count, shifts):
+        # every partial-sum scale factor positive, the total's above the margin
+        factors = q_exp_bracket(q[:, None], np.cumsum(shifts, axis=1))
+        return (factors > 0.0).all(axis=1) & (factors[:, -1] > _BRACKET_MARGIN)
+
+    q = _draw_indices(rng, 2000)
+    count, shifts = _sample_rows(2000, drifts, drift_in_domain)
+    worst = 0.0
+    for qi, k, row in zip(q.tolist(), count.tolist(), shifts.tolist()):
+        seq = algebra.scale_drift_expand(qi, row[:k])
+        product = math.prod(q_exp(qi, o) for o in seq.observed)
+        ref = q_exp(qi, sum(row[:k]))
         worst = max(worst, abs(product - ref) / ref)
     cases.append(_case("scale_drift_product", worst, 1e-10))
 
-    worst = 0.0
-    for _ in range(2000):
-        q = _draw_index(rng)
+    def fold_in_margin(count, f):
+        # every step of the left fold keeps its bracket inside the margin
+        brackets = 1.0 + np.cumsum(_product_terms(q[:, None], f), axis=1)
+        steps = np.arange(1, 5) < count[:, None]
+        return (~steps | (brackets[:, 1:] > _BRACKET_MARGIN)).all(axis=1)
 
-        def draw():
-            factors = [_draw_positive(rng, 0.3, 4.0)
-                       for _ in range(int(rng.integers(1, 6)))]
-            # every step of the left fold keeps its bracket inside the margin
-            acc = factors[0]
-            for f in factors[1:]:
-                if not algebra.q_product_bracket(q, acc, f) > _BRACKET_MARGIN:
-                    return None
-                acc = algebra.q_product(q, acc, f)
-            return factors
-        factors = _sample(draw)
-        folded = algebra.q_product_fold(q, factors)
-        ref = q_exp(q, algebra.q_log_sum(q, factors))
+    q = _draw_indices(rng, 2000)
+    count, f = _sample_rows(
+        2000, lambda k: (rng.integers(1, 6, size=k),
+                         _draw_positives(rng, (k, 5), 0.3, 4.0)), fold_in_margin)
+    worst = 0.0
+    for qi, k, row in zip(q.tolist(), count.tolist(), f.tolist()):
+        folded = algebra.q_product_fold(qi, row[:k])
+        ref = q_exp(qi, algebra.q_log_sum(qi, row[:k]))
         worst = max(worst, abs(folded - ref) / ref)
     cases.append(_case("fold_vs_qlog_sum", worst, 1e-12))
 
@@ -284,17 +286,13 @@ def _dynamics(seed: int) -> tuple:
                                         / np.abs(slope_ode))))
     cases.append(_case("rescaled_trajectory_invariance", worst, 1e-4))
 
+    qs = _draw_indices(rng, 1000)
+    c1s, c2s, xs = _sample_rows(
+        1000, lambda k: (*rng.uniform(-1.5, 1.5, size=(2, k)),
+                         rng.uniform(-2.0, 2.0, size=k)),
+        lambda c1, c2, x: _in_margin(qs, c1, c2, c1 + c2, x + c1 + c2))
     worst = 0.0
-    for _ in range(1000):
-        qi = _draw_index(rng)
-
-        def draw():
-            c1 = float(rng.uniform(-1.5, 1.5))
-            c2 = float(rng.uniform(-1.5, 1.5))
-            x = float(rng.uniform(-2.0, 2.0))
-            if _inside(qi, c1, c2, c1 + c2, x + c1 + c2):
-                return c1, c2, x
-        c1, c2, x = _sample(draw)
+    for qi, c1, c2, x in zip(qs.tolist(), c1s.tolist(), c2s.tolist(), xs.tolist()):
         direct = q_exp(qi, x + c1 + c2)
         # pulling one shift out, the remainder staying in the rescaled argument
         e1 = q_exp(qi, c1)
@@ -353,8 +351,7 @@ def _stirling(seed: int) -> tuple:
     cases.append(_case("stirling_error_monotone_violations", violations, 0.5))
 
     worst = 0.0
-    for _ in range(50):
-        u = rng.uniform(0.1, 1.0, size=10)
+    for u in rng.uniform(0.1, 1.0, size=(50, 10)):
         p = u / u.sum()
         shannon = combinatorics.tsallis_entropy(1.0, p)
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
@@ -366,8 +363,7 @@ def _stirling(seed: int) -> tuple:
         for k in (2, 5, 10):
             u = np.ones(k) / k
             bound = combinatorics.tsallis_entropy(q, u)
-            for _ in range(1000):
-                v = rng.uniform(0.0, 1.0, size=k) + 1e-12
+            for v in rng.uniform(0.0, 1.0, size=(1000, k)) + 1e-12:
                 p = v / v.sum()
                 if combinatorics.tsallis_entropy(q, p) > bound + 1e-12:
                     violations += 1
@@ -430,11 +426,11 @@ def _mlp(seed: int) -> tuple:
     negativity_violations = 0
     for q in (0.5, 1.3, 1.7):
         model = qgaussian.QGaussianModel.from_beta(q, 1.0)
-        for _ in range(100):
-            if q < 1.0:
-                samples = rng.uniform(-0.5, 0.5, size=10)
-            else:
-                samples = rng.normal(0.0, 1.0, size=10)
+        if q < 1.0:
+            draws = rng.uniform(-0.5, 0.5, size=(100, 10))
+        else:
+            draws = rng.normal(0.0, 1.0, size=(100, 10))
+        for samples in draws:
             grad, curv = qgaussian.mlp_stationarity(model, samples)
             if not curv < 0.0:
                 negativity_violations += 1
@@ -506,17 +502,21 @@ def _canonical(seed: int) -> tuple:
     structural += int(not report.canonical_bit_stable)
     cases.append(_case("uniqueness_structure_violations", structural, 0.5))
 
-    worst = 0.0
-    for i in range(200):
-        qi = (0.5, 1.0, 1.5, 2.0)[i % 4]
+    def point_sets(k):
+        return (rng.integers(2, 12, size=k), rng.uniform(-1.0, 1.0, size=(k, 11)),
+                rng.uniform(-0.5, 1.5, size=k))
 
-        def draw():
-            pts = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 12)))
-            shift = float(rng.uniform(-0.5, 1.5))
-            if _inside(qi, *(-x + shift for x in pts)):
-                return pts, shift
-        pts, shift = _sample(draw)
-        dist = canonical.build_distribution(qi, pts, shift)
+    def points_in_margin(count, pts, shift):
+        used = np.arange(11) < count[:, None]
+        inside = q_exp_bracket(qs[:, None], shift[:, None] - pts) > _BRACKET_MARGIN
+        return (~used | inside).all(axis=1)
+
+    qs = np.resize([0.5, 1.0, 1.5, 2.0], 200)
+    counts, point_rows, shifts = _sample_rows(200, point_sets, points_in_margin)
+    worst = 0.0
+    for qi, k, row, shift in zip(qs.tolist(), counts.tolist(), point_rows.tolist(),
+                                 shifts.tolist()):
+        dist = canonical.build_distribution(qi, row[:k], shift)
         form = canonical.canonical_form(dist)
         for x, p in zip(dist.xs, dist.probabilities):
             worst = max(worst, abs(form.reconstruct(x) - p) / p)

@@ -226,7 +226,7 @@ def test_09_worked_hand_check():
         assert abs(form.intercept - (-0.5)) < 1e-14
 
 
-def test_10_cli_determinism(tmp_path):
+def test_10_cli_determinism(tmp_path, src_env):
     with criterion(10, "byte-identical verification reports", 60.0):
         outputs = []
         for name in ("first.json", "second.json"):
@@ -234,7 +234,7 @@ def test_10_cli_determinism(tmp_path):
             result = subprocess.run(
                 [sys.executable, "-m", "qdeform", "verify", "all",
                  "--seed", "42", "--format", "json", "--out", str(path)],
-                capture_output=True)
+                capture_output=True, env=src_env)
             assert result.returncode == 0, result.stderr.decode()
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]

@@ -65,10 +65,10 @@ class TestEval:
         ("qexp", "--q", "0.999999", "--x", "1e6"),
         ("qprod", "--q", "1", "--x", "1e300", "--y", "1e300"),
     ])
-    def test_overflow_exits_one_without_traceback(self, argv):
+    def test_overflow_exits_one_without_traceback(self, argv, src_env):
         result = subprocess.run(
             [sys.executable, "-m", "qdeform", "eval", *argv],
-            capture_output=True, text=True)
+            capture_output=True, env=src_env, text=True)
         assert result.returncode == 1
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
@@ -252,23 +252,23 @@ class TestCanonicalize:
 
 
 class TestDeterminism:
-    def test_verify_byte_identical(self, tmp_path):
+    def test_verify_byte_identical(self, tmp_path, src_env):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
             result = subprocess.run(
                 [sys.executable, "-m", "qdeform", "verify", "canonical",
                  "--seed", "42", "--format", "json", "--out", str(path)],
-                capture_output=True)
+                capture_output=True, env=src_env)
             assert result.returncode == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_fig_byte_identical(self, tmp_path):
+    def test_fig_byte_identical(self, tmp_path, src_env):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             result = subprocess.run(
                 [sys.executable, "-m", "qdeform", "fig", "fig3",
                  "--grid-points", "21", "--out", str(path)],
-                capture_output=True)
+                capture_output=True, env=src_env)
             assert result.returncode == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -278,12 +278,12 @@ class TestDeterminism:
     ("canonicalize", "{pts}", "--q", "1", "--c", "1000"),
     ("canonicalize", "{pts}", "--q", "1", "--c", "-1000"),  # total underflows to 0
 ])
-def test_out_of_range_exits_one_without_traceback(argv, tmp_path):
+def test_out_of_range_exits_one_without_traceback(argv, tmp_path, src_env):
     pts = tmp_path / "pts.txt"
     pts.write_text("0\n1\n2\n")
     result = subprocess.run(
         [sys.executable, "-m", "qdeform", *(a.format(pts=pts) for a in argv)],
-        capture_output=True, text=True)
+        capture_output=True, env=src_env, text=True)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
@@ -291,12 +291,12 @@ def test_out_of_range_exits_one_without_traceback(argv, tmp_path):
     assert "RuntimeWarning" not in result.stderr
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(src_env):
     # only the verify suites import scipy, lazily: importing it up front
     # dominated the start-up time of every command
     code = ("import qdeform, qdeform.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
+                            capture_output=True, env=src_env, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

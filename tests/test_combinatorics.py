@@ -135,6 +135,11 @@ class TestTsallisEntropy:
         with pytest.raises(ValueError):
             tsallis_entropy(1.5, [0.5, 0.4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_rejects_nonfinite_or_negative_entry(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tsallis_entropy(1.5, [1.0, bad, 0.25])
+
 
 class TestCorrespondence:
     def test_balanced_thousand_classical(self):

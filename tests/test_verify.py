@@ -1,7 +1,11 @@
-"""Report plumbing for the seeded verification suites."""
+"""Report plumbing and samplers of the seeded verification suites."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from qdeform import algebra, canonical, combinatorics, dynamics, qgaussian, verify
 from qdeform.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -57,3 +61,101 @@ def test_run_all_prefixes_cases():
     prefixes = {c.name.split("/")[0] for c in report.cases}
     assert prefixes == {"identities", "dynamics", "stirling", "mlp", "canonical"}
     assert report.passed
+
+
+# indices across the sampled range, plus the classical point and its
+# nearest neighbours, where the cut 1/(1-q) must not divide by zero
+_INDICES = np.concatenate([np.linspace(0.2, 2.8, 2601),
+                           np.repeat([1.0, 1.0 - 1e-12, 1.0 + 1e-12], 200)])
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_exp_arg_draw_stays_inside_margin(shifted):
+    rng = np.random.default_rng(4)
+    shift = verify._draw_exp_args(rng, _INDICES, -2.0, 2.0) if shifted else 0.0
+    x = verify._draw_exp_args(rng, _INDICES, shift=shift)
+    assert np.all((x >= -3.0) & (x <= 3.0))
+    assert np.all(1.0 + (1.0 - _INDICES) * (x + shift) > verify._BRACKET_MARGIN)
+    if shifted:
+        assert np.all((shift >= -2.0) & (shift <= 2.0))
+        assert np.all(1.0 + (1.0 - _INDICES) * shift > verify._BRACKET_MARGIN)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0, 2.5])
+def test_exp_arg_draw_matches_rejection_law(q):
+    # uniform on [-3, 3] kept where the bracket clears the margin
+    rng = np.random.default_rng(5)
+    pool = rng.uniform(-3.0, 3.0, size=40_000)
+    kept = pool[1.0 + (1.0 - q) * pool > verify._BRACKET_MARGIN]
+    drawn = verify._draw_exp_args(rng, np.full(kept.size, q))
+    quartiles = [0.0, 0.25, 0.5, 0.75, 1.0]
+    np.testing.assert_allclose(np.quantile(drawn, quartiles),
+                               np.quantile(kept, quartiles), atol=0.05)
+
+
+def test_sample_rows_redraws_only_rejected_rows():
+    batches = iter([[1.0, -1.0, 2.0, -2.0], [-3.0, 3.0], [4.0]])
+    seen = []
+
+    def draw(k):
+        seen.append(k)
+        return (np.array(next(batches)),)
+
+    (values,) = verify._sample_rows(4, draw, lambda v: v > 0.0)
+    assert seen == [4, 2, 1]
+    assert values.tolist() == [1.0, 4.0, 2.0, 3.0]
+
+
+def test_sample_rows_raises_when_every_row_is_rejected():
+    rounds = []
+
+    def draw(k):
+        rounds.append(k)
+        return (np.zeros(k),)
+
+    with pytest.raises(RuntimeError):
+        verify._sample_rows(3, draw, lambda v: np.zeros(v.size, bool))
+    # the first draw and _MAX_DRAWS redraws of every row
+    assert rounds == [3] * (verify._MAX_DRAWS + 1)
+
+
+# calls each suite makes at seed 3 to some of its checkers, as when every
+# case drew one row at a time: cheaper draws must not mean fewer checks
+_CHECKER_CALLS = {
+    "identities": {(algebra, "q_exp_law_check"): 10_000,
+                   (algebra, "q_product_fold"): 2000,
+                   (dynamics, "shift_expansion"): 10_000},
+    "dynamics": {(dynamics, "compose_shifts"): 1000},
+    "stirling": {(combinatorics, "tsallis_entropy"): 9183},
+    "mlp": {(qgaussian, "mlp_stationarity"): 300},
+    "canonical": {(canonical, "build_distribution"): 404},
+}
+
+
+def _counting(counts, key, fn):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("suite", sorted(_CHECKER_CALLS))
+def test_suites_keep_their_sample_counts(suite, monkeypatch):
+    counts = Counter()
+    for module, name in _CHECKER_CALLS[suite]:
+        monkeypatch.setattr(module, name,
+                            _counting(counts, (module, name), getattr(module, name)))
+    run_suite(suite, seed=3)
+    assert counts == _CHECKER_CALLS[suite]
+
+
+def test_index_and_positive_draws():
+    rng = np.random.default_rng(6)
+    q = verify._draw_indices(rng, 20_000)
+    classical = q == 1.0
+    assert 0.09 < classical.mean() < 0.11
+    assert np.all((q[~classical] >= 0.2) & (q[~classical] <= 2.8))
+    # log-uniform: the median sits at the geometric mean of the bounds
+    v = verify._draw_positives(rng, 20_000, 0.05, 20.0)
+    assert np.all((v >= 0.05) & (v <= 20.0))
+    assert abs(np.median(v) - 1.0) < 0.05
