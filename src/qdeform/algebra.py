@@ -24,10 +24,10 @@ materializes that sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import check_index, q_exp, q_exp_bracket, q_log
-from .errors import DomainViolation, NonPositiveArgument
+from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .errors import DomainViolation
 
 __all__ = [
     "ObservationSequence",
@@ -42,26 +42,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservationSequence:
-    """Same-scale shifts x_1..x_n paired with their drifted readings x'_1..x'_n."""
+    """Same-scale shifts x_1..x_n and, derived from them at construction,
+    the drifted readings x'_t = x_t / (1 + (1-q) * sum_{i<t} x_i)."""
 
     q: float
     shifts: tuple
-    observed: tuple
+    observed: tuple = field(init=False)
 
     def __post_init__(self):
-        if len(self.shifts) != len(self.observed):
-            raise ValueError("shifts and observed must have the same length")
-        if not self.shifts:
-            raise ValueError("an observation sequence needs at least one step")
-        if self.observed[0] != self.shifts[0]:
-            raise ValueError("the first observation carries the reference scale "
-                             "and must equal the first shift")
+        q = check_index(self.q)
+        xs = tuple(float(s) for s in self.shifts)
+        if not xs:
+            raise ValueError("shifts must be non-empty")
+        observed = []
         partial = 0.0
-        for t, x in enumerate(self.shifts):
-            w = q_exp_bracket(self.q, partial)
+        for t, x in enumerate(xs):
+            w = q_exp_bracket(q, partial)
             if w <= 0.0:
                 raise DomainViolation("partial-sum scale factor", w, index=t)
+            observed.append(x / w)
             partial += x
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "shifts", xs)
+        object.__setattr__(self, "observed", tuple(observed))
 
 
 def _product_excess(q: float, x: float, y: float) -> float:
@@ -84,11 +87,7 @@ def q_product(q: float, x: float, y: float) -> float:
     near q = 1.
     """
     q = check_index(q)
-    x, y = float(x), float(y)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise NonPositiveArgument("x", x)
-    if not (y > 0.0) or not math.isfinite(y):
-        raise NonPositiveArgument("y", y)
+    x, y = _check_positive("x", x), _check_positive("y", y)
     if q == 1.0:
         return x * y
     d = _product_excess(q, x, y)
@@ -101,11 +100,7 @@ def q_product(q: float, x: float, y: float) -> float:
 def q_ratio(q: float, x: float, y: float) -> float:
     """Inverse of :func:`q_product`: q_ratio(q_product(x, y), y) == x."""
     q = check_index(q)
-    x, y = float(x), float(y)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise NonPositiveArgument("x", x)
-    if not (y > 0.0) or not math.isfinite(y):
-        raise NonPositiveArgument("y", y)
+    x, y = _check_positive("x", x), _check_positive("y", y)
     if q == 1.0:
         return x / y
     omq = 1.0 - q
@@ -131,19 +126,7 @@ def scale_drift_expand(q: float, shifts) -> ObservationSequence:
     Raises :class:`DomainViolation` naming the first step whose partial-sum
     scale factor is not positive.
     """
-    q = check_index(q)
-    xs = tuple(float(s) for s in shifts)
-    if not xs:
-        raise ValueError("shifts must be non-empty")
-    observed = []
-    partial = 0.0
-    for t, x in enumerate(xs):
-        w = q_exp_bracket(q, partial)
-        if w <= 0.0:
-            raise DomainViolation("partial-sum scale factor", w, index=t)
-        observed.append(x / w)
-        partial += x
-    return ObservationSequence(q=q, shifts=xs, observed=tuple(observed))
+    return ObservationSequence(q, shifts)
 
 
 def q_product_fold(q: float, factors) -> float:
@@ -159,8 +142,7 @@ def q_product_fold(q: float, factors) -> float:
         raise ValueError("factors must be non-empty")
     acc = None
     for i, f in enumerate(values):
-        if not (f > 0.0) or not math.isfinite(f):
-            raise NonPositiveArgument(f"factors[{i}]", f)
+        _check_positive(f"factors[{i}]", f)
         if acc is None:
             acc = f
             continue

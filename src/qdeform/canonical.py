@@ -26,12 +26,12 @@ drops out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_index, q_exp, q_exp_bracket, q_log
-from .errors import DomainViolation, NonPositiveArgument
+from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .errors import DomainViolation
 
 __all__ = [
     "DiscreteQDistribution",
@@ -48,25 +48,40 @@ __all__ = [
 class DiscreteQDistribution:
     """Data points, their deformed-exponential frequencies and probabilities.
 
-    Frequencies are positive reals (the deformed exponential is generically
-    non-integer); ``total`` is their compensated sum and the probabilities
+    Built from (q, xs, shift), the rest derived: frequencies exp_q(-x_i +
+    shift) are positive reals (the deformed exponential is generically
+    non-integer), ``total`` is their compensated sum and the probabilities
     are frequencies/total.
     """
 
     q: float
     xs: tuple
     shift: float
-    frequencies: tuple
-    total: float
-    probabilities: tuple
+    frequencies: tuple = field(init=False)
+    total: float = field(init=False)
+    probabilities: tuple = field(init=False)
 
     def __post_init__(self):
-        if not (len(self.xs) == len(self.frequencies) == len(self.probabilities)):
-            raise ValueError("xs, frequencies and probabilities must align")
-        if any(f <= 0.0 for f in self.frequencies):
-            raise ValueError("frequencies must be strictly positive")
-        if abs(math.fsum(self.probabilities) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        q = check_index(self.q)
+        shift = float(self.shift)
+        points = tuple(float(x) for x in self.xs)
+        if not points:
+            raise ValueError("xs must be non-empty")
+        freqs = []
+        for i, x in enumerate(points):
+            try:
+                freqs.append(q_exp(q, -x + shift))
+            except DomainViolation as err:
+                raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
+                                      err.constraint, index=i) from err
+        # every frequency may have underflowed to 0
+        total = _check_positive("total", math.fsum(freqs))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "xs", points)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "frequencies", tuple(freqs))
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "probabilities", tuple(f / total for f in freqs))
 
 
 @dataclass(frozen=True)
@@ -102,25 +117,7 @@ def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
     Raises :class:`DomainViolation` naming the first data point whose
     argument leaves the deformed-exponential domain.
     """
-    q = check_index(q)
-    shift = float(shift)
-    points = [float(x) for x in xs]
-    if not points:
-        raise ValueError("xs must be non-empty")
-    freqs = []
-    for i, x in enumerate(points):
-        u = -x + shift
-        w = q_exp_bracket(q, u)
-        if w <= 0.0:
-            raise DomainViolation(f"frequency argument for x[{i}]={x!r}", w, index=i)
-        freqs.append(q_exp(q, u))
-    total = math.fsum(freqs)
-    if not total > 0.0:  # every frequency underflowed to 0
-        raise NonPositiveArgument("total", total)
-    probs = tuple(f / total for f in freqs)
-    return DiscreteQDistribution(q=q, xs=tuple(points), shift=shift,
-                                 frequencies=tuple(freqs), total=total,
-                                 probabilities=probs)
+    return DiscreteQDistribution(q, xs, shift)
 
 
 def split_representation(q: float, xs, shift1: float, shift2: float):
@@ -154,8 +151,6 @@ def canonical_form(dist: DiscreteQDistribution) -> CanonicalQLogForm:
     """
     q = dist.q
     n = dist.total
-    if not (n > 0.0):
-        raise NonPositiveArgument("total", n)
     n_pow = n ** (q - 1.0)
     return CanonicalQLogForm(q=q, slope=-n_pow,
                              intercept=n_pow * dist.shift - q_log(2.0 - q, n))

@@ -33,14 +33,22 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, c) -> int:
+    # int(c) alone would truncate 2.5 and overflow on inf
+    try:
+        n = int(c)
+    except (OverflowError, ValueError):  # inf, nan
+        n = 0
+    if n != c or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {c!r}")
+    return n
+
+
 def _check_counts(counts) -> list:
-    values = list(counts)
+    values = [_check_count(f"counts[{i}]", c) for i, c in enumerate(counts)]
     if not values:
         raise ValueError("counts must be non-empty")
-    for i, c in enumerate(values):
-        if int(c) != c or c < 1:
-            raise ValueError(f"counts[{i}] must be a positive integer, got {c!r}")
-    return [int(c) for c in values]
+    return values
 
 
 def _check_probabilities(p) -> np.ndarray:
@@ -58,9 +66,7 @@ def _check_probabilities(p) -> np.ndarray:
 def q_log_factorial(q: float, n: int) -> float:
     """Exact compensated sum of log_q(k) for k = 1..n."""
     q = check_index(q)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n)
     return math.fsum(_q_log_array(q, np.arange(1, n + 1, dtype=float)).tolist())
 
 
@@ -74,9 +80,7 @@ def q_stirling(q: float, n: int) -> float:
     the generic branch, which is continuous away from the removable point.
     """
     q = check_index(q)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n)
     if q == 2.0:
         return n - math.log(n) - 1.0 / (2.0 * n) - 0.5
     lnq = q_log(q, float(n))

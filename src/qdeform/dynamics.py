@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_index, q_exp, q_exp_bracket, q_log
-from .errors import BlowupDetected, NonPositiveArgument
+from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .errors import BlowupDetected
 from .tables import FigureTable, _scaled_family
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
 FIG2_SCALES = (1.0, 10.0, 20.0)
 FIG2_INDEX = 1.3
 FIG2_GRID = (0.0, 5.0, 501)  # rescaled abscissas: min, max, points
+Y_MAX = 1e12  # integrate_ode stops once y reaches this
 
 
 def _check_direction(direction) -> float:
@@ -83,13 +84,14 @@ class Trajectory:
 def rescale_factor(q: float, x0: float, y0: float) -> float:
     """The positive constant with log_q(scale) = log_q(y0) - x0.
 
-    Fixes the scale unit the growing-branch solution is measured in; raises
+    ``rescale_factor(q, direction * x0, y0)`` is the scale unit of the
+    solution through (x0, y0) for either direction, since the linear form
+    log_q(y) = direction * x + log_q(scale) fixes it.  Raises
     :class:`DomainViolation` when no positive constant satisfies the
     relation.
     """
     q = check_index(q)
-    if not (float(y0) > 0.0) or not math.isfinite(float(y0)):
-        raise NonPositiveArgument("y0", y0)
+    y0 = _check_positive("y0", y0)
     return q_exp(q, q_log(q, y0) - float(x0))
 
 
@@ -97,9 +99,7 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     """Closed-form solution scale * exp_q(direction * x / scale**(1-q))."""
     q = check_index(q)
     d = _check_direction(direction)
-    s = float(scale)
-    if not (s > 0.0) or not math.isfinite(s):
-        raise NonPositiveArgument("scale", s)
+    s = _check_positive("scale", scale)
     return s * q_exp(q, d * float(x) / s ** (1.0 - q))
 
 
@@ -112,20 +112,18 @@ def q_log_line(q: float, scale: float, direction, xs):
     """
     q = check_index(q)
     d = _check_direction(direction)
-    s = float(scale)
-    if not (s > 0.0) or not math.isfinite(s):
-        raise NonPositiveArgument("scale", s)
+    s = _check_positive("scale", scale)
     intercept = q_log(q, s)
     return [(float(x), d * float(x) + intercept) for x in xs]
 
 
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
-                  step: float, y_max: float = 1e12) -> Trajectory:
+                  step: float) -> Trajectory:
     """Fixed-step classical RK4 trajectory of dy/dx = direction * y**q.
 
     The step is shrunk uniformly so the grid lands on ``x_end`` exactly.
     Integration aborts with :class:`BlowupDetected` when y leaves
-    (0, y_max) or when the analytic domain boundary for this initial
+    (0, ``Y_MAX``) or when the analytic domain boundary for this initial
     condition is about to be crossed (bracket below 1e-12), which happens in
     finite x for the growing branch with q > 1 and for the decaying branch
     with q < 1.
@@ -136,13 +134,11 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     step = float(step)
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
-    if not (y0 > 0.0) or not math.isfinite(y0):
-        raise NonPositiveArgument("y0", y0)
     if x_end <= x0:
         raise ValueError("x_end must exceed x0")
 
-    # Domain guard constants from the solution through (x0, y0).
-    scale = q_exp(q, q_log(q, y0) - d * x0)
+    # Domain guard constants from the solution through (x0, y0); checks y0.
+    scale = rescale_factor(q, d * x0, y0)
     scale_pow = scale ** (1.0 - q)
 
     def rhs(y: float) -> float:
@@ -172,7 +168,7 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
             raise BlowupDetected(x, y4, "intermediate stage left (0, y_max)")
         k4 = rhs(y4)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (0.0 < y < y_max):
+        if not (0.0 < y < Y_MAX):
             raise BlowupDetected(x_next, y, "solution left (0, y_max)")
         xs.append(x_next)
         ys.append(y)

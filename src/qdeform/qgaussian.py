@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _q_exp_array, check_index, q_exp, q_exp_bracket, q_log
-from .errors import DomainViolation, NonPositiveArgument, UnnormalizableModel
+from .core import _check_positive, _q_exp_array, check_index, q_exp, q_exp_bracket, q_log
+from .errors import DomainViolation, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
 
 __all__ = [
@@ -95,9 +95,7 @@ def normalization(q: float, beta: float) -> float:
     2/(q-1) drops to 1 and the integral diverges.
     """
     q = check_index(q)
-    beta = float(beta)
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise NonPositiveArgument("beta", beta)
+    beta = _check_positive("beta", beta)
     if q >= 3.0:
         raise UnnormalizableModel(q)
     if q == 1.0:
@@ -144,9 +142,7 @@ class QGaussianModel:
     @classmethod
     def from_beta(cls, q: float, beta: float) -> "QGaussianModel":
         """Model with the given width coefficient and zero log offset."""
-        beta = float(beta)
-        if not (beta > 0.0) or not math.isfinite(beta):
-            raise NonPositiveArgument("beta", beta)
+        beta = _check_positive("beta", beta)
         return cls(q=q, ode_coeff=-2.0 * beta, log_offset=0.0)
 
     def support_halfwidth(self) -> float:
@@ -247,9 +243,7 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     table metadata.
     """
     q = check_index(q)
-    gamma = float(gamma)
-    if not (gamma > 0.0) or not math.isfinite(gamma):
-        raise NonPositiveArgument("gamma", gamma)
+    gamma = _check_positive("gamma", gamma)
     scale = q_exp(q, float(log_offset))
     x_scale = scale ** ((1.0 - q) / 2.0)
     grid = np.asarray(grid, dtype=float)

@@ -255,8 +255,7 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
 
 def _trajectory_error(q, direction, x0, y0, x_end, step) -> float:
     traj = dynamics.integrate_ode(q, x0, y0, direction, x_end, step)
-    scale = dynamics.rescale_factor(q, x0, y0) if direction == 1 else \
-        q_exp(q, q_log(q, y0) + x0)
+    scale = dynamics.rescale_factor(q, direction * x0, y0)
     worst = 0.0
     for x, y in zip(traj.xs, traj.ys):
         ref = dynamics.analytic_solution(q, scale, direction, float(x))

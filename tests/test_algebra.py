@@ -8,6 +8,7 @@ import pytest
 from qdeform import (
     DomainViolation,
     NonPositiveArgument,
+    ObservationSequence,
     q_exp,
     q_exp_bracket,
     q_exp_law_check,
@@ -146,6 +147,26 @@ class TestScaleDrift:
             done += 1
             product = math.prod(q_exp(q, o) for o in seq.observed)
             assert product == pytest.approx(q_exp(q, total), rel=1e-10)
+
+    def test_record_derives_its_readings(self):
+        shifts = [0.4, -1.1, 0.7, 2.0]
+        for q in Q_GRID:
+            assert ObservationSequence(q, shifts) == scale_drift_expand(q, shifts)
+        assert ObservationSequence(1.5, np.array([0.5, 0.5])).shifts == (0.5, 0.5)
+
+    def test_readings_are_not_an_input(self):
+        with pytest.raises(TypeError):
+            ObservationSequence(1.5, (1.0,), observed=(1.0,))
+
+    def test_record_names_failing_step(self):
+        with pytest.raises(DomainViolation) as err:
+            ObservationSequence(2.0, [4.0, 1.0])
+        assert err.value.index == 1
+        assert err.value.constraint == q_exp_bracket(2.0, 4.0)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            ObservationSequence(1.5, [])
 
 
 class TestFold:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qdeform import (
+    DiscreteQDistribution,
     DomainViolation,
     build_distribution,
     canonical_form,
     q_exp,
+    q_exp_bracket,
     q_log,
     split_representation,
     verify_uniqueness,
@@ -40,6 +42,25 @@ class TestBuildDistribution:
         with pytest.raises(DomainViolation) as err:
             build_distribution(1.5, [0.0, -3.0], 0.0)
         assert err.value.index == 1
+        assert err.value.constraint == q_exp_bracket(1.5, 3.0)
+        assert "x[1]=-3.0" in str(err.value)
+
+    def test_record_derives_its_fields(self):
+        xs = [0.0, 0.7, -0.4, 2.1]
+        for q in (0.5, 1.0, 1.5, 2.0):
+            assert DiscreteQDistribution(q, xs, 0.3) == build_distribution(q, xs, 0.3)
+        dist = DiscreteQDistribution(2, np.array([0.0, 1.0]), 0)
+        assert (dist.q, dist.xs, dist.shift) == (2.0, (0.0, 1.0), 0.0)
+        assert dist.frequencies == pytest.approx((1.0, 0.5), rel=1e-15)
+
+    def test_derived_fields_are_not_inputs(self):
+        for derived in ("frequencies", "total", "probabilities"):
+            with pytest.raises(TypeError):
+                DiscreteQDistribution(1.5, (0.0,), 0.0, **{derived: (1.0,)})
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            DiscreteQDistribution(1.5, [], 0.0)
 
     def test_frequencies_always_positive(self):
         rng = np.random.default_rng(31)

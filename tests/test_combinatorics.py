@@ -44,6 +44,15 @@ class TestLogFactorial:
         with pytest.raises(ValueError):
             q_log_factorial(1.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, math.inf, math.nan, -math.inf, "3"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            q_log_factorial(1.5, n)
+
+    def test_accepts_integral_float_and_numpy_int(self):
+        assert q_log_factorial(1.5, 7.0) == q_log_factorial(1.5, np.int64(7)) \
+            == q_log_factorial(1.5, 7)
+
 
 class TestStirling:
     def test_classical_formula_value(self):
@@ -62,6 +71,11 @@ class TestStirling:
         large = abs(q_stirling(q, 1000) - q_log_factorial(q, 1000)) \
             / abs(q_log_factorial(q, 1000))
         assert large < small
+
+    @pytest.mark.parametrize("n", [2.9, 0, math.inf, math.nan])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            q_stirling(1.5, n)
 
     def test_relative_error_monotone_grid(self):
         for q in (0.5, 1.0, 1.5, 2.0, 2.5):
@@ -89,6 +103,11 @@ class TestMultinomial:
             q_log_multinomial(1.0, [2, 0])
         with pytest.raises(ValueError):
             q_log_multinomial(1.0, [])
+
+    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
+    def test_bad_count_is_named(self, bad):
+        with pytest.raises(ValueError, match=r"counts\[1\] must be a positive integer"):
+            q_log_multinomial(1.0, [2, bad])
 
 
 class TestTsallisEntropy:

@@ -8,6 +8,7 @@ import pytest
 from qdeform import (
     BlowupDetected,
     DomainViolation,
+    NonPositiveArgument,
     analytic_solution,
     compose_shifts,
     fig2_data,
@@ -38,6 +39,13 @@ class TestRescaleFactor:
     def test_square_case(self):
         # log_{0.5}(16) = 6, exp_{0.5}(5) = 3.5**2
         assert rescale_factor(0.5, 1.0, 16.0) == pytest.approx(12.25, rel=1e-13)
+
+    def test_either_direction_through_a_point(self):
+        # rescale_factor(q, direction * x0, y0) puts the closed form through (x0, y0)
+        for q in (0.5, 1.0, 1.3, 2.0):
+            for d in (1, -1):
+                scale = rescale_factor(q, d * 0.3, 1.4)
+                assert analytic_solution(q, scale, d, 0.3) == pytest.approx(1.4, rel=1e-14)
 
     def test_no_positive_factor(self):
         # log_{0.5}(y0) - x0 far below the domain edge -2
@@ -118,6 +126,19 @@ class TestIntegrateODE:
         assert np.all(np.diff(traj.xs) > 0)
         assert np.all(traj.ys > 0)
         assert traj.xs[0] == 0.0 and traj.xs[-1] == pytest.approx(0.3)
+
+    def test_stops_past_y_max(self):
+        # e**30 > 1e12
+        with pytest.raises(BlowupDetected, match=r"solution left \(0, y_max\)"):
+            integrate_ode(1.0, 0.0, 1.0, 1, 30.0, 1e-2)
+
+    def test_no_y_max_option(self):
+        with pytest.raises(TypeError):
+            integrate_ode(1.0, 0.0, 1.0, 1, 1.0, 1e-3, y_max=10.0)
+
+    def test_rejects_nonpositive_y0(self):
+        with pytest.raises(NonPositiveArgument, match="y0"):
+            integrate_ode(1.3, 0.0, 0.0, -1, 1.0, 1e-3)
 
     def test_nonzero_start(self):
         traj = integrate_ode(1.3, 1.0, 0.8, -1, 2.0, 1e-3)
