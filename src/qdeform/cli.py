@@ -230,12 +230,15 @@ def _read_values(path):
             continue
         token = text.split(",")[0].strip()
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError:
             if lineno == 1:
                 continue  # a single header line is tolerated
             raise _CliInputError(
                 f"{path}:{lineno}: cannot parse {token!r} as a real") from None
+        if not math.isfinite(value):
+            raise _CliInputError(f"{path}:{lineno}: {token!r} is not a finite real")
+        values.append(value)
     if not values:
         raise _CliInputError(f"{path}: no data values found")
     return values

@@ -101,14 +101,24 @@ def tsallis_entropy(q: float, p) -> float:
 
     Zero-probability entries are skipped (the 0**q = 0 convention for
     q > 0).  Non-negative for q > 0 and maximized by the uniform vector,
-    where it equals log_q(k).
+    where it equals log_q(k).  Raises :class:`OverflowError` when the
+    power sum passes the largest double (small entries at q << 0).
     """
     q = check_index(q)
     arr = _check_probabilities(p)
     positive = arr[arr > 0.0]
     if q == 1.0:
         return -math.fsum((positive * np.log(positive)).tolist())
-    return (1.0 - math.fsum((positive ** q).tolist())) / (q - 1.0)
+    # an overflow to inf is reported below, naming q
+    with np.errstate(over="ignore"):
+        powers = (positive ** q).tolist()
+    try:
+        value = (1.0 - math.fsum(powers)) / (q - 1.0)
+    except OverflowError:  # finite powers whose sum passes the largest double
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"tsallis_entropy at q={q!r} overflows a double")
+    return value
 
 
 def _relative_gap(lhs: float, rhs: float) -> float:

@@ -183,10 +183,11 @@ def shift_expansion(q: float, shift: float):
         exp_q(x + shift) = y_scale * exp_q(x / x_scale)
 
     for every x where both sides are defined.  Requires the shift itself to
-    satisfy 1 + (1-q)*shift > 0.
+    satisfy 1 + (1-q)*shift > 0, and exp_q(shift) not to underflow to 0
+    (:class:`NonPositiveArgument` naming ``y_scale`` otherwise).
     """
     q = check_index(q)
-    y_scale = q_exp(q, shift)
+    y_scale = _check_positive("y_scale", q_exp(q, shift))
     return y_scale, y_scale ** (1.0 - q)
 
 

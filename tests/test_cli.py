@@ -229,9 +229,10 @@ class TestCanonicalize:
         assert code == 0
         assert json.loads(out)["count"] == 2
 
-    def test_parse_error_names_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize("bad", ["not-a-number", "inf", "-inf", "nan"])
+    def test_parse_error_names_line(self, bad, capsys, tmp_path):
         data = tmp_path / "xs.txt"
-        data.write_text("0\nnot-a-number\n1\n")
+        data.write_text(f"0\n{bad}\n1\n")
         code, _, err = run_cli(capsys, "canonicalize", str(data),
                                "--q", "2", "--c", "0")
         assert code == 1
@@ -291,10 +292,26 @@ def test_out_of_range_exits_one_without_traceback(argv, tmp_path, src_env):
     assert "RuntimeWarning" not in result.stderr
 
 
+def test_nonfinite_data_line_exits_one_naming_the_line(tmp_path, src_env):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.0\n-inf\n1.0\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "qdeform", "canonicalize", str(pts),
+         "--q", "1.5", "--c", "0"],
+        capture_output=True, env=src_env, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert ":2:" in result.stderr
+    assert "not a finite real" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_import_loads_no_scipy(src_env):
-    # only the verify suites import scipy, lazily: importing it up front
-    # dominated the start-up time of every command
+    # scipy is no runtime dependency: importing it dominated the start-up
+    # time of every command, and its quadrature that of ``verify all``
     code = ("import qdeform, qdeform.cli, sys; "
+            "from qdeform.verify import run_all; "
+            "assert run_all(0).passed; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, env=src_env, text=True)

@@ -1,6 +1,7 @@
 """Deformed factorial sums, the asymptotic formula, and Tsallis entropy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,22 @@ class TestTsallisEntropy:
     def test_rejects_nonfinite_or_negative_entry(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
             tsallis_entropy(1.5, [1.0, bad, 0.25])
+
+    # at q = -1000, 0.3**q is inf; at q = -1023 both powers are finite and
+    # only their sum passes the largest double
+    @pytest.mark.parametrize("q, p", [(-1000.0, [0.3, 0.7]), (-1023.0, [0.5, 0.5])])
+    def test_overflow_names_index(self, q, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=f"q={q!r}"):
+                tsallis_entropy(q, p)
+
+    def test_large_finite_value_is_returned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = tsallis_entropy(-400.0, [0.3, 0.7])
+        assert value == pytest.approx((0.3 ** -400 + 0.7 ** -400 - 1.0) / 401.0,
+                                      rel=1e-12)
 
 
 class TestCorrespondence:

@@ -178,6 +178,14 @@ class TestShiftExpansion:
             assert y_scale * q_exp(q, x / x_scale) == pytest.approx(
                 lhs, rel=1e-12)
 
+    def test_underflowed_scale_is_a_domain_error(self):
+        # exp_q(-1e300) underflows to 0 at q > 1, and 0**(1-q) divides by 0
+        q = 1.5407200512772015
+        with pytest.raises(NonPositiveArgument, match="y_scale"):
+            shift_expansion(q, -1e300)
+        with pytest.raises(NonPositiveArgument, match="y_scale"):
+            compose_shifts(q, 0.1, -1e300)
+
 
 class TestComposeShifts:
     def test_reduces_to_single_shift(self):

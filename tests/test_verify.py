@@ -1,5 +1,6 @@
-"""Report plumbing and samplers of the seeded verification suites."""
+"""Report plumbing, samplers and quadrature of the seeded verification suites."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -159,3 +160,21 @@ def test_index_and_positive_draws():
     v = verify._draw_positives(rng, 20_000, 0.05, 20.0)
     assert np.all((v >= 0.05) & (v <= 20.0))
     assert abs(np.median(v) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("beta", [1e-2, 1.0, 1e2])
+def test_integrate_density_matches_closed_form(beta):
+    """The double-exponential mass of exp_q(-beta e**2) / normalization is 1
+    to 1e-13 for q in [-2, 2.8] and at q = 1 +- 1e-12, with no warning.
+
+    The grid stops at q = 2.8: the mass past r = e*sqrt(beta) = R falls like
+    R**(-(3-q)/(q-1)), and R cannot pass about 1e154, where beta * e**2
+    overflows a double.  Past 1e150 lie 2e-17 of the mass at q = 2.8 but
+    1.2e-8 at q = 2.9, out of reach of any rule on doubles.
+    """
+    indices = [*np.linspace(-2.0, 2.8, 57).tolist(), 1.0 - 1e-12, 1.0 + 1e-12]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in indices:
+            model = qgaussian.QGaussianModel.from_beta(q, beta)
+            assert abs(verify._integrate_density(model) - 1.0) <= 1e-13, q
