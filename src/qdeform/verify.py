@@ -431,7 +431,7 @@ def _integrate_density(model) -> float:
 
         def term(t):
             y = lam * math.sinh(t)
-            z = math.exp(-2.0 * y)  # sech(y)**2 = 4z / (1+z)**2, which cannot overflow
+            z = math.exp(-2.0 * y)  # sech(y)**2 = 4z/(1+z)**2 cannot overflow
             return (pdf(model, edge * math.tanh(y)) * edge * lam * math.cosh(t)
                     * 4.0 * z / (1.0 + z) ** 2)
 

@@ -229,14 +229,22 @@ class TestCanonicalize:
         assert code == 0
         assert json.loads(out)["count"] == 2
 
-    @pytest.mark.parametrize("bad", ["not-a-number", "inf", "-inf", "nan"])
-    def test_parse_error_names_line(self, bad, capsys, tmp_path):
+    def test_parse_error_names_line(self, capsys, tmp_path):
+        data = tmp_path / "xs.txt"
+        data.write_text("0\nnot-a-number\n1\n")
+        code, _, err = run_cli(capsys, "canonicalize", str(data),
+                               "--q", "2", "--c", "0")
+        assert code == 1
+        assert ":2:" in err
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_nonfinite_value_names_line(self, bad, capsys, tmp_path):
         data = tmp_path / "xs.txt"
         data.write_text(f"0\n{bad}\n1\n")
         code, _, err = run_cli(capsys, "canonicalize", str(data),
                                "--q", "2", "--c", "0")
         assert code == 1
-        assert ":2:" in err
+        assert f":2: {bad!r} is not a finite real" in err
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "canonicalize", "/nonexistent",
