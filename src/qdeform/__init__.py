@@ -30,11 +30,9 @@ from .algebra import (
 from .canonical import (
     CanonicalQLogForm,
     DiscreteQDistribution,
-    UniquenessReport,
     build_distribution,
     canonical_form,
     split_representation,
-    verify_uniqueness,
 )
 from .combinatorics import (
     q_log_factorial,

@@ -37,6 +37,7 @@ __all__ = [
     "q_exp_law_check",
     "scale_drift_expand",
     "q_product_fold",
+    "q_log_sum",
 ]
 
 

@@ -28,19 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .core import _check_positive, check_index, q_exp, q_log
 from .errors import DomainViolation
 
 __all__ = [
     "DiscreteQDistribution",
     "CanonicalQLogForm",
-    "UniquenessReport",
     "build_distribution",
     "split_representation",
     "canonical_form",
-    "verify_uniqueness",
 ]
 
 
@@ -97,20 +93,6 @@ class CanonicalQLogForm:
         return q_exp(self.q, self.slope * float(x) + self.intercept)
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Outcome of sampling shift splits of one distribution."""
-
-    q: float
-    shift: float
-    n_splits: int
-    rejected: int
-    max_probability_deviation: float
-    distinct_parameterizations: int
-    canonical: CanonicalQLogForm
-    canonical_bit_stable: bool
-
-
 def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
     """Frequencies exp_q(-x_i + shift), their total, and probabilities.
 
@@ -155,80 +137,3 @@ def canonical_form(dist: DiscreteQDistribution) -> CanonicalQLogForm:
     return CanonicalQLogForm(q=q, slope=-n_pow,
                              intercept=n_pow * dist.shift - q_log(2.0 - q, n))
 
-
-def _split_interval(q: float, shift: float):
-    # Both sub-shifts must keep their own exp_q bracket positive.
-    if q == 1.0:
-        return shift - 5.0, shift + 5.0
-    margin = 1e-9
-    if q > 1.0:
-        upper = (1.0 - margin) / (q - 1.0)
-        lo, hi = shift - upper, upper
-    else:
-        lower = (margin - 1.0) / (1.0 - q)
-        lo, hi = lower, shift - lower
-    if not lo < hi:
-        raise DomainViolation("no feasible shift split exists",
-                              q_exp_bracket(q, shift))
-    pad = 1e-3 * (hi - lo)
-    return lo + pad, hi - pad
-
-
-def verify_uniqueness(q: float, xs, shift: float, n_splits: int = 100,
-                      seed: int = 0) -> UniquenessReport:
-    """Sample random splits shift = c1 + c2 and compare representations.
-
-    Each feasible split produces two surface parameterizations (distinct
-    argument rescalings for q != 1) whose probability vectors are compared
-    componentwise against the unsplit distribution; the canonical affine
-    form is derived from the total shift alone, so it is bit-identical
-    across splits by construction -- that invariance is exactly what makes
-    it canonical.  At q = 1 the argument rescaling degenerates and the
-    sub-shift cancels under normalization, so every split presents the same
-    single parameterization.
-
-    Splits are drawn uniformly from the feasible interval for c1
-    (:func:`DomainViolation` on individual draws is recorded, not fatal).
-    """
-    q = check_index(q)
-    shift = float(shift)
-    reference = build_distribution(q, xs, shift)
-    ref_p = np.asarray(reference.probabilities)
-    canonical = canonical_form(reference)
-
-    rng = np.random.default_rng(seed)
-    lo, hi = _split_interval(q, shift)
-    max_dev = 0.0
-    rejected = 0
-    parameterizations = set()
-    canonical_values = set()
-    for _ in range(int(n_splits)):
-        c1 = float(rng.uniform(lo, hi))
-        c2 = shift - c1
-        try:
-            p_a, p_b = split_representation(q, xs, c1, c2)
-        except DomainViolation:
-            rejected += 1
-            continue
-        dev = max(np.max(np.abs(np.asarray(p_a) - ref_p)),
-                  np.max(np.abs(np.asarray(p_b) - ref_p)))
-        max_dev = max(max_dev, float(dev))
-        if q == 1.0:
-            # x-axis untouched and the sub-shift cancels in the
-            # normalization: one parameterization no matter the split.
-            parameterizations.add((1.0,))
-        else:
-            parameterizations.add((q_exp(q, c1) ** (1.0 - q), c2))
-        per_split_canonical = canonical_form(build_distribution(q, xs, shift))
-        canonical_values.add((per_split_canonical.slope, per_split_canonical.intercept))
-    return UniquenessReport(
-        q=q,
-        shift=shift,
-        n_splits=int(n_splits),
-        rejected=rejected,
-        max_probability_deviation=max_dev,
-        distinct_parameterizations=len(parameterizations),
-        canonical=canonical,
-        canonical_bit_stable=(canonical_values ==
-                              {(canonical.slope, canonical.intercept)}),
-    )

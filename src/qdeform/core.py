@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DomainViolation, NonPositiveArgument
 
 __all__ = [
-    "check_index",
     "q_exp_bracket",
     "q_log",
     "q_exp",
@@ -65,18 +64,30 @@ def _check_positive(name: str, value) -> float:
     return value
 
 
+def _overflow(name: str, q: float, where: str) -> OverflowError:
+    """The error for a result past the largest double, naming q and where."""
+    return OverflowError(f"{name} at q={q!r} overflows a double ({where})")
+
+
 def q_log(q: float, y: float) -> float:
     """Deformed logarithm of index ``q``.
 
     Strictly increasing in ``y`` for every fixed index; log_q(1) = 0.
-    Raises :class:`NonPositiveArgument` for y <= 0.
+    Raises :class:`NonPositiveArgument` for y <= 0, and an
+    :class:`OverflowError` naming q and y for a result past the largest double.
     """
     q = check_index(q)
     y = _check_positive("y", y)
     if q == 1.0:
         return math.log(y)
     omq = 1.0 - q
-    return math.expm1(omq * math.log(y)) / omq
+    try:
+        value = math.expm1(omq * math.log(y)) / omq
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise _overflow("log_q", q, f"y={y!r}")
 
 
 def q_exp(q: float, x: float, cutoff: bool = False) -> float:
@@ -85,20 +96,29 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
     Defined for 1 + (1-q)*x > 0; raises :class:`DomainViolation` (carrying
     the bracket value) otherwise.  With ``cutoff=True`` and q < 1 the
     function is instead extended continuously by 0 beyond the boundary.
+    A result past the largest double raises :class:`OverflowError` naming
+    q and x.
     """
     q = check_index(q)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
-    if q == 1.0:
-        return math.exp(x)
-    omq = 1.0 - q
-    w = 1.0 + omq * x
-    if w <= 0.0:
-        if cutoff and q < 1.0:
-            return 0.0
-        raise DomainViolation("exp_q argument outside domain", w)
-    return math.exp(math.log1p(omq * x) / omq)
+    exponent = x
+    if q != 1.0:
+        omq = 1.0 - q
+        w = 1.0 + omq * x
+        if w <= 0.0:
+            if cutoff and q < 1.0:
+                return 0.0
+            raise DomainViolation("exp_q argument outside domain", w)
+        exponent = math.log1p(omq * x) / omq
+    try:
+        value = math.exp(exponent)
+        if value < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise _overflow("exp_q", q, f"x={x!r}")
 
 
 def _check_all(ok: np.ndarray, error) -> None:
@@ -108,8 +128,8 @@ def _check_all(ok: np.ndarray, error) -> None:
 
 
 def _finite(q: float, name: str, values: np.ndarray) -> np.ndarray:
-    _check_all(np.isfinite(values), lambda i: OverflowError(
-        f"{name} at q={q!r} overflows a double (element {i})"))
+    _check_all(np.isfinite(values),
+               lambda i: _overflow(name, q, f"element {i}"))
     return values
 
 

@@ -132,6 +132,9 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     d = _check_direction(direction)
     x0, y0, x_end = float(x0), float(y0), float(x_end)
     step = float(step)
+    for name, value in (("x0", x0), ("x_end", x_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
     if x_end <= x0:

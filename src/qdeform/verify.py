@@ -12,6 +12,13 @@ Rows lie inside their domain brackets with a safety margin, so reported
 errors measure the identities, not boundary conditioning: a lone exp_q
 argument is drawn uniformly on the part of its range that clears the
 margin, and rows under several constraints are redrawn until all hold.
+Nothing is rejected after the draw: a ``DomainViolation`` from a checked
+function is a fault, and it propagates.
+
+Every split c = c1 + c2 of a shift gives another exp_q surface form of one
+distribution.  The canonical suite compares each split's probabilities
+with the unsplit ones, and fits log_q(p) against x on each split's own
+vector to measure the one affine form instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, canonical, combinatorics, dynamics, qgaussian
-from .core import q_exp, q_exp_bracket, q_log, q_log_of_ratio, round_trip_check
+from .core import (_q_log_array, q_exp, q_exp_bracket, q_log, q_log_of_ratio,
+                   round_trip_check)
 
 __all__ = ["CaseResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]
 
@@ -549,16 +557,33 @@ def _canonical(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     cases = []
 
+    q, shift = 1.5, 1.0
     xs = rng.uniform(-0.9, 1.1, size=10)
-    report = canonical.verify_uniqueness(1.5, xs, 1.0, n_splits=200,
-                                         seed=int(rng.integers(2**31)))
+
+    def split_in_margin(c1):
+        # exp_q(c)**(1-q) is the bracket of c, so pulling ``outer`` out
+        # leaves the arguments (-x + inner) / bracket(outer)
+        c2 = shift - c1
+        args = [(inner[:, None] - xs) / q_exp_bracket(q, outer[:, None])
+                for outer, inner in ((c1, c2), (c2, c1))]
+        return _in_margin(q, c1, c2) & _in_margin(q, *args).all(axis=1)
+
+    (c1,) = _sample_rows(200, lambda k: (rng.uniform(-1.0, 2.0, size=k),),
+                         split_in_margin)
+    splits = np.array([p for c in c1.tolist()
+                       for p in canonical.split_representation(q, xs, c, shift - c)])
+    unsplit = canonical.build_distribution(q, xs, shift)
     cases.append(_case("split_probability_invariance",
-                       report.max_probability_deviation, 1e-12))
-    structural = int(report.rejected > 0)
-    structural += int(report.distinct_parameterizations
-                      != report.n_splits - report.rejected)
-    structural += int(not report.canonical_bit_stable)
-    cases.append(_case("uniqueness_structure_violations", structural, 0.5))
+                       np.max(np.abs(splits - unsplit.probabilities)), 1e-12))
+
+    # fit log_q(p) = slope * x + intercept to every split's own probabilities
+    design = np.column_stack([xs, np.ones_like(xs)])
+    (slopes, intercepts), *_ = np.linalg.lstsq(
+        design, _q_log_array(q, splits).T, rcond=None)
+    form = canonical.canonical_form(unsplit)
+    worst = max(np.max(np.abs(slopes - form.slope)) / abs(form.slope),
+                np.max(np.abs(intercepts - form.intercept)) / abs(form.intercept))
+    cases.append(_case("split_canonical_form", worst, 1e-12))
 
     def point_sets(k):
         return (rng.integers(2, 12, size=k), rng.uniform(-1.0, 1.0, size=(k, 11)),
@@ -580,16 +605,13 @@ def _canonical(seed: int) -> tuple:
             worst = max(worst, abs(form.reconstruct(x) - p) / p)
     cases.append(_case("canonical_reconstruction", worst, 1e-10))
 
-    worst = 0.0
     pts = rng.uniform(-1.0, 1.0, size=8)
     base = canonical.build_distribution(1.0, pts, 0.3)
     other = canonical.build_distribution(1.0, pts, 1.7)
-    worst = max(worst, float(np.max(np.abs(np.asarray(base.probabilities)
-                                           - np.asarray(other.probabilities)))))
     fa = canonical.canonical_form(base)
     fb = canonical.canonical_form(other)
-    worst = max(worst, abs(fa.slope - fb.slope),
-                abs(fa.intercept - fb.intercept))
+    worst = max(np.max(np.abs(np.subtract(base.probabilities, other.probabilities))),
+                abs(fa.slope - fb.slope), abs(fa.intercept - fb.intercept))
     cases.append(_case("classical_shift_independence", worst, 1e-12))
 
     dist = canonical.build_distribution(2.0, [0.0, 1.0], 0.0)

@@ -14,7 +14,6 @@ from qdeform import (
     q_exp_bracket,
     q_log,
     split_representation,
-    verify_uniqueness,
 )
 
 
@@ -144,32 +143,3 @@ class TestCanonicalForm:
         again = canonical_form(build_distribution(1.5, xs, 1.0))
         assert (form.slope, form.intercept) == (again.slope, again.intercept)
 
-
-class TestVerifyUniqueness:
-    def test_deformed_case(self):
-        rng = np.random.default_rng(47)
-        xs = rng.uniform(-0.9, 1.1, size=10)
-        report = verify_uniqueness(1.5, xs, 1.0, n_splits=100, seed=7)
-        assert report.rejected == 0
-        assert report.max_probability_deviation < 1e-12
-        assert report.distinct_parameterizations == 100
-        assert report.canonical_bit_stable
-
-    def test_classical_collapse(self):
-        rng = np.random.default_rng(53)
-        xs = rng.uniform(-1.0, 1.0, size=6)
-        report = verify_uniqueness(1.0, xs, 1.0, n_splits=50, seed=3)
-        assert report.distinct_parameterizations == 1
-        assert report.max_probability_deviation < 1e-12
-
-    def test_single_split(self):
-        report = verify_uniqueness(1.5, [0.0, 1.0], 1.0, n_splits=1, seed=1)
-        assert report.n_splits == 1
-        assert report.distinct_parameterizations == 1
-        assert report.canonical_bit_stable
-
-    def test_deterministic_given_seed(self):
-        xs = [0.0, 0.5, 1.0]
-        a = verify_uniqueness(1.5, xs, 1.0, n_splits=20, seed=11)
-        b = verify_uniqueness(1.5, xs, 1.0, n_splits=20, seed=11)
-        assert a == b

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from qdeform import (
     DomainViolation,
     NonPositiveArgument,
+    analytic_solution,
     q_exp,
     q_exp_bracket,
     q_log,
     q_log_of_ratio,
+    rescale_factor,
     round_trip_check,
 )
 from qdeform.core import _q_exp_array, _q_log_array
@@ -81,6 +83,24 @@ class TestQExp:
     def test_bracket_helper(self):
         assert q_exp_bracket(1.3, 4.0) == pytest.approx(-0.2)
         assert q_exp_bracket(1.0, 123.0) == 1.0
+
+
+# results past the largest double: math.exp / math.expm1 raise a bare
+# "math range error", and an argument term (1-q)*x past it makes inf
+@pytest.mark.parametrize("fn, args, named", [
+    (q_exp, (0.5, 1e300), "q=0.5 overflows a double (x=1e+300)"),
+    (analytic_solution, (0.5, 1.0, 1, 1e300), "q=0.5 overflows a double (x=1e+300)"),
+    (rescale_factor, (0.5, -1e300, 1.0), "q=0.5 overflows a double (x=1e+300)"),
+    (q_exp, (-3.37e215, 1.26e242), "q=-3.37e+215 overflows a double (x=1.26e+242)"),
+    (q_log, (1.7976931348623157e308, 1.54e-82),
+     "q=1.7976931348623157e+308 overflows a double (y=1.54e-82)"),
+])
+def test_scalar_overflow_names_index_and_argument(fn, args, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as info:
+            fn(*args)
+    assert named in str(info.value)
 
 
 class TestRatioIdentity:

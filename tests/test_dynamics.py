@@ -140,6 +140,16 @@ class TestIntegrateODE:
         with pytest.raises(NonPositiveArgument, match="y0"):
             integrate_ode(1.3, 0.0, 0.0, -1, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("x0, x_end, name", [
+        (0.0, math.inf, "x_end"),
+        (0.0, math.nan, "x_end"),
+        (math.nan, 1.0, "x0"),
+        (-math.inf, 1.0, "x0"),
+    ])
+    def test_rejects_non_finite_endpoints(self, x0, x_end, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            integrate_ode(1.3, x0, 1.0, -1, x_end, 1e-3)
+
     def test_nonzero_start(self):
         traj = integrate_ode(1.3, 1.0, 0.8, -1, 2.0, 1e-3)
         scale = q_exp(1.3, q_log(1.3, 0.8) + 1.0)

@@ -1,15 +1,21 @@
-"""Every module-level import in the library is used.
+"""Every module-level import in the library is used, and the exports agree.
 
 No linter is a dependency of the project, so this stands in for the
 unused-import rule: each ``src/qdeform/*.py`` except ``__init__`` is parsed
 with ``ast`` and every name bound by a top-level ``import`` must be read
-somewhere in the module or listed in its ``__all__``.
+somewhere in the module or listed in its ``__all__``.  The package's public
+names and the modules' ``__all__`` lists must name the same objects.
 """
 
 import ast
+import importlib
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import qdeform
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qdeform"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -47,3 +53,26 @@ def test_detector_flags_only_unused_names():
               "__all__ = ['QDeformError']\n"
               "def f():\n    import sys\n    return np.pi\n")
     assert unused_imports(source) == ["DomainViolation", "math", "os"]
+
+
+def _module_exports() -> Counter:
+    counts = Counter()
+    for path in MODULES:
+        module = importlib.import_module(f"qdeform.{path.stem}")
+        counts.update(getattr(module, "__all__", ()))
+    return counts
+
+
+def test_every_public_name_is_exported_by_one_module():
+    exports = _module_exports()
+    public = [name for name, obj in vars(qdeform).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)
+              and getattr(obj, "__module__", None) != "qdeform.errors"]
+    assert public
+    assert {name: exports[name] for name in public
+            if exports[name] != 1} == {}
+
+
+def test_every_module_export_is_a_package_attribute():
+    assert sorted(name for name in _module_exports()
+                  if not hasattr(qdeform, name)) == []

@@ -129,7 +129,8 @@ _CHECKER_CALLS = {
     "dynamics": {(dynamics, "compose_shifts"): 1000},
     "stirling": {(combinatorics, "tsallis_entropy"): 9183},
     "mlp": {(qgaussian, "mlp_stationarity"): 300},
-    "canonical": {(canonical, "build_distribution"): 404},
+    "canonical": {(canonical, "build_distribution"): 204,
+                  (canonical, "split_representation"): 200},
 }
 
 
@@ -148,6 +149,41 @@ def test_suites_keep_their_sample_counts(suite, monkeypatch):
                             _counting(counts, (module, name), getattr(module, name)))
     run_suite(suite, seed=3)
     assert counts == _CHECKER_CALLS[suite]
+
+
+def test_split_cases_fail_on_a_wrong_probability(monkeypatch):
+    exact = canonical.split_representation
+
+    def perturbed(q, xs, shift1, shift2):
+        p_a, p_b = exact(q, xs, shift1, shift2)
+        p_a = np.asarray(p_a)
+        p_a[0] *= 1.0 + 1e-9
+        return tuple(p_a / p_a.sum()), p_b
+
+    monkeypatch.setattr(canonical, "split_representation", perturbed)
+    failed = {c.name for c in run_suite("canonical", seed=4).cases if not c.passed}
+    assert failed == {"split_probability_invariance", "split_canonical_form"}
+
+
+def test_split_draws_clear_the_margin(monkeypatch):
+    splits = []
+    exact = canonical.split_representation
+
+    def recorded(q, xs, shift1, shift2):
+        splits.append((q, np.asarray(xs), shift1, shift2))
+        return exact(q, xs, shift1, shift2)
+
+    monkeypatch.setattr(canonical, "split_representation", recorded)
+    assert run_suite("canonical", seed=8).passed
+    assert len(splits) == 200
+    margin = verify._BRACKET_MARGIN
+    for q, xs, c1, c2 in splits:
+        assert c1 + c2 == pytest.approx(1.0, abs=1e-15)
+        bracket1, bracket2 = 1.0 + (1.0 - q) * c1, 1.0 + (1.0 - q) * c2
+        assert min(bracket1, bracket2) > margin
+        # pulling exp_q(outer) out rescales the argument by its bracket
+        for outer, inner in ((bracket1, c2), (bracket2, c1)):
+            assert np.all(1.0 + (1.0 - q) * (inner - xs) / outer > margin)
 
 
 def test_index_and_positive_draws():
