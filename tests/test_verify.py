@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qdeform import algebra, canonical, combinatorics, dynamics, qgaussian, verify
+from qdeform import (algebra, canonical, combinatorics, dynamics, q_exp, q_exp_bracket,
+                     qgaussian, verify)
 from qdeform.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -179,11 +180,10 @@ def test_split_draws_clear_the_margin(monkeypatch):
     margin = verify._BRACKET_MARGIN
     for q, xs, c1, c2 in splits:
         assert c1 + c2 == pytest.approx(1.0, abs=1e-15)
-        bracket1, bracket2 = 1.0 + (1.0 - q) * c1, 1.0 + (1.0 - q) * c2
-        assert min(bracket1, bracket2) > margin
-        # pulling exp_q(outer) out rescales the argument by its bracket
-        for outer, inner in ((bracket1, c2), (bracket2, c1)):
-            assert np.all(1.0 + (1.0 - q) * (inner - xs) / outer > margin)
+        assert min(q_exp_bracket(q, c1), q_exp_bracket(q, c2)) > margin
+        for outer, inner in ((c1, c2), (c2, c1)):
+            rescaled = (inner - xs) / q_exp(q, outer) ** (1.0 - q)
+            assert np.all(q_exp_bracket(q, rescaled) > margin)
 
 
 def test_index_and_positive_draws():
