@@ -39,7 +39,6 @@ from .combinatorics import (
     q_log_multinomial,
     q_stirling,
     tsallis_correspondence,
-    tsallis_correspondence_q2,
     tsallis_entropy,
 )
 from .core import (

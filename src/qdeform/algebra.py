@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .core import _check_positive, _overflow, check_index, q_exp, q_exp_bracket, q_log
 from .errors import DomainViolation
 
 __all__ = [
@@ -68,16 +68,38 @@ class ObservationSequence:
         object.__setattr__(self, "observed", tuple(observed))
 
 
-def _product_excess(q: float, x: float, y: float) -> float:
-    # the bracket less 1, which q_product takes log1p of so as not to cancel
+def _excess(name: str, q: float, x: float, y: float, sign: float) -> float:
+    # the bracket less 1, which q_product (sign 1) and q_ratio (sign -1) take
+    # log1p of so as not to cancel
     omq = 1.0 - q
-    return math.expm1(omq * math.log(x)) + math.expm1(omq * math.log(y))
+    try:
+        d = math.expm1(omq * math.log(x)) + sign * math.expm1(omq * math.log(y))
+        if math.isfinite(d):
+            return d
+    except OverflowError:
+        pass
+    raise _overflow(name, q, f"x={x!r}, y={y!r}")
+
+
+def _bracket_root(name: str, bracket: str, q: float, x: float, y: float,
+                  sign: float) -> float:
+    # (1 + d) ** (1/(1-q)) as exp(log1p(d)/(1-q)), for the excess d above;
+    # |1-q| >= 2**-53, so the exponent is finite and exp raises on overflow
+    d = _excess(name, q, x, y, sign)
+    w = 1.0 + d
+    if w <= 0.0:
+        raise DomainViolation(bracket, w)
+    try:
+        return math.exp(math.log1p(d) / (1.0 - q))
+    except OverflowError:
+        raise _overflow(name, q, f"x={x!r}, y={y!r}") from None
 
 
 def q_product_bracket(q: float, x: float, y: float) -> float:
     """Domain certificate x**(1-q) + y**(1-q) - 1 of the deformed product:
-    for x, y > 0, ``q_product(q, x, y)`` is defined exactly where it is > 0."""
-    return 1.0 + _product_excess(q, x, y)
+    for x, y > 0, ``q_product(q, x, y)`` is defined exactly where it is > 0.
+    Overflow is reported as by :func:`q_product`."""
+    return 1.0 + _excess("q_product_bracket", q, x, y, 1.0)
 
 
 def q_product(q: float, x: float, y: float) -> float:
@@ -85,31 +107,26 @@ def q_product(q: float, x: float, y: float) -> float:
 
     Evaluated as exp(log1p(d)/(1-q)) with d = expm1((1-q) log x) +
     expm1((1-q) log y), which avoids the cancellation of the naive bracket
-    near q = 1.
+    near q = 1.  A term or result past the largest double raises
+    :class:`OverflowError` naming q, x and y.
     """
     q = check_index(q)
     x, y = _check_positive("x", x), _check_positive("y", y)
     if q == 1.0:
         return x * y
-    d = _product_excess(q, x, y)
-    w = 1.0 + d
-    if w <= 0.0:
-        raise DomainViolation("q_product bracket x^(1-q) + y^(1-q) - 1", w)
-    return math.exp(math.log1p(d) / (1.0 - q))
+    return _bracket_root("q_product", "q_product bracket x^(1-q) + y^(1-q) - 1",
+                         q, x, y, 1.0)
 
 
 def q_ratio(q: float, x: float, y: float) -> float:
-    """Inverse of :func:`q_product`: q_ratio(q_product(x, y), y) == x."""
+    """Inverse of :func:`q_product`: q_ratio(q_product(x, y), y) == x.
+    Overflow is reported as by :func:`q_product`."""
     q = check_index(q)
     x, y = _check_positive("x", x), _check_positive("y", y)
     if q == 1.0:
         return x / y
-    omq = 1.0 - q
-    d = math.expm1(omq * math.log(x)) - math.expm1(omq * math.log(y))
-    w = 1.0 + d
-    if w <= 0.0:
-        raise DomainViolation("q_ratio bracket x^(1-q) - y^(1-q) + 1", w)
-    return math.exp(math.log1p(d) / omq)
+    return _bracket_root("q_ratio", "q_ratio bracket x^(1-q) - y^(1-q) + 1",
+                         q, x, y, -1.0)
 
 
 def q_exp_law_check(q: float, x1: float, x2: float) -> float:

@@ -11,8 +11,10 @@ Tsallis entropy of the count fractions:
     log_2[multinomial] ~ -log(n) + sum_i log(n_i)                      (q = 2)
 
 with S_q(p) = (1 - sum p_i**q)/(q - 1) and S_1 the natural-log Shannon
-entropy.  Exact sums are accumulated with ``math.fsum`` so totals up to 1e6
-stay faithful to the last bit.
+entropy.  ``q_stirling`` and ``tsallis_correspondence`` take the q = 2
+branch on bitwise q == 2 and the generic one everywhere else.  Exact sums
+are accumulated with ``math.fsum`` so totals up to 1e6 stay faithful to
+the last bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "q_log_multinomial",
     "tsallis_entropy",
     "tsallis_correspondence",
-    "tsallis_correspondence_q2",
 ]
 
 
@@ -121,37 +122,23 @@ def tsallis_entropy(q: float, p) -> float:
     return value
 
 
-def _relative_gap(lhs: float, rhs: float) -> float:
-    denom = max(abs(lhs), abs(rhs))
-    if denom == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / denom
-
-
 def tsallis_correspondence(q: float, counts):
-    """Exact deformed log-multinomial vs its entropy asymptotics (q != 2).
+    """Exact deformed log-multinomial vs its entropy asymptotics.
 
     Returns (lhs, rhs, rel_err) with lhs the exact sum, rhs the
-    n**(2-q)/(2-q) * S_{2-q}(counts/n) form, and rel_err their gap relative
-    to the larger magnitude (0 when both vanish).  The gap shrinks as the
-    counts grow at fixed fractions.
+    n**(2-q)/(2-q) * S_{2-q}(counts/n) form (at bitwise q == 2, as in
+    ``q_stirling``, its own branch -log(n) + sum_i log(n_i)), and rel_err
+    their gap relative to the larger magnitude (0 when both vanish).  The
+    gap shrinks as the counts grow at fixed fractions.
     """
     q = check_index(q)
-    if q == 2.0:
-        raise ValueError("q = 2 has its own correspondence branch; "
-                         "use tsallis_correspondence_q2")
     values = _check_counts(counts)
     n = sum(values)
     lhs = q_log_multinomial(q, values)
-    fractions = np.asarray(values, dtype=float) / n
-    rhs = n ** (2.0 - q) / (2.0 - q) * tsallis_entropy(2.0 - q, fractions)
-    return lhs, rhs, _relative_gap(lhs, rhs)
-
-
-def tsallis_correspondence_q2(counts):
-    """The q = 2 correspondence: exact sum vs -log(n) + sum_i log(n_i)."""
-    values = _check_counts(counts)
-    n = sum(values)
-    lhs = q_log_multinomial(2.0, values)
-    rhs = -math.log(n) + math.fsum(math.log(c) for c in values)
-    return lhs, rhs, _relative_gap(lhs, rhs)
+    if q == 2.0:
+        rhs = -math.log(n) + math.fsum(math.log(c) for c in values)
+    else:
+        fractions = np.asarray(values, dtype=float) / n
+        rhs = n ** (2.0 - q) / (2.0 - q) * tsallis_entropy(2.0 - q, fractions)
+    denom = max(abs(lhs), abs(rhs))
+    return lhs, rhs, abs(lhs - rhs) / denom if denom else 0.0

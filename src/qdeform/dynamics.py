@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .core import _check_positive, _overflow, check_index, q_exp, q_exp_bracket, q_log
 from .errors import BlowupDetected
 from .tables import FigureTable, _scaled_family
 
@@ -96,11 +96,21 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
 
 
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
-    """Closed-form solution scale * exp_q(direction * x / scale**(1-q))."""
+    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)).
+    scale**(1-q) or a result past the largest double raises
+    :class:`OverflowError` naming q, scale and x."""
     q = check_index(q)
     d = _check_direction(direction)
     s = _check_positive("scale", scale)
-    return s * q_exp(q, d * float(x) / s ** (1.0 - q))
+    x = float(x)
+    try:
+        x_scale = s ** (1.0 - q)
+    except OverflowError:
+        raise _overflow("analytic_solution", q, f"scale={s!r}, x={x!r}") from None
+    value = s * q_exp(q, d * x / x_scale)
+    if value == math.inf:
+        raise _overflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
+    return value
 
 
 def q_log_line(q: float, scale: float, direction, xs):
@@ -206,11 +216,16 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     For q != 1 this is *not* the single-shift expansion of c1 + c2: the
     composition equals ``shift_expansion(q, c1 + c2 + (1-q)*c1*c2)``
     exactly, because c2 is measured in the scale unit left behind by c1.
+    A product past the largest double raises :class:`OverflowError` naming
+    q and both shifts.
     """
     q = check_index(q)
     y1, x1 = shift_expansion(q, shift1)
     y2, x2 = shift_expansion(q, shift2)
-    return y1 * y2, x1 * x2
+    y_scale, x_scale = y1 * y2, x1 * x2
+    if max(y_scale, x_scale) == math.inf:
+        raise _overflow("compose_shifts", q, f"shift1={shift1!r}, shift2={shift2!r}")
+    return y_scale, x_scale
 
 
 def fig2_data(scales=FIG2_SCALES, q: float = FIG2_INDEX, grid=None) -> FigureTable:

@@ -15,6 +15,11 @@ margin, and rows under several constraints are redrawn until all hold.
 Nothing is rejected after the draw: a ``DomainViolation`` from a checked
 function is a fault, and it propagates.
 
+A case must be able to fail: it may not hold by construction (compare a
+value with itself, or with the same floating-point operations reordered
+where IEEE arithmetic makes them equal), and it may not re-check what
+another case already measures on the same functions.
+
 Every split c = c1 + c2 of a shift gives another exp_q surface form of one
 distribution.  The canonical suite compares each split's probabilities
 with the unsplit ones, and fits log_q(p) against x on each split's own
@@ -36,6 +41,7 @@ __all__ = ["CaseResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]
 
 _BRACKET_MARGIN = 1e-2
 _MAX_DRAWS = 10_000
+_SAMPLES = 10_000  # rows of an identities case (the drift and fold cases draw 2000)
 
 
 @dataclass(frozen=True)
@@ -138,21 +144,21 @@ def _sample_rows(n: int, draw, accept) -> list:
 # identities suite
 
 
-def _identities(seed: int, samples: int = 10_000) -> tuple:
+def _identities(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     cases = []
 
-    q = _draw_indices(rng, samples)
+    q = _draw_indices(rng, _SAMPLES)
     x = _draw_exp_args(rng, q)
-    y = _draw_positives(rng, samples, 0.05, 20.0)
+    y = _draw_positives(rng, _SAMPLES, 0.05, 20.0)
     worst = 0.0
     for qi, xi, yi in zip(q.tolist(), x.tolist(), y.tolist()):
         worst = max(worst, round_trip_check(qi, xi) / max(1.0, abs(xi)),
                     abs(q_exp(qi, q_log(qi, yi)) - yi) / yi)
     cases.append(_case("round_trip", worst, 1e-12))
 
-    q = _draw_indices(rng, samples)
-    x1, x2 = _sample_rows(samples, lambda k: rng.uniform(-2.0, 2.0, size=(2, k)),
+    q = _draw_indices(rng, _SAMPLES)
+    x1, x2 = _sample_rows(_SAMPLES, lambda k: rng.uniform(-2.0, 2.0, size=(2, k)),
                           lambda x1, x2: _in_margin(q, x1, x2, x1 + x2))
     worst = max(map(algebra.q_exp_law_check, q.tolist(), x1.tolist(), x2.tolist()))
     cases.append(_case("q_exp_law", worst, 1e-12))
@@ -163,24 +169,18 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
         lowest = np.minimum(np.minimum(tx, tz) + ty, tx + ty + tz)
         return lowest > _BRACKET_MARGIN - 1.0
 
-    q = _draw_indices(rng, samples)
-    x, y, z = _sample_rows(samples, lambda k: _draw_positives(rng, (3, k)),
+    q = _draw_indices(rng, _SAMPLES)
+    x, y, z = _sample_rows(_SAMPLES, lambda k: _draw_positives(rng, (3, k)),
                            products_in_margin)
-    worst_comm = 0.0
-    worst_assoc = 0.0
+    worst = 0.0
     for qi, xi, yi, zi in zip(q.tolist(), x.tolist(), y.tolist(), z.tolist()):
-        xy = algebra.q_product(qi, xi, yi)
-        yz = algebra.q_product(qi, yi, zi)
-        worst_comm = max(worst_comm,
-                         abs(xy - algebra.q_product(qi, yi, xi)) / xy)
-        left = algebra.q_product(qi, xy, zi)
-        right = algebra.q_product(qi, xi, yz)
-        worst_assoc = max(worst_assoc, abs(left - right) / max(left, right))
-    cases.append(_case("q_product_commutative", worst_comm, 1e-12))
-    cases.append(_case("q_product_associative", worst_assoc, 1e-12))
+        left = algebra.q_product(qi, algebra.q_product(qi, xi, yi), zi)
+        right = algebra.q_product(qi, xi, algebra.q_product(qi, yi, zi))
+        worst = max(worst, abs(left - right) / max(left, right))
+    cases.append(_case("q_product_associative", worst, 1e-12))
 
-    q = _draw_indices(rng, samples)
-    c = _draw_exp_args(rng, q, -2.0, 2.0)
+    q = _draw_indices(rng, _SAMPLES)
+    c = _draw_exp_args(rng, q)
     x = _draw_exp_args(rng, q, shift=c)
     worst = 0.0
     for qi, ci, xi in zip(q.tolist(), c.tolist(), x.tolist()):
@@ -190,9 +190,9 @@ def _identities(seed: int, samples: int = 10_000) -> tuple:
         worst = max(worst, abs(lhs - rhs) / lhs)
     cases.append(_case("shift_expansion", worst, 1e-12))
 
-    q = _draw_indices(rng, samples)
+    q = _draw_indices(rng, _SAMPLES)
     # keep the ratio away from 1 so the relative metric is meaningful
-    y, x = _sample_rows(samples, lambda k: _draw_positives(rng, (2, k), 0.1, 10.0),
+    y, x = _sample_rows(_SAMPLES, lambda k: _draw_positives(rng, (2, k), 0.1, 10.0),
                         lambda y, x: np.abs(y / x - 1.0) > 0.05)
     worst = 0.0
     for qi, yi, xi in zip(q.tolist(), y.tolist(), x.tolist()):
@@ -293,24 +293,14 @@ def _dynamics(seed: int) -> tuple:
                                         / np.abs(slope_ode))))
     cases.append(_case("rescaled_trajectory_invariance", worst, 1e-4))
 
+    # two rescaled-coordinate shifts compose into one shift of the deformed
+    # sum c1 + c2 + (1-q) c1 c2, whose bracket b1 * b2 stays above the
+    # margin when those of c1, c2 and c1 + c2 (b1 + b2 - 1) do
     qs = _draw_indices(rng, 1000)
-    c1s, c2s, xs = _sample_rows(
-        1000, lambda k: (*rng.uniform(-1.5, 1.5, size=(2, k)),
-                         rng.uniform(-2.0, 2.0, size=k)),
-        lambda c1, c2, x: _in_margin(qs, c1, c2, c1 + c2, x + c1 + c2))
+    c1s, c2s = _sample_rows(1000, lambda k: rng.uniform(-1.5, 1.5, size=(2, k)),
+                            lambda c1, c2: _in_margin(qs, c1, c2, c1 + c2))
     worst = 0.0
-    for qi, c1, c2, x in zip(qs.tolist(), c1s.tolist(), c2s.tolist(), xs.tolist()):
-        direct = q_exp(qi, x + c1 + c2)
-        # pulling one shift out, the remainder staying in the rescaled argument
-        e1 = q_exp(qi, c1)
-        one_step = e1 * q_exp(qi, (x + c2) / e1 ** (1.0 - qi))
-        # pulling the total shift out in a single expansion
-        y_scale, x_scale = dynamics.shift_expansion(qi, c1 + c2)
-        single = y_scale * q_exp(qi, x / x_scale)
-        worst = max(worst, abs(one_step - direct) / direct,
-                    abs(single - direct) / direct)
-        # two rescaled-coordinate shifts compose into one shift of the
-        # deformed sum c1 + c2 + (1-q) c1 c2
+    for qi, c1, c2 in zip(qs.tolist(), c1s.tolist(), c2s.tolist()):
         comp_y, comp_x = dynamics.compose_shifts(qi, c1, c2)
         ref_y, ref_x = dynamics.shift_expansion(
             qi, c1 + c2 + (1.0 - qi) * c1 * c2)
@@ -377,7 +367,7 @@ def _stirling(seed: int) -> tuple:
     cases.append(_case("uniform_maximality_violations", violations, 0.5))
 
     violations = 0
-    for q in (0.5, 1.0, 1.5):
+    for q in (0.5, 1.0, 1.5, 2.0):
         for ratios in ((1, 1), (1, 2, 3)):
             errs = []
             for n in (60, 600, 6000, 60_000):
@@ -385,16 +375,6 @@ def _stirling(seed: int) -> tuple:
                 errs.append(combinatorics.tsallis_correspondence(q, counts)[2])
             violations += sum(b >= a for a, b in zip(errs, errs[1:]))
     cases.append(_case("tsallis_correspondence_trend_violations", violations, 0.5))
-
-    violations = 0
-    for ratios in ((1, 1), (1, 2, 3)):
-        errs = []
-        for n in (60, 600, 6000, 60_000):
-            counts = [n * r // sum(ratios) for r in ratios]
-            errs.append(combinatorics.tsallis_correspondence_q2(counts)[2])
-        violations += sum(b >= a for a, b in zip(errs, errs[1:]))
-    cases.append(_case("tsallis_correspondence_q2_trend_violations",
-                       violations, 0.5))
 
     return tuple(cases)
 

@@ -6,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+import qdeform
 from qdeform import (
+    combinatorics,
     q_log,
     q_log_factorial,
     q_log_multinomial,
     q_stirling,
     tsallis_correspondence,
-    tsallis_correspondence_q2,
     tsallis_entropy,
 )
 
@@ -194,22 +195,29 @@ class TestCorrespondence:
         assert rhs == 0.0
         assert rel == 0.0
 
-    def test_rejects_index_two(self):
-        with pytest.raises(ValueError):
-            tsallis_correspondence(2.0, [3, 4])
+    def test_index_two_is_its_own_branch(self):
+        # only bitwise q == 2 takes -log(n) + sum_i log(n_i); the generic
+        # form has a 1/(2-q) pole there
+        assert tsallis_correspondence(2.0, [3, 4])[1] == pytest.approx(
+            math.log(12.0 / 7.0), rel=1e-15)
+        assert tsallis_correspondence(math.nextafter(2.0, 0.0), [3, 4])[1] > 1e15
+
+    def test_q2_has_no_function_of_its_own(self):
+        for module in (qdeform, combinatorics):
+            assert not hasattr(module, "tsallis_correspondence_q2")
 
     def test_q2_trivial_cases(self):
         for counts in ([1], [1000]):
-            lhs, rhs, rel = tsallis_correspondence_q2(counts)
+            lhs, rhs, rel = tsallis_correspondence(2.0, counts)
             assert lhs == 0.0
             assert rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_q2_balanced_value(self):
         # exact sum: 1000 - H_1000 - 2*(500 - H_500) = -H_1000 + 2 H_500
-        lhs, rhs, rel = tsallis_correspondence_q2([500, 500])
+        lhs, rhs, rel = tsallis_correspondence(2.0, [500, 500])
         assert lhs == pytest.approx(6.10017599943070429, rel=1e-13)
         assert rhs == pytest.approx(math.log(250.0), rel=1e-14)
 
     def test_q2_error_shrinks(self):
-        assert tsallis_correspondence_q2([500, 500])[2] < \
-            tsallis_correspondence_q2([50, 50])[2]
+        assert tsallis_correspondence(2.0, [500, 500])[2] < \
+            tsallis_correspondence(2.0, [50, 50])[2]

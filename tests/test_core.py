@@ -11,10 +11,14 @@ from qdeform import (
     DomainViolation,
     NonPositiveArgument,
     analytic_solution,
+    compose_shifts,
     q_exp,
     q_exp_bracket,
     q_log,
     q_log_of_ratio,
+    q_product,
+    q_product_bracket,
+    q_ratio,
     rescale_factor,
     round_trip_check,
 )
@@ -86,7 +90,9 @@ class TestQExp:
 
 
 # results past the largest double: math.exp / math.expm1 raise a bare
-# "math range error", and an argument term (1-q)*x past it makes inf
+# "math range error", a float power a bare "(34, 'Numerical result out of
+# range')", and an argument term (1-q)*x or a product past it makes inf
+# (and inf - inf makes nan)
 @pytest.mark.parametrize("fn, args, named", [
     (q_exp, (0.5, 1e300), "q=0.5 overflows a double (x=1e+300)"),
     (analytic_solution, (0.5, 1.0, 1, 1e300), "q=0.5 overflows a double (x=1e+300)"),
@@ -94,6 +100,22 @@ class TestQExp:
     (q_exp, (-3.37e215, 1.26e242), "q=-3.37e+215 overflows a double (x=1.26e+242)"),
     (q_log, (1.7976931348623157e308, 1.54e-82),
      "q=1.7976931348623157e+308 overflows a double (y=1.54e-82)"),
+    (q_product, (-1e300, 1e300, 1e300),
+     "q_product at q=-1e+300 overflows a double (x=1e+300, y=1e+300)"),
+    (q_product, (1.0 - 1e-10, 1e300, 1e300),  # only the final exp overflows
+     "q_product at q=0.9999999999 overflows a double (x=1e+300, y=1e+300)"),
+    (q_ratio, (-1e300, 1e300, 1e-300),
+     "q_ratio at q=-1e+300 overflows a double (x=1e+300, y=1e-300)"),
+    (q_ratio, (1.7976931348623157e308, 5e-324, 2.23e-98),
+     "q_ratio at q=1.7976931348623157e+308 overflows a double (x=5e-324, y=2.23e-98)"),
+    (q_product_bracket, (1e300, 5e-324, 2.0),
+     "q_product_bracket at q=1e+300 overflows a double (x=5e-324, y=2.0)"),
+    (analytic_solution, (-1000.0, 1e300, 1, 0.0),
+     "analytic_solution at q=-1000.0 overflows a double (scale=1e+300, x=0.0)"),
+    (analytic_solution, (0.5, 1e300, 1, 1e155),
+     "analytic_solution at q=0.5 overflows a double (scale=1e+300, x=1e+155)"),
+    (compose_shifts, (0.5, 1e150, 1e150),
+     "compose_shifts at q=0.5 overflows a double (shift1=1e+150, shift2=1e+150)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():

@@ -65,6 +65,48 @@ def test_run_all_prefixes_cases():
     assert report.passed
 
 
+# every case and its tolerance: removing, renaming or loosening a case must
+# show up as a change here
+_CASES = {
+    "identities/round_trip": 1e-12,
+    "identities/q_exp_law": 1e-12,
+    "identities/q_product_associative": 1e-12,
+    "identities/shift_expansion": 1e-12,
+    "identities/q_log_of_ratio": 1e-12,
+    "identities/q_log_monotone_violations": 0.5,
+    "identities/classical_limit_continuity": 1e-4,
+    "identities/scale_drift_product": 1e-10,
+    "identities/fold_vs_qlog_sum": 1e-12,
+    "dynamics/rk4_vs_analytic_decay": 1e-6,
+    "dynamics/rk4_vs_analytic_growth": 1e-6,
+    "dynamics/rescaled_trajectory_invariance": 1e-4,
+    "dynamics/sequential_shift_composition": 1e-12,
+    "dynamics/fig2_rescaled_pointwise": 1e-12,
+    "dynamics/fig2_qlog_affine": 1e-9,
+    "stirling/stirling_error_monotone_violations": 0.5,
+    "stirling/entropy_classical_limit": 1e-4,
+    "stirling/uniform_maximality_violations": 0.5,
+    "stirling/tsallis_correspondence_trend_violations": 0.5,
+    "mlp/pdf_total_mass": 1e-8,
+    "mlp/mlp_gradient_at_mean": 1e-6,
+    "mlp/mlp_curvature_negative_violations": 0.5,
+    "mlp/lnq_density_quadratic": 1e-6,
+    "mlp/defining_ode_residual": 1.0,
+    "mlp/frequency_rescaling_invariance": 1e-12,
+    "mlp/fig3_rescaled_pointwise": 1e-12,
+    "mlp/fig3_qlog_parabola": 1e-9,
+    "canonical/split_probability_invariance": 1e-12,
+    "canonical/split_canonical_form": 1e-12,
+    "canonical/canonical_reconstruction": 1e-10,
+    "canonical/classical_shift_independence": 1e-12,
+    "canonical/worked_two_point_model": 1e-14,
+}
+
+
+def test_case_list_and_tolerances_are_pinned():
+    assert run_all(0).tolerances == _CASES
+
+
 # indices across the sampled range, plus the classical point and its
 # nearest neighbours, where the cut 1/(1-q) must not divide by zero
 _INDICES = np.concatenate([np.linspace(0.2, 2.8, 2601),
@@ -74,12 +116,13 @@ _INDICES = np.concatenate([np.linspace(0.2, 2.8, 2601),
 @pytest.mark.parametrize("shifted", [False, True])
 def test_exp_arg_draw_stays_inside_margin(shifted):
     rng = np.random.default_rng(4)
-    shift = verify._draw_exp_args(rng, _INDICES, -2.0, 2.0) if shifted else 0.0
+    # the shift range of the shift_expansion case
+    shift = verify._draw_exp_args(rng, _INDICES) if shifted else 0.0
     x = verify._draw_exp_args(rng, _INDICES, shift=shift)
     assert np.all((x >= -3.0) & (x <= 3.0))
     assert np.all(1.0 + (1.0 - _INDICES) * (x + shift) > verify._BRACKET_MARGIN)
     if shifted:
-        assert np.all((shift >= -2.0) & (shift <= 2.0))
+        assert np.all((shift >= -3.0) & (shift <= 3.0))
         assert np.all(1.0 + (1.0 - _INDICES) * shift > verify._BRACKET_MARGIN)
 
 
