@@ -98,13 +98,14 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     """Closed-form solution scale * exp_q(direction * x / scale**(1-q)).
     scale**(1-q) or a result past the largest double raises
-    :class:`OverflowError` naming q, scale and x."""
+    :class:`OverflowError` naming q, scale and x; scale**(1-q) underflowed
+    to 0 raises :class:`NonPositiveArgument` naming it."""
     q = check_index(q)
     d = _check_direction(direction)
     s = _check_positive("scale", scale)
     x = float(x)
     try:
-        x_scale = s ** (1.0 - q)
+        x_scale = _check_positive("scale**(1-q)", s ** (1.0 - q))
     except OverflowError:
         raise _overflow("analytic_solution", q, f"scale={s!r}, x={x!r}") from None
     value = s * q_exp(q, d * x / x_scale)
@@ -217,7 +218,10 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     composition equals ``shift_expansion(q, c1 + c2 + (1-q)*c1*c2)``
     exactly, because c2 is measured in the scale unit left behind by c1.
     A product past the largest double raises :class:`OverflowError` naming
-    q and both shifts.
+    q and both shifts; a y_scale product underflowed to 0 raises
+    :class:`NonPositiveArgument` naming ``y_scale``, as :func:`shift_expansion`
+    does.  (Each x_scale factor is its shift's bracket, at least 2**-53, so
+    their product cannot underflow.)
     """
     q = check_index(q)
     y1, x1 = shift_expansion(q, shift1)
@@ -225,7 +229,7 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     y_scale, x_scale = y1 * y2, x1 * x2
     if max(y_scale, x_scale) == math.inf:
         raise _overflow("compose_shifts", q, f"shift1={shift1!r}, shift2={shift2!r}")
-    return y_scale, x_scale
+    return _check_positive("y_scale", y_scale), x_scale
 
 
 def fig2_data(scales=FIG2_SCALES, q: float = FIG2_INDEX, grid=None) -> FigureTable:
@@ -233,8 +237,8 @@ def fig2_data(scales=FIG2_SCALES, q: float = FIG2_INDEX, grid=None) -> FigureTab
 
     For each scale C the raw curve y(x) = C * exp_q(-x / C**(1-q)) is
     sampled over a shared *rescaled* grid (default ``FIG2_GRID``: 501
-    uniform points on [0, 5]), so the rescaled columns (x/C**(1-q), y/C)
-    are directly comparable across scales: they coincide pointwise.
+    uniform points on [0, 5]); the rescaled columns (x/C**(1-q), y/C) are
+    that grid and one profile exp_q(-grid), the same for every scale.
     ``qlog_y`` is the deformed log of the raw curve and satisfies
     qlog_y = -x_raw + log_q(C) (slope -1, intercept log_q(C)).
     """

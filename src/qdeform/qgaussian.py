@@ -53,6 +53,7 @@ __all__ = [
 FIG3_SCALES = (1.0, 10.0, 100.0)
 FIG3_INDEX = 1.7
 FIG3_GRID = (-5.0, 5.0, 501)  # rescaled abscissas: min, max, points
+ODE_STEP = 1e-6  # central-difference step of defining_ode_residual
 
 
 def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
@@ -214,13 +215,12 @@ def mlp_stationarity(model: QGaussianModel, samples):
     return gradient, curvature
 
 
-def defining_ode_residual(model: QGaussianModel, e: float,
-                          step: float = 1e-6) -> float:
+def defining_ode_residual(model: QGaussianModel, e: float) -> float:
     """Residual f'(e)/f(e)**q - ode_coeff * e of the defining equation.
 
     f is the unnormalized form exp_q(ode_coeff * e**2 / 2 + log_offset) and
-    f' a central difference at the given step, so the residual is bounded
-    by 1e-5 * |ode_coeff * e| + 1e-8 at interior points.
+    f' a central difference at step ``ODE_STEP``, so the residual is
+    bounded by 1e-5 * |ode_coeff * e| + 1e-8 at interior points.
     """
     e = float(e)
     q = model.q
@@ -228,7 +228,7 @@ def defining_ode_residual(model: QGaussianModel, e: float,
     def f(t: float) -> float:
         return q_exp(q, 0.5 * model.ode_coeff * t * t + model.log_offset)
 
-    derivative = (f(e + step) - f(e - step)) / (2.0 * step)
+    derivative = (f(e + ODE_STEP) - f(e - ODE_STEP)) / (2.0 * ODE_STEP)
     return derivative / f(e) ** q - model.ode_coeff * e
 
 
@@ -236,15 +236,16 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     """Frequency curve f(e) = exp_q(-gamma * e**2 + log_offset) and its
     per-scale rescaling.
 
-    ``grid`` supplies the rescaled abscissas; raw points are
-    e = grid * scale**((1-q)/2) with scale = exp_q(log_offset), and the
-    rescaled ordinates f(e)/scale coincide with the scale-free reference
-    exp_q(-gamma * grid**2) pointwise.  The chosen scale is recorded in the
-    table metadata.
+    ``grid`` is the rescaled abscissa column itself; raw points are
+    e = grid * scale**((1-q)/2) with scale = exp_q(log_offset).  f is
+    computed from its raw form, so its rescaled ordinates f(e)/scale are a
+    measurement to compare with the scale-free reference
+    exp_q(-gamma * grid**2).  The chosen scale is recorded in the table
+    metadata.
     """
     q = check_index(q)
     gamma = _check_positive("gamma", gamma)
-    scale = q_exp(q, float(log_offset))
+    scale = _check_positive("scale", q_exp(q, float(log_offset)))
     x_scale = scale ** ((1.0 - q) / 2.0)
     grid = np.asarray(grid, dtype=float)
     # an overflow to inf here is reported by the kernel
@@ -252,15 +253,12 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
         e_raw = grid * x_scale
         f_raw = _q_exp_array(q, -gamma * e_raw * e_raw + log_offset)
         reference = _q_exp_array(q, -gamma * grid * grid)
-    rows = zip(e_raw.tolist(), f_raw.tolist(), (e_raw / x_scale).tolist(),
+    rows = zip(e_raw.tolist(), f_raw.tolist(), grid.tolist(),
                (f_raw / scale).tolist(), reference.tolist())
     meta = {"q": q, "gamma": gamma, "log_offset": float(log_offset),
             "scale": scale, "x_scale": x_scale}
-    return FigureTable(
-        columns=("e_raw", "f_raw", "e_rescaled", "f_rescaled", "reference"),
-        rows=tuple(rows),
-        meta=meta,
-    )
+    return FigureTable(("e_raw", "f_raw", "e_rescaled", "f_rescaled", "reference"),
+                       tuple(rows), meta)
 
 
 def fig3_data(scales=FIG3_SCALES, q: float = FIG3_INDEX, grid=None) -> FigureTable:
@@ -268,8 +266,8 @@ def fig3_data(scales=FIG3_SCALES, q: float = FIG3_INDEX, grid=None) -> FigureTab
     plus the deformed-log parabola.
 
     Sampled over a shared rescaled grid (default ``FIG3_GRID``: 501
-    uniform points on [-5, 5]); the rescaled columns coincide across scales, and
-    ``qlog_y`` = log_q(y_raw) = -x_raw**2 + log_q(c).
+    uniform points on [-5, 5]); the rescaled columns are that grid and one
+    profile exp_q(-grid**2), and ``qlog_y`` = log_q(y_raw) = -x_raw**2 + log_q(c).
     """
     grid = np.linspace(*FIG3_GRID) if grid is None else grid
     return _scaled_family(q, scales, grid, 2, {"qlog_curvature": -1.0})

@@ -1,4 +1,4 @@
-"""Column-oriented result tables shared by the figure generators and the CLI."""
+"""Row-store result tables shared by the figure generators and the CLI."""
 
 from __future__ import annotations
 
@@ -7,14 +7,15 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import _check_positive, _q_exp_array, _q_log_array, check_index, q_log
+from .core import (_check_positive, _finite, _overflow, _q_exp_array, _q_log_array,
+                   check_index, q_log)
 
 __all__ = ["FigureTable"]
 
 
 @dataclass(frozen=True)
 class FigureTable:
-    """An immutable table with named columns plus run metadata.
+    """An immutable row store: column names, row tuples and run metadata.
 
     ``meta`` always records the parameters the table was produced with,
     including the chosen scale(s), so downstream consumers never have to
@@ -39,24 +40,32 @@ class FigureTable:
 
 
 def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTable:
-    """Curves y = c * exp_q(-(x / c**((1-q)/power))**power), one per scale c,
-    sampled at x = grid * c**((1-q)/power).  The rescaled columns are
-    divided out of the raw ones, so that their coincidence across scales
-    measures rounding; qlog_y = log_q(y_raw) = -x_raw**power + log_q(c)."""
+    """Curves y = c * exp_q(-(x / c**((1-q)/power))**power), one per scale c.
+
+    The profile exp_q(-grid**power) is evaluated once, and curve c is
+    x_raw = grid * c**((1-q)/power), y_raw = c * profile, so every curve's
+    rows share the rescaled columns, the grid and the profile.  The collapse
+    is checked in the q-log form qlog_y = log_q(y_raw) = -x_raw**power + log_q(c).
+    """
     q = check_index(q)
     grid = np.asarray(grid, dtype=float)
     scales = [_check_positive(f"scales[{ci}]", c) for ci, c in enumerate(scales)]
-    rows = []
+    x_scales = []
     for ci, c in enumerate(scales):
-        x_scale = c ** ((1.0 - q) / power)
-        # the kernel reports a non-finite argument (x_scale 0 or grid * x_scale inf)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_raw = grid * x_scale
-            x_rescaled = x_raw / x_scale
-            y_raw = c * _q_exp_array(q, -(x_rescaled ** power))
+        try:
+            x_scale = c ** ((1.0 - q) / power)
+        except OverflowError:
+            raise _overflow("x scale", q, f"scales[{ci}]={c!r}") from None
+        x_scales.append(_check_positive(f"x scale of scales[{ci}]", x_scale))
+    profile = _q_exp_array(q, -(grid ** power))
+    x_rescaled, y_rescaled = grid.tolist(), profile.tolist()
+    rows = []
+    for ci, (c, x_scale) in enumerate(zip(scales, x_scales)):
+        with np.errstate(over="ignore"):
+            x_raw = _finite(q, f"x_raw of scales[{ci}]", grid * x_scale)
+            y_raw = _finite(q, f"y_raw of scales[{ci}]", c * profile)
         rows += zip(repeat(ci), repeat(c), x_raw.tolist(), y_raw.tolist(),
-                    x_rescaled.tolist(), (y_raw / c).tolist(),
-                    _q_log_array(q, y_raw).tolist())
+                    x_rescaled, y_rescaled, _q_log_array(q, y_raw).tolist())
     meta = {"q": q, **meta, "scales": scales, "grid_points": int(grid.size),
             "qlog_intercepts": [q_log(q, c) for c in scales]}
     return FigureTable(("curve_id", "scale", "x_raw", "y_raw", "x_rescaled",

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -177,6 +178,23 @@ class TestFig:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 1 + 2 * 3
 
+    @pytest.mark.parametrize("argv, named", [
+        (("--q", "-1000", "--scales", "1e300"),
+         "x scale at q=-1000.0 overflows a double (scales[0]=1e+300)"),
+        (("--q", "-10", "--scales", "1e-300"),
+         "x scale of scales[0] must be a positive finite real"),
+        (("--q", "1.3", "--scales", "1e-300", "--grid-max", "1e300"),
+         "x_raw of scales[0] at q=1.3 overflows a double"),
+        (("--q", "1", "--scales", "1e10", "--grid-min=-700"),
+         "y_raw of scales[0] at q=1.0 overflows a double"),
+    ])
+    def test_bad_scale_exits_one_naming_it(self, argv, named, capsys):
+        code, out, err = run_cli(capsys, "fig", "fig2", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_bad_grid_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "fig", "fig2", "--grid-min", "3",
                                "--grid-max", "1")
@@ -312,6 +330,31 @@ def test_nonfinite_data_line_exits_one_naming_the_line(tmp_path, src_env):
     assert ":2:" in result.stderr
     assert "not a finite real" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_numeric_cells_are_finite_floats(capsys, tmp_path):
+    data = tmp_path / "xs.txt"
+    data.write_text("0\n0.5\n2\n")
+    numeric = {"seed", "max_rel_err", "tolerance", "x", "frequency", "p", "q", "c",
+               "n", "slope", "intercept"}
+    cells = []
+    for argv in (("verify", "all", "--seed", "0"),
+                 ("canonicalize", str(data), "--q", "1.5", "--c", "0.5")):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        cells += [row[k] for row in rows for k in numeric & row.keys()]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        if argv[0] == "verify":
+            cells += [case["max_rel_err"] for case in payload["cases"]]
+            cells += list(payload["tolerances"].values())
+        else:
+            cells += [payload[k] for k in ("q", "c", "n", "slope", "intercept")]
+            cells += payload["xs"] + payload["frequencies"] + payload["probabilities"]
+    assert len(cells) > 100
+    assert all(math.isfinite(float(cell)) for cell in cells)
 
 
 def test_import_loads_no_scipy(src_env):

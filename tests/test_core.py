@@ -12,6 +12,7 @@ from qdeform import (
     NonPositiveArgument,
     analytic_solution,
     compose_shifts,
+    frequency_rescale,
     q_exp,
     q_exp_bracket,
     q_log,
@@ -123,6 +124,23 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
         with pytest.raises(OverflowError) as info:
             fn(*args)
     assert named in str(info.value)
+
+
+# a scale factor that underflows to 0 is no positive scale: analytic_solution
+# divided by it, frequency_rescale raised it to a negative power, and
+# compose_shifts returned it
+@pytest.mark.parametrize("fn, args, named", [
+    (analytic_solution, (1001.0, 1e300, 1, 1.0), "scale**(1-q)"),
+    (analytic_solution, (1001.0, 1e300, 1, 0.0), "scale**(1-q)"),
+    (frequency_rescale, (1.7, 1.0, -1e300, [0.0]), "scale"),
+    (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
+])
+def test_underflowed_scale_names_the_factor(fn, args, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveArgument) as info:
+            fn(*args)
+    assert info.value.name == named and info.value.value == 0.0
 
 
 class TestRatioIdentity:

@@ -23,6 +23,7 @@ from qdeform import (
     q_log,
     q_log_likelihood,
 )
+from qdeform.qgaussian import FIG3_GRID
 
 SQRT_PI = 1.772453850905516027298
 INV_SQRT_PI = 0.5641895835477562869481
@@ -274,6 +275,7 @@ class TestFrequencyRescale:
         grid = np.linspace(-3.0, 3.0, 101)
         for c in (1.0, 10.0, 100.0):
             table = frequency_rescale(1.7, 1.0, q_log(1.7, c), grid)
+            assert table.column("e_rescaled").tolist() == grid.tolist()
             np.testing.assert_allclose(table.column("f_rescaled"),
                                        table.column("reference"), rtol=1e-12)
             assert table.meta["scale"] == pytest.approx(c, rel=1e-12)
@@ -290,11 +292,11 @@ class TestFig3Data:
         assert mid and mid[0][3] == 1.0
 
     def test_rescaled_curves_coincide(self):
-        table = fig3_data()
-        curves = list(table.curves().values())
-        ref = np.array([r[5] for r in curves[0]])
-        for other in curves[1:]:
-            np.testing.assert_allclose([r[5] for r in other], ref, rtol=1e-12)
+        grid = np.linspace(*FIG3_GRID).tolist()
+        curves = list(fig3_data().curves().values())
+        for curve in curves:
+            assert [r[4] for r in curve] == grid
+            assert [r[5] for r in curve] == [r[5] for r in curves[0]]
 
     def test_qlog_column_is_parabola(self):
         table = fig3_data()

@@ -81,7 +81,6 @@ _CASES = {
     "dynamics/rk4_vs_analytic_growth": 1e-6,
     "dynamics/rescaled_trajectory_invariance": 1e-4,
     "dynamics/sequential_shift_composition": 1e-12,
-    "dynamics/fig2_rescaled_pointwise": 1e-12,
     "dynamics/fig2_qlog_affine": 1e-9,
     "stirling/stirling_error_monotone_violations": 0.5,
     "stirling/entropy_classical_limit": 1e-4,
@@ -93,7 +92,6 @@ _CASES = {
     "mlp/lnq_density_quadratic": 1e-6,
     "mlp/defining_ode_residual": 1.0,
     "mlp/frequency_rescaling_invariance": 1e-12,
-    "mlp/fig3_rescaled_pointwise": 1e-12,
     "mlp/fig3_qlog_parabola": 1e-9,
     "canonical/split_probability_invariance": 1e-12,
     "canonical/split_canonical_form": 1e-12,
