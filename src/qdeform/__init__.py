@@ -3,23 +3,24 @@
 A numerics library around the deformed logarithm/exponential pair of index
 q (classical at q = 1, power-law otherwise) and what that pair buys:
 
-* ``core``          -- log_q / exp_q, the ratio identity, inverse checks
+* ``core``          -- log_q / exp_q on one deformed-log/exp kernel pair,
+                       the ratio identity
 * ``algebra``       -- the deformed product/ratio and per-step scale drift
-* ``dynamics``      -- dy/dx = +/- y**q, rescaling/shift equivalence, RK4 oracle
+* ``dynamics``      -- dy/dx = +/- y**q, rescaling/shift equivalence
 * ``combinatorics`` -- deformed factorials, the two-branch asymptotic
                        formula, Tsallis entropy and its multinomial limit
 * ``qgaussian``     -- deformed bell densities, likelihood stationarity at
                        the mean, frequency-curve rescaling
 * ``canonical``     -- deformed-exponential distributions and their unique
                        affine deformed-log representation
-* ``verify``        -- seeded, reproducible invariant suites
+* ``verify``        -- seeded, reproducible invariant suites and the
+                       oracles they check against
 * ``cli``           -- the ``qdeform`` command (eval / verify / fig /
                        canonicalize)
 """
 
 from .algebra import (
     ObservationSequence,
-    q_exp_law_check,
     q_log_sum,
     q_product,
     q_product_bracket,
@@ -46,7 +47,6 @@ from .core import (
     q_exp_bracket,
     q_log,
     q_log_of_ratio,
-    round_trip_check,
 )
 from .dynamics import (
     Trajectory,
@@ -54,7 +54,6 @@ from .dynamics import (
     compose_shifts,
     fig2_data,
     integrate_ode,
-    q_log_line,
     rescale_factor,
     shift_expansion,
 )
@@ -68,7 +67,6 @@ from .errors import (
 from .qgaussian import (
     QGaussianModel,
     beta_from,
-    defining_ode_residual,
     fig3_data,
     frequency_rescale,
     mlp_stationarity,

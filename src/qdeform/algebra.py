@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import _check_positive, _overflow, check_index, q_exp, q_exp_bracket, q_log
+from .core import (_check_positive, _drop, _lift, _overflow, check_index, q_exp_bracket,
+                   q_log)
 from .errors import DomainViolation
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "q_product",
     "q_product_bracket",
     "q_ratio",
-    "q_exp_law_check",
     "scale_drift_expand",
     "q_product_fold",
     "q_log_sum",
@@ -68,54 +68,51 @@ class ObservationSequence:
         object.__setattr__(self, "observed", tuple(observed))
 
 
-def _excess(name: str, q: float, x: float, y: float, sign: float) -> float:
-    # the bracket less 1, which q_product (sign 1) and q_ratio (sign -1) take
-    # log1p of so as not to cancel
-    omq = 1.0 - q
+def _combine(name: str, bracket: str, q: float, x: float, y: float,
+             sign: float) -> float:
+    """exp_q(log_q x + sign * log_q y) as _drop(q, d) for the bracket less 1,
+    d = _lift(q, x) + sign * _lift(q, y), which does not cancel near q = 1;
+    |1-q| >= 2**-53, so the exponent of _drop is finite and exp raises on
+    overflow."""
     try:
-        d = math.expm1(omq * math.log(x)) + sign * math.expm1(omq * math.log(y))
+        d = _lift(q, x) + sign * _lift(q, y)
         if math.isfinite(d):
-            return d
+            if d <= -1.0:
+                raise DomainViolation(bracket, 1.0 + d)
+            return _drop(q, d)
     except OverflowError:
         pass
     raise _overflow(name, q, f"x={x!r}, y={y!r}")
-
-
-def _bracket_root(name: str, bracket: str, q: float, x: float, y: float,
-                  sign: float) -> float:
-    # (1 + d) ** (1/(1-q)) as exp(log1p(d)/(1-q)), for the excess d above;
-    # |1-q| >= 2**-53, so the exponent is finite and exp raises on overflow
-    d = _excess(name, q, x, y, sign)
-    w = 1.0 + d
-    if w <= 0.0:
-        raise DomainViolation(bracket, w)
-    try:
-        return math.exp(math.log1p(d) / (1.0 - q))
-    except OverflowError:
-        raise _overflow(name, q, f"x={x!r}, y={y!r}") from None
 
 
 def q_product_bracket(q: float, x: float, y: float) -> float:
     """Domain certificate x**(1-q) + y**(1-q) - 1 of the deformed product:
     for x, y > 0, ``q_product(q, x, y)`` is defined exactly where it is > 0.
     Overflow is reported as by :func:`q_product`."""
-    return 1.0 + _excess("q_product_bracket", q, x, y, 1.0)
+    try:
+        d = _lift(q, x) + _lift(q, y)
+        if math.isfinite(d):
+            return 1.0 + d
+    except OverflowError:
+        pass
+    raise _overflow("q_product_bracket", q, f"x={x!r}, y={y!r}")
 
 
 def q_product(q: float, x: float, y: float) -> float:
     """Deformed product; commutative and associative with identity 1.
 
-    Evaluated as exp(log1p(d)/(1-q)) with d = expm1((1-q) log x) +
-    expm1((1-q) log y), which avoids the cancellation of the naive bracket
-    near q = 1.  A term or result past the largest double raises
-    :class:`OverflowError` naming q, x and y.
+    Evaluated through the kernel pair of :mod:`qdeform.core` as
+    (1 + d)**(1/(1-q)) with d = (x**(1-q) - 1) + (y**(1-q) - 1), which
+    avoids the cancellation of the naive bracket near q = 1.  A term or
+    result past the largest double raises :class:`OverflowError` naming q,
+    x and y.
     """
     q = check_index(q)
     x, y = _check_positive("x", x), _check_positive("y", y)
     if q == 1.0:
         return x * y
-    return _bracket_root("q_product", "q_product bracket x^(1-q) + y^(1-q) - 1",
-                         q, x, y, 1.0)
+    return _combine("q_product", "q_product bracket x^(1-q) + y^(1-q) - 1",
+                    q, x, y, 1.0)
 
 
 def q_ratio(q: float, x: float, y: float) -> float:
@@ -125,15 +122,8 @@ def q_ratio(q: float, x: float, y: float) -> float:
     x, y = _check_positive("x", x), _check_positive("y", y)
     if q == 1.0:
         return x / y
-    return _bracket_root("q_ratio", "q_ratio bracket x^(1-q) - y^(1-q) + 1",
-                         q, x, y, -1.0)
-
-
-def q_exp_law_check(q: float, x1: float, x2: float) -> float:
-    """Relative residual of exp_q(x1+x2) = exp_q(x1) (x)_q exp_q(x2)."""
-    lhs = q_exp(q, float(x1) + float(x2))
-    rhs = q_product(q, q_exp(q, x1), q_exp(q, x2))
-    return abs(lhs - rhs) / lhs
+    return _combine("q_ratio", "q_ratio bracket x^(1-q) - y^(1-q) + 1",
+                    q, x, y, -1.0)
 
 
 def scale_drift_expand(q: float, shifts) -> ObservationSequence:

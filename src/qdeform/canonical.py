@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import _check_positive, check_index, q_exp, q_log
+from .core import _check_positive, _overflow, check_index, q_exp, q_log
 from .errors import DomainViolation
 
 __all__ = [
@@ -70,8 +70,11 @@ class DiscreteQDistribution:
             except DomainViolation as err:
                 raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
                                       err.constraint, index=i) from err
-        # every frequency may have underflowed to 0
-        total = _check_positive("total", math.fsum(freqs))
+        # the frequencies may all underflow to 0, or sum past the largest double
+        try:
+            total = _check_positive("total", math.fsum(freqs))
+        except OverflowError:
+            raise _overflow("frequency total", q, f"shift={shift!r}") from None
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "xs", points)
         object.__setattr__(self, "shift", shift)
@@ -97,7 +100,9 @@ def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
     """Frequencies exp_q(-x_i + shift), their total, and probabilities.
 
     Raises :class:`DomainViolation` naming the first data point whose
-    argument leaves the deformed-exponential domain.
+    argument leaves the deformed-exponential domain, and
+    :class:`OverflowError` naming q and the shift when the frequencies sum
+    past the largest double.
     """
     return DiscreteQDistribution(q, xs, shift)
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import _q_log_array, check_index, q_log
+from .core import _overflow, _q_log_array, check_index, q_log
 
 __all__ = [
     "q_log_factorial",
@@ -79,14 +79,23 @@ def q_stirling(q: float, n: int) -> float:
 
     The singular branch is dispatched on bitwise q == 2; nearby indices use
     the generic branch, which is continuous away from the removable point.
+    A result past the largest double raises :class:`OverflowError` naming
+    q and n.
     """
     q = check_index(q)
     n = _check_count("n", n)
-    if q == 2.0:
-        return n - math.log(n) - 1.0 / (2.0 * n) - 0.5
-    lnq = q_log(q, float(n))
-    twn = 2.0 - q
-    return n / twn * lnq - n / twn + 0.5 * lnq + 1.0 / twn
+    try:
+        if q == 2.0:
+            value = n - math.log(n) - 1.0 / (2.0 * n) - 0.5
+        else:
+            lnq = q_log(q, float(n))
+            twn = 2.0 - q
+            value = n / twn * lnq - n / twn + 0.5 * lnq + 1.0 / twn
+    except OverflowError:  # n or log_q(n) past the largest double
+        value = math.inf
+    if not math.isfinite(value):  # a term past it, or inf - inf
+        raise _overflow("q_stirling", q, f"n={n!r}")
+    return value
 
 
 def q_log_multinomial(q: float, counts) -> float:

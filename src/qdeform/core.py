@@ -11,12 +11,15 @@ positive, is
 
 Both reduce to ``log``/``exp`` as q -> 1.  The classical branch is taken on
 bitwise ``q == 1``; no epsilon band is used because the deformed branch is
-evaluated through ``expm1``/``log1p``,
+evaluated through one kernel pair, the package's only ``expm1``/``log1p``,
 
-    log_q(y) = expm1((1-q) * log(y)) / (1-q),
-    exp_q(x) = exp(log1p((1-q) * x) / (1-q)),
+    _lift(q, y) = expm1((1-q) * log(y)) = (1-q) * log_q(y),
+    _drop(q, d) = exp(log1p(d) / (1-q)) = exp_q(d / (1-q)),
 
-which stays accurate down to |1-q| ~ 1e-8 and far beyond.
+and its numpy twins ``_lift_array``/``_drop_array``, which stay accurate
+down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
+is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
+and numpy do, and each caller names its own overflow.
 
 Out-of-domain calls raise :class:`~qdeform.errors.DomainViolation` carrying
 the offending bracket value.  The sharp-cutoff convention (exp_q := 0 where
@@ -37,7 +40,6 @@ __all__ = [
     "q_log",
     "q_exp",
     "q_log_of_ratio",
-    "round_trip_check",
 ]
 
 
@@ -69,6 +71,18 @@ def _overflow(name: str, q: float, where: str) -> OverflowError:
     return OverflowError(f"{name} at q={q!r} overflows a double ({where})")
 
 
+def _lift(q: float, y: float) -> float:
+    """y**(1-q) - 1 = (1-q) log_q(y) for y > 0 and q != 1, as
+    expm1((1-q) ln y) so that it does not cancel near q = 1."""
+    return math.expm1((1.0 - q) * math.log(y))
+
+
+def _drop(q: float, d: float) -> float:
+    """(1 + d)**(1/(1-q)), the inverse of :func:`_lift`, for d > -1 and
+    q != 1, as exp(log1p(d)/(1-q))."""
+    return math.exp(math.log1p(d) / (1.0 - q))
+
+
 def q_log(q: float, y: float) -> float:
     """Deformed logarithm of index ``q``.
 
@@ -80,9 +94,8 @@ def q_log(q: float, y: float) -> float:
     y = _check_positive("y", y)
     if q == 1.0:
         return math.log(y)
-    omq = 1.0 - q
     try:
-        value = math.expm1(omq * math.log(y)) / omq
+        value = _lift(q, y) / (1.0 - q)
         if math.isfinite(value):
             return value
     except OverflowError:
@@ -103,17 +116,13 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
-    exponent = x
-    if q != 1.0:
-        omq = 1.0 - q
-        w = 1.0 + omq * x
-        if w <= 0.0:
-            if cutoff and q < 1.0:
-                return 0.0
-            raise DomainViolation("exp_q argument outside domain", w)
-        exponent = math.log1p(omq * x) / omq
+    d = (1.0 - q) * x  # 0 at q = 1
+    if d <= -1.0:
+        if cutoff and q < 1.0:
+            return 0.0
+        raise DomainViolation("exp_q argument outside domain", 1.0 + d)
     try:
-        value = math.exp(exponent)
+        value = math.exp(x) if q == 1.0 else _drop(q, d)
         if value < math.inf:
             return value
     except OverflowError:
@@ -133,35 +142,44 @@ def _finite(q: float, name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _lift_array(q, y) -> np.ndarray:
+    """Elementwise :func:`_lift`; ``q`` may be an array that broadcasts
+    with ``y``."""
+    return np.expm1((1.0 - q) * np.log(y))
+
+
+def _drop_array(q: float, d) -> np.ndarray:
+    """Elementwise :func:`_drop`."""
+    return np.exp(np.log1p(d) / (1.0 - q))
+
+
 def _q_log_array(q: float, y) -> np.ndarray:
     """Elementwise :func:`q_log` for a checked index.  Errors name the first
     failing element; a result past the largest double raises
-    :class:`OverflowError`, as ``math.expm1`` does."""
+    :class:`OverflowError`, as :func:`q_log` does."""
     y = np.asarray(y, dtype=float)
     _check_all((y > 0.0) & np.isfinite(y),
                lambda i: NonPositiveArgument(f"y[{i}]", float(y.flat[i])))
     if q == 1.0:
         return np.log(y)
-    omq = 1.0 - q
     with np.errstate(over="ignore"):
-        return _finite(q, "log_q", np.expm1(omq * np.log(y)) / omq)
+        return _finite(q, "log_q", _lift_array(q, y) / (1.0 - q))
 
 
 def _q_exp_array(q: float, x) -> np.ndarray:
     """Elementwise :func:`q_exp` without cutoff, for a checked index.  Errors
     name the first failing element; a result past the largest double
-    raises :class:`OverflowError`, as ``math.exp`` does."""
+    raises :class:`OverflowError`, as :func:`q_exp` does."""
     x = np.asarray(x, dtype=float)
     _check_all(np.isfinite(x), lambda i: ValueError(
         f"argument must be finite, got {float(x.flat[i])!r} (element {i})"))
     with np.errstate(over="ignore"):
-        if q != 1.0:
-            omq = 1.0 - q
-            w = 1.0 + omq * x
-            _check_all(w > 0.0, lambda i: DomainViolation(
-                "exp_q argument outside domain", float(w.flat[i]), index=i))
-            x = np.log1p(omq * x) / omq
-        return _finite(q, "exp_q", np.exp(x))
+        if q == 1.0:
+            return _finite(q, "exp_q", np.exp(x))
+        d = (1.0 - q) * x
+        _check_all(d > -1.0, lambda i: DomainViolation(
+            "exp_q argument outside domain", float(1.0 + d.flat[i]), index=i))
+        return _finite(q, "exp_q", _drop_array(q, d))
 
 
 def q_log_of_ratio(q: float, y: float, x: float) -> float:
@@ -179,11 +197,3 @@ def q_log_of_ratio(q: float, y: float, x: float) -> float:
     if q == 1.0:
         return math.log(y) - math.log(x)
     return x ** (q - 1.0) * (q_log(q, y) - q_log(q, x))
-
-
-def round_trip_check(q: float, x: float) -> float:
-    """Residual |log_q(exp_q(x)) - x| of the inverse pair at ``x``.
-
-    Expected below 1e-12 * max(1, |x|) everywhere in the domain.
-    """
-    return abs(q_log(q, q_exp(q, x)) - x)

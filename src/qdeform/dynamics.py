@@ -39,7 +39,6 @@ __all__ = [
     "Trajectory",
     "rescale_factor",
     "analytic_solution",
-    "q_log_line",
     "integrate_ode",
     "shift_expansion",
     "compose_shifts",
@@ -112,20 +111,6 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     if value == math.inf:
         raise _overflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
     return value
-
-
-def q_log_line(q: float, scale: float, direction, xs):
-    """Points (x, log_q y) of the solution, computed from the linear form.
-
-    The values satisfy log_q(y) = direction * x + log_q(scale) exactly by
-    construction (slope ``direction``, intercept ``log_q(scale)``); they are
-    not obtained by taking the deformed log of the solution.
-    """
-    q = check_index(q)
-    d = _check_direction(direction)
-    s = _check_positive("scale", scale)
-    intercept = q_log(q, s)
-    return [(float(x), d * float(x) + intercept) for x in xs]
 
 
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,

@@ -45,7 +45,6 @@ __all__ = [
     "q_gaussian_pdf",
     "q_log_likelihood",
     "mlp_stationarity",
-    "defining_ode_residual",
     "frequency_rescale",
     "fig3_data",
 ]
@@ -53,7 +52,6 @@ __all__ = [
 FIG3_SCALES = (1.0, 10.0, 100.0)
 FIG3_INDEX = 1.7
 FIG3_GRID = (-5.0, 5.0, 501)  # rescaled abscissas: min, max, points
-ODE_STEP = 1e-6  # central-difference step of defining_ode_residual
 
 
 def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
@@ -213,23 +211,6 @@ def mlp_stationarity(model: QGaussianModel, samples):
     gradient = (l_plus - l_minus) / (2.0 * h)
     curvature = (l_plus - 2.0 * l_mid + l_minus) / (h * h)
     return gradient, curvature
-
-
-def defining_ode_residual(model: QGaussianModel, e: float) -> float:
-    """Residual f'(e)/f(e)**q - ode_coeff * e of the defining equation.
-
-    f is the unnormalized form exp_q(ode_coeff * e**2 / 2 + log_offset) and
-    f' a central difference at step ``ODE_STEP``, so the residual is
-    bounded by 1e-5 * |ode_coeff * e| + 1e-8 at interior points.
-    """
-    e = float(e)
-    q = model.q
-
-    def f(t: float) -> float:
-        return q_exp(q, 0.5 * model.ode_coeff * t * t + model.log_offset)
-
-    derivative = (f(e + ODE_STEP) - f(e - ODE_STEP)) / (2.0 * ODE_STEP)
-    return derivative / f(e) ** q - model.ode_coeff * e
 
 
 def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> FigureTable:

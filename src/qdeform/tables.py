@@ -7,8 +7,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import (_check_positive, _finite, _overflow, _q_exp_array, _q_log_array,
-                   check_index, q_log)
+from .core import (_check_all, _check_positive, _finite, _overflow, _q_exp_array,
+                   _q_log_array, check_index, q_log)
+from .errors import NonPositiveArgument
 
 __all__ = ["FigureTable"]
 
@@ -64,6 +65,9 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
         with np.errstate(over="ignore"):
             x_raw = _finite(q, f"x_raw of scales[{ci}]", grid * x_scale)
             y_raw = _finite(q, f"y_raw of scales[{ci}]", c * profile)
+        # the profile, or c times it, may underflow to 0
+        _check_all(y_raw > 0.0, lambda i: NonPositiveArgument(
+            f"y_raw of scales[{ci}] at grid[{i}]={float(grid[i])!r}", float(y_raw[i])))
         rows += zip(repeat(ci), repeat(c), x_raw.tolist(), y_raw.tolist(),
                     x_rescaled, y_rescaled, _q_log_array(q, y_raw).tolist())
     meta = {"q": q, **meta, "scales": scales, "grid_points": int(grid.size),

@@ -11,7 +11,6 @@ from qdeform import (
     ObservationSequence,
     q_exp,
     q_exp_bracket,
-    q_exp_law_check,
     q_log,
     q_log_sum,
     q_product,
@@ -90,19 +89,25 @@ class TestQRatio:
             assert back == pytest.approx(x, rel=1e-12)
 
 
+def exp_law_residual(q, x1, x2):
+    """Relative residual of exp_q(x1 + x2) = exp_q(x1) (x)_q exp_q(x2)."""
+    lhs = q_exp(q, x1 + x2)
+    return abs(lhs - q_product(q, q_exp(q, x1), q_exp(q, x2))) / lhs
+
+
 class TestExpLaw:
     def test_hand_case(self):
         # both sides equal 9 at q=0.5, arguments 2+2
         assert q_exp(0.5, 4.0) == pytest.approx(9.0, rel=1e-14)
         assert q_product(0.5, q_exp(0.5, 2.0), q_exp(0.5, 2.0)) == pytest.approx(
             9.0, rel=1e-14)
-        assert q_exp_law_check(0.5, 2.0, 2.0) < 1e-12
+        assert exp_law_residual(0.5, 2.0, 2.0) < 1e-12
 
     def test_classical(self):
-        assert q_exp_law_check(1.0, 0.7, -1.9) < 1e-12
+        assert exp_law_residual(1.0, 0.7, -1.9) < 1e-12
 
     def test_identity_factor(self):
-        assert q_exp_law_check(1.3, 0.0, 1.2) < 1e-12
+        assert exp_law_residual(1.3, 0.0, 1.2) < 1e-12
 
 
 class TestScaleDrift:

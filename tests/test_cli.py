@@ -179,17 +179,19 @@ class TestFig:
         assert len(rows) == 1 + 2 * 3
 
     @pytest.mark.parametrize("argv, named", [
-        (("--q", "-1000", "--scales", "1e300"),
+        (("fig2", "--q", "-1000", "--scales", "1e300"),
          "x scale at q=-1000.0 overflows a double (scales[0]=1e+300)"),
-        (("--q", "-10", "--scales", "1e-300"),
+        (("fig2", "--q", "-10", "--scales", "1e-300"),
          "x scale of scales[0] must be a positive finite real"),
-        (("--q", "1.3", "--scales", "1e-300", "--grid-max", "1e300"),
+        (("fig2", "--q", "1.3", "--scales", "1e-300", "--grid-max", "1e300"),
          "x_raw of scales[0] at q=1.3 overflows a double"),
-        (("--q", "1", "--scales", "1e10", "--grid-min=-700"),
+        (("fig2", "--q", "1", "--scales", "1e10", "--grid-min=-700"),
          "y_raw of scales[0] at q=1.0 overflows a double"),
+        (("fig3", "--q", "1", "--grid-min=-1000"),  # the profile underflows to 0
+         "y_raw of scales[0] at grid[0]=-1000.0 must be a positive finite real"),
     ])
     def test_bad_scale_exits_one_naming_it(self, argv, named, capsys):
-        code, out, err = run_cli(capsys, "fig", "fig2", *argv)
+        code, out, err = run_cli(capsys, "fig", *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,8 +20,9 @@ from qdeform import (
     q_product,
     q_product_bracket,
     q_ratio,
+    build_distribution,
+    q_stirling,
     rescale_factor,
-    round_trip_check,
 )
 from qdeform.core import _q_exp_array, _q_log_array
 
@@ -92,8 +93,9 @@ class TestQExp:
 
 # results past the largest double: math.exp / math.expm1 raise a bare
 # "math range error", a float power a bare "(34, 'Numerical result out of
-# range')", and an argument term (1-q)*x or a product past it makes inf
-# (and inf - inf makes nan)
+# range')", math.fsum a bare "intermediate overflow in fsum", and an
+# argument term (1-q)*x or a product past it makes inf (and inf - inf
+# makes nan)
 @pytest.mark.parametrize("fn, args, named", [
     (q_exp, (0.5, 1e300), "q=0.5 overflows a double (x=1e+300)"),
     (analytic_solution, (0.5, 1.0, 1, 1e300), "q=0.5 overflows a double (x=1e+300)"),
@@ -117,6 +119,10 @@ class TestQExp:
      "analytic_solution at q=0.5 overflows a double (scale=1e+300, x=1e+155)"),
     (compose_shifts, (0.5, 1e150, 1e150),
      "compose_shifts at q=0.5 overflows a double (shift1=1e+150, shift2=1e+150)"),
+    (q_stirling, (0.5, 10**308), f"q_stirling at q=0.5 overflows a double (n={10**308})"),
+    (q_stirling, (1.5, 10**308), f"q_stirling at q=1.5 overflows a double (n={10**308})"),
+    (build_distribution, (1.0, [0.0, 0.0], 709.7),
+     "frequency total at q=1.0 overflows a double (shift=709.7)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
@@ -164,11 +170,16 @@ class TestRatioIdentity:
             q_log_of_ratio(1.5, 1.0, 0.0)
 
 
+def round_trip_residual(q, x):
+    """|log_q(exp_q(x)) - x|, expected below 1e-12 * max(1, |x|) in the domain."""
+    return abs(q_log(q, q_exp(q, x)) - x)
+
+
 class TestRoundTrip:
     def test_examples(self):
-        assert round_trip_check(1.7, 0.0) == 0.0
-        assert round_trip_check(0.5, 6.0) < 1e-12
-        assert round_trip_check(1.0, 10.0) < 1e-12 * 10.0
+        assert round_trip_residual(1.7, 0.0) == 0.0
+        assert round_trip_residual(0.5, 6.0) < 1e-12
+        assert round_trip_residual(1.0, 10.0) < 1e-12 * 10.0
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(7)
@@ -177,7 +188,7 @@ class TestRoundTrip:
             x = float(rng.uniform(-3.0, 3.0))
             if q_exp_bracket(q, x) <= 1e-3:
                 continue
-            assert round_trip_check(q, x) < 1e-12 * max(1.0, abs(x))
+            assert round_trip_residual(q, x) < 1e-12 * max(1.0, abs(x))
             y = float(rng.uniform(0.05, 20.0))
             assert q_exp(q, q_log(q, y)) == pytest.approx(y, rel=1e-12)
 
@@ -187,7 +198,7 @@ class TestRoundTrip:
 def test_inverse_pair_property(q, x):
     if q_exp_bracket(q, x) <= 1e-3:
         return
-    assert round_trip_check(q, x) < 1e-12 * max(1.0, abs(x))
+    assert round_trip_residual(q, x) < 1e-12 * max(1.0, abs(x))
 
 
 @given(q=st.floats(0.2, 2.8), y=st.floats(0.05, 20.0), x=st.floats(0.05, 20.0))

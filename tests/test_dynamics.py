@@ -16,7 +16,6 @@ from qdeform import (
     q_exp,
     q_exp_bracket,
     q_log,
-    q_log_line,
     rescale_factor,
     shift_expansion,
 )
@@ -80,23 +79,10 @@ class TestAnalyticSolution:
 
 
 class TestQLogLine:
-    def test_unit_scale_origin(self):
-        assert q_log_line(1.3, 1.0, -1, [0.0]) == [(0.0, 0.0)]
-
+    # log_q y = direction * x + log_q(scale): the intercepts of fig. 2
     def test_intercepts(self):
-        (_, value), = q_log_line(1.3, 10.0, -1, [0.0])
-        assert value == pytest.approx(QLOG_13_10, rel=1e-14)
-        (_, value), = q_log_line(1.3, 20.0, -1, [0.0])
-        assert value == pytest.approx(QLOG_13_20, rel=1e-14)
-
-    def test_classical_line(self):
-        (_, value), = q_log_line(1.0, math.e, 1, [1.0])
-        assert value == pytest.approx(2.0, rel=1e-14)
-
-    def test_slope_is_direction(self):
-        pts = q_log_line(1.7, 2.0, -1, [0.0, 1.0, 2.0])
-        slopes = [(b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(pts, pts[1:])]
-        assert slopes == pytest.approx([-1.0, -1.0])
+        assert q_log(1.3, 10.0) == pytest.approx(QLOG_13_10, rel=1e-14)
+        assert q_log(1.3, 20.0) == pytest.approx(QLOG_13_20, rel=1e-14)
 
 
 class TestIntegrateODE:

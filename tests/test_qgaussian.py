@@ -13,7 +13,6 @@ from qdeform import (
     QGaussianModel,
     UnnormalizableModel,
     beta_from,
-    defining_ode_residual,
     fig3_data,
     frequency_rescale,
     mlp_stationarity,
@@ -24,6 +23,7 @@ from qdeform import (
     q_log_likelihood,
 )
 from qdeform.qgaussian import FIG3_GRID
+from qdeform.verify import _defining_ode_residual
 
 SQRT_PI = 1.772453850905516027298
 INV_SQRT_PI = 0.5641895835477562869481
@@ -232,17 +232,17 @@ class TestStationarity:
 class TestDefiningODE:
     def test_origin_residual_vanishes(self):
         model = QGaussianModel(q=1.7, ode_coeff=-2.0, log_offset=0.5)
-        assert defining_ode_residual(model, 0.0) == 0.0
+        assert _defining_ode_residual(model, 0.0) == 0.0
 
     def test_classical_identity(self):
         model = QGaussianModel(q=1.0, ode_coeff=-2.0, log_offset=0.0)
         for e in (0.2, 0.7, 1.3):
-            res = defining_ode_residual(model, e)
+            res = _defining_ode_residual(model, e)
             assert abs(res) <= 1e-5 * abs(-2.0 * e) + 1e-8
 
     def test_deformed_within_contract(self):
         model = QGaussianModel(q=1.7, ode_coeff=-2.0, log_offset=0.5)
-        res = defining_ode_residual(model, 0.3)
+        res = _defining_ode_residual(model, 0.3)
         assert abs(res) <= 1e-5 * abs(-2.0 * 0.3) + 1e-8
 
     def test_lnq_of_unnormalized_form_is_quadratic(self):
