@@ -62,6 +62,7 @@ from .errors import (
     DomainViolation,
     NonPositiveArgument,
     QDeformError,
+    RangeOverflow,
     UnnormalizableModel,
 )
 from .qgaussian import (

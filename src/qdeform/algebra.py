@@ -162,6 +162,14 @@ def q_product_fold(q: float, factors) -> float:
 
 
 def q_log_sum(q: float, factors) -> float:
-    """Sum of deformed logarithms of the factors (the fold's linearized form)."""
+    """Sum of deformed logarithms of the factors (the fold's linearized form).
+
+    A sum past the largest double raises :class:`OverflowError` naming q
+    and the number of factors.
+    """
     q = check_index(q)
-    return math.fsum(q_log(q, f) for f in factors)
+    terms = [q_log(q, f) for f in factors]
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose sum passes the largest double
+        raise _overflow("q_log_sum", q, f"{len(terms)} factors") from None

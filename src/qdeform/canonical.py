@@ -112,7 +112,8 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
 
     Both pull one sub-shift out of exp_q(-x + c1 + c2) and leave the other
     inside the rescaled argument; both normalize to the same probabilities
-    as the unsplit form.
+    as the unsplit form.  Raises :class:`OverflowError` naming q and both
+    shifts when the frequencies sum past the largest double.
     """
     q = check_index(q)
     points = [float(x) for x in xs]
@@ -122,7 +123,12 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     def pulled_out(outer: float, inner: float):
         arg_scale = q_exp(q, outer) ** (1.0 - q)
         values = [q_exp(q, (-x + inner) / arg_scale) for x in points]
-        total = math.fsum(values)
+        # as in DiscreteQDistribution: all 0, or a sum past the largest double
+        try:
+            total = _check_positive("total", math.fsum(values))
+        except OverflowError:
+            raise _overflow("frequency total", q,
+                            f"shift1={shift1!r}, shift2={shift2!r}") from None
         return tuple(v / total for v in values)
 
     return pulled_out(shift1, shift2), pulled_out(shift2, shift1)

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainViolation, NonPositiveArgument
+from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = [
     "q_exp_bracket",
@@ -66,9 +66,9 @@ def _check_positive(name: str, value) -> float:
     return value
 
 
-def _overflow(name: str, q: float, where: str) -> OverflowError:
+def _overflow(name: str, q: float, where: str) -> RangeOverflow:
     """The error for a result past the largest double, naming q and where."""
-    return OverflowError(f"{name} at q={q!r} overflows a double ({where})")
+    return RangeOverflow(name, q, where)
 
 
 def _lift(q: float, y: float) -> float:

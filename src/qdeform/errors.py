@@ -29,6 +29,19 @@ class DomainViolation(QDeformError, ValueError):
         super().__init__(f"{message}{where}: constraint value {constraint!r} <= 0")
 
 
+class RangeOverflow(QDeformError, OverflowError):
+    """A result passed the largest double.
+
+    ``q`` is the deformation index and ``where`` names the argument (or the
+    element) that produced it.
+    """
+
+    def __init__(self, name, q, where):
+        self.q = q
+        self.where = where
+        super().__init__(f"{name} at q={q!r} overflows a double ({where})")
+
+
 class BlowupDetected(QDeformError, RuntimeError):
     """Numerical integration left the admissible strip or crossed the
     analytic domain boundary."""

@@ -323,6 +323,11 @@ def _qlog_residual(table, power: int) -> float:
 # stirling / entropy suite
 
 
+def _exact_log_factorial(q: float, n: int) -> float:
+    """The oracle of the log-factorial: the compensated sum of all n terms."""
+    return math.fsum(_q_log_array(q, np.arange(1, n + 1, dtype=float)).tolist())
+
+
 def _stirling(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     cases = []
@@ -331,10 +336,17 @@ def _stirling(seed: int) -> tuple:
     for q in (0.5, 1.0, 1.5, 2.0, 2.5):
         errs = []
         for n in (10, 100, 1000, 10_000):
-            exact = combinatorics.q_log_factorial(q, n)
+            exact = _exact_log_factorial(q, n)
             errs.append(abs(combinatorics.q_stirling(q, n) - exact) / abs(exact))
         violations += sum(b > a for a, b in zip(errs, errs[1:]))
     cases.append(_case("stirling_error_monotone_violations", violations, 0.5))
+
+    worst = 0.0
+    for q in (-1.0, 0.5, 1.0 - 1e-9, 1.0, 1.5, 2.0 - 1e-9, 2.0, 2.5):
+        for n in (1025, 4096, 30_000):
+            exact = _exact_log_factorial(q, n)
+            worst = max(worst, abs(combinatorics.q_log_factorial(q, n) - exact) / exact)
+    cases.append(_case("log_factorial_tail", worst, 1e-12))
 
     worst = 0.0
     for u in rng.uniform(0.1, 1.0, size=(50, 10)):

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,21 @@ def src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def assert_peak_alloc():
+    """``assert_peak_alloc(limit, fn, *args)`` calls ``fn(*args)`` under
+    ``tracemalloc`` and fails when the peak traced allocation of the call
+    reaches ``limit`` bytes.  Deterministic, unlike a wall-clock bound, so
+    it can guard against an O(n) buffer coming back."""
+    def check(limit, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{fn.__name__} peaked at {peak} traced bytes"
+        return peak
+    return check

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdeform
 from qdeform import (
@@ -16,6 +17,7 @@ from qdeform import (
     tsallis_correspondence,
     tsallis_entropy,
 )
+from qdeform.verify import _exact_log_factorial
 
 # 40-digit reference values
 LN_120 = 4.787491742782045994248          # log(5!)
@@ -23,6 +25,18 @@ LN_100_FACT = 363.7393755555634901441     # log(100!)
 STIRLING_Q1_100 = 363.8196036918031824876  # formula value at q=1, n=100
 STIRLING_Q2_100 = 94.88982981401190863196  # formula value at q=2, n=100
 EXACT_Q2_100 = 94.81262248236037973919     # 100 - H_100
+
+# sums of log_q(k) over k <= 5000 at the double nearest q, to 22 digits
+EXACT_5000 = {
+    1.0 - 1e-9: 37591.14365266437917512,
+    1.0 + 1e-9: 37591.14336508913874192,
+    2.0 - 1e-9: 4990.905496101722143207,
+    2.0 + 1e-9: 4990.905486192308992562,
+    0.5: 461474.8168752116843655,
+    1.5: 9720.063854643078692721,
+}
+HEAD = combinatorics._HEAD  # terms summed exactly before the Euler-Maclaurin tail
+EULER_GAMMA = 0.5772156649015328606065
 
 
 class TestLogFactorial:
@@ -54,6 +68,41 @@ class TestLogFactorial:
     def test_accepts_integral_float_and_numpy_int(self):
         assert q_log_factorial(1.5, 7.0) == q_log_factorial(1.5, np.int64(7)) \
             == q_log_factorial(1.5, 7)
+
+
+class TestLogFactorialTail:
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.floats(-3.0, 6.0), n=st.integers(1, 100_000))
+    def test_matches_exact_sum(self, q, n):
+        exact = _exact_log_factorial(q, n)
+        assert abs(q_log_factorial(q, n) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("q", sorted(EXACT_5000))
+    def test_pinned_values_near_the_branch_points(self, q):
+        assert q_log_factorial(q, 5000) == pytest.approx(EXACT_5000[q], rel=1e-14)
+
+    @pytest.mark.parametrize("q", [-3.0, -1.0, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.5,
+                                   2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.5, 6.0])
+    def test_seam_adds_one_term(self, q):
+        total = q_log_factorial(q, HEAD + 1)
+        step = total - q_log_factorial(q, HEAD)
+        assert abs(step - q_log(q, HEAD + 1.0)) <= 1e-12 * total
+
+    def test_head_is_the_exact_sum(self):
+        for q in (-2.5, 0.5, 1.0, 1.7, 2.0, 4.0):
+            for n in (2, 100, HEAD):
+                assert q_log_factorial(q, n) == _exact_log_factorial(q, n)
+
+    def test_closed_forms_at_a_trillion(self):
+        n = 10**12
+        harmonic = math.log(n) + EULER_GAMMA + 0.5 / n - 1.0 / (12.0 * n * n)
+        assert q_log_factorial(0.0, n) == pytest.approx(n * (n - 1) / 2, rel=1e-13)
+        assert q_log_factorial(1.0, n) == pytest.approx(math.lgamma(n + 1.0), rel=1e-14)
+        assert q_log_factorial(2.0, n) == pytest.approx(n - harmonic, rel=1e-14)
+
+    def test_memory_is_flat(self, assert_peak_alloc):
+        assert_peak_alloc(1 << 20, q_log_factorial, 1.5, 10**12)
+        assert_peak_alloc(1 << 20, q_log_multinomial, 0.5, [10**11] * 3)
 
 
 class TestStirling:

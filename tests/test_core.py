@@ -10,19 +10,24 @@ from hypothesis import given, settings, strategies as st
 from qdeform import (
     DomainViolation,
     NonPositiveArgument,
+    RangeOverflow,
     analytic_solution,
     compose_shifts,
     frequency_rescale,
     q_exp,
     q_exp_bracket,
     q_log,
+    q_log_factorial,
+    q_log_multinomial,
     q_log_of_ratio,
+    q_log_sum,
     q_product,
     q_product_bracket,
     q_ratio,
     build_distribution,
     q_stirling,
     rescale_factor,
+    split_representation,
 )
 from qdeform.core import _q_exp_array, _q_log_array
 
@@ -95,7 +100,7 @@ class TestQExp:
 # "math range error", a float power a bare "(34, 'Numerical result out of
 # range')", math.fsum a bare "intermediate overflow in fsum", and an
 # argument term (1-q)*x or a product past it makes inf (and inf - inf
-# makes nan)
+# makes nan); an n past the largest double cannot even become a float
 @pytest.mark.parametrize("fn, args, named", [
     (q_exp, (0.5, 1e300), "q=0.5 overflows a double (x=1e+300)"),
     (analytic_solution, (0.5, 1.0, 1, 1e300), "q=0.5 overflows a double (x=1e+300)"),
@@ -123,13 +128,28 @@ class TestQExp:
     (q_stirling, (1.5, 10**308), f"q_stirling at q=1.5 overflows a double (n={10**308})"),
     (build_distribution, (1.0, [0.0, 0.0], 709.7),
      "frequency total at q=1.0 overflows a double (shift=709.7)"),
+    (split_representation, (1.0, [0.0, 0.0], 0.0, 709.7),
+     "frequency total at q=1.0 overflows a double (shift1=0.0, shift2=709.7)"),
+    (q_log_sum, (0.0, [1e308] * 3), "q_log_sum at q=0.0 overflows a double (3 factors)"),
+    (q_log_factorial, (-5.0, 10**80),
+     f"log_q_factorial at q=-5.0 overflows a double (n={10**80})"),
+    (q_log_factorial, (-5.0, 10**45),  # inf - inf among the tail's terms
+     f"log_q_factorial at q=-5.0 overflows a double (n={10**45})"),
+    (q_log_factorial, (1.5, 10**400),
+     f"log_q_factorial at q=1.5 overflows a double (n={10**400})"),
+    (q_log_multinomial, (-5.0, [10**80, 1]),
+     f"log_q_factorial at q=-5.0 overflows a double (n={10**80 + 1})"),
+    (q_log_multinomial, (1.5, [10**400, 2]),
+     f"log_q_factorial at q=1.5 overflows a double (n={10**400 + 2})"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError) as info:
+        with pytest.raises(RangeOverflow) as info:
             fn(*args)
     assert named in str(info.value)
+    assert info.value.q == args[0] and info.value.where in str(info.value)
+    assert isinstance(info.value, OverflowError)
 
 
 # a scale factor that underflows to 0 is no positive scale: analytic_solution

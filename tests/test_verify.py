@@ -83,6 +83,7 @@ _CASES = {
     "dynamics/sequential_shift_composition": 1e-12,
     "dynamics/fig2_qlog_affine": 1e-9,
     "stirling/stirling_error_monotone_violations": 0.5,
+    "stirling/log_factorial_tail": 1e-12,
     "stirling/entropy_classical_limit": 1e-4,
     "stirling/uniform_maximality_violations": 0.5,
     "stirling/tsallis_correspondence_trend_violations": 0.5,
@@ -207,6 +208,18 @@ def test_split_cases_fail_on_a_wrong_probability(monkeypatch):
     monkeypatch.setattr(canonical, "split_representation", perturbed)
     failed = {c.name for c in run_suite("canonical", seed=4).cases if not c.passed}
     assert failed == {"split_probability_invariance", "split_canonical_form"}
+
+
+def test_tail_case_fails_on_a_wrong_tail(monkeypatch):
+    exact = combinatorics.q_log_factorial
+
+    def perturbed(q, n):
+        value = exact(q, n)
+        return value * (1.0 + 1e-11) if n > 1024 else value
+
+    monkeypatch.setattr(combinatorics, "q_log_factorial", perturbed)
+    failed = {c.name for c in run_suite("stirling", seed=0).cases if not c.passed}
+    assert failed == {"log_factorial_tail"}
 
 
 def test_split_draws_clear_the_margin(monkeypatch):
