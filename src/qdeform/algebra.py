@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import (_check_positive, _drop, _lift, _overflow, check_index, q_exp_bracket,
-                   q_log)
-from .errors import DomainViolation
+import numpy as np
+
+from .core import _check_all, _check_positive, _drop, _lift, check_index, q_exp_bracket, q_log
+from .errors import DomainViolation, RangeOverflow
 
 __all__ = [
     "ObservationSequence",
@@ -44,7 +45,10 @@ __all__ = [
 @dataclass(frozen=True)
 class ObservationSequence:
     """Same-scale shifts x_1..x_n and, derived from them at construction,
-    the drifted readings x'_t = x_t / (1 + (1-q) * sum_{i<t} x_i)."""
+    the drifted readings x'_t = x_t / (1 + (1-q) * sum_{i<t} x_i).  The
+    first step whose partial sum passes the largest double raises
+    :class:`~qdeform.errors.RangeOverflow`, or whose scale factor is not
+    positive :class:`DomainViolation`; a non-finite shift :class:`ValueError`."""
 
     q: float
     shifts: tuple
@@ -52,20 +56,27 @@ class ObservationSequence:
 
     def __post_init__(self):
         q = check_index(self.q)
-        xs = tuple(float(s) for s in self.shifts)
-        if not xs:
+        xs = np.fromiter(self.shifts, dtype=float)
+        if not xs.size:
             raise ValueError("shifts must be non-empty")
-        observed = []
-        partial = 0.0
-        for t, x in enumerate(xs):
-            w = q_exp_bracket(q, partial)
-            if w <= 0.0:
-                raise DomainViolation("partial-sum scale factor", w, index=t)
-            observed.append(x / w)
-            partial += x
+        # the cumulative sum of 0, x_1, ..., x_{n-1}: float64 add.accumulate
+        # (np.cumsum) adds in sequence, so it is the running sum bit for bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = q_exp_bracket(q, np.add.accumulate(np.concatenate(([0.0], xs[:-1]))))
+
+        def failure(t):
+            if not math.isfinite(xs[t]):
+                return ValueError(f"shifts[{t}] must be finite, got {float(xs[t])!r}")
+            if not math.isfinite(w[t]):
+                return RangeOverflow("partial sum of shifts", q, f"step {t}")
+            return DomainViolation("partial-sum scale factor", float(w[t]), index=t)
+
+        # the first step with a non-finite shift, partial sum or scale factor,
+        # or a factor that is not positive
+        _check_all(np.isfinite(xs) & np.isfinite(w) & (w > 0.0), failure)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "shifts", xs)
-        object.__setattr__(self, "observed", tuple(observed))
+        object.__setattr__(self, "shifts", tuple(xs.tolist()))
+        object.__setattr__(self, "observed", tuple((xs / w).tolist()))
 
 
 def _combine(name: str, bracket: str, q: float, x: float, y: float,
@@ -82,7 +93,7 @@ def _combine(name: str, bracket: str, q: float, x: float, y: float,
             return _drop(q, d)
     except OverflowError:
         pass
-    raise _overflow(name, q, f"x={x!r}, y={y!r}")
+    raise RangeOverflow(name, q, f"x={x!r}, y={y!r}")
 
 
 def q_product_bracket(q: float, x: float, y: float) -> float:
@@ -95,7 +106,7 @@ def q_product_bracket(q: float, x: float, y: float) -> float:
             return 1.0 + d
     except OverflowError:
         pass
-    raise _overflow("q_product_bracket", q, f"x={x!r}, y={y!r}")
+    raise RangeOverflow("q_product_bracket", q, f"x={x!r}, y={y!r}")
 
 
 def q_product(q: float, x: float, y: float) -> float:
@@ -132,7 +143,8 @@ def scale_drift_expand(q: float, shifts) -> ObservationSequence:
     The plain product of exp_q over the returned ``observed`` values equals
     exp_q of the sum of ``shifts`` (to ~1e-10 relative in double precision).
     Raises :class:`DomainViolation` naming the first step whose partial-sum
-    scale factor is not positive.
+    scale factor is not positive, and the other errors of
+    :class:`ObservationSequence`.
     """
     return ObservationSequence(q, shifts)
 
@@ -172,4 +184,4 @@ def q_log_sum(q: float, factors) -> float:
     try:
         return math.fsum(terms)
     except OverflowError:  # finite terms whose sum passes the largest double
-        raise _overflow("q_log_sum", q, f"{len(terms)} factors") from None
+        raise RangeOverflow("q_log_sum", q, f"{len(terms)} factors") from None

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import _check_positive, _overflow, check_index, q_exp, q_log
-from .errors import DomainViolation
+from .core import _check_positive, check_index, q_exp, q_log
+from .errors import DomainViolation, RangeOverflow
 
 __all__ = [
     "DiscreteQDistribution",
@@ -74,7 +74,7 @@ class DiscreteQDistribution:
         try:
             total = _check_positive("total", math.fsum(freqs))
         except OverflowError:
-            raise _overflow("frequency total", q, f"shift={shift!r}") from None
+            raise RangeOverflow("frequency total", q, f"shift={shift!r}") from None
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "xs", points)
         object.__setattr__(self, "shift", shift)
@@ -127,8 +127,8 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
         try:
             total = _check_positive("total", math.fsum(values))
         except OverflowError:
-            raise _overflow("frequency total", q,
-                            f"shift1={shift1!r}, shift2={shift2!r}") from None
+            raise RangeOverflow("frequency total", q,
+                                f"shift1={shift1!r}, shift2={shift2!r}") from None
         return tuple(v / total for v in values)
 
     return pulled_out(shift1, shift2), pulled_out(shift2, shift1)

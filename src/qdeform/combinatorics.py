@@ -23,8 +23,9 @@ n**(2-q) is ill-conditioned; below 1e-15 near q = 1 and q = 2.  A result
 past the largest double raises the named overflow.
 
 The sum's large-n behaviour is captured by the two-branch asymptotic formula
-(``q_stirling``), and subtracting the block factorials gives the deformed
-log-multinomial.  For large counts the log-multinomial is equivalent to
+(``q_stirling``).  The deformed log-multinomial is the same head and tail
+summed from the largest count + 1 to the total, less the other counts'
+factorials.  For large counts the log-multinomial is equivalent to
 Tsallis entropy of the count fractions:
 
     log_q[multinomial] ~ n**(2-q)/(2-q) * S_{2-q}(n_1/n, ..., n_k/n)   (q != 2)
@@ -41,7 +42,8 @@ import math
 
 import numpy as np
 
-from .core import _overflow, _q_log_array, check_index, q_log
+from .core import _q_log_array, check_index, q_log
+from .errors import RangeOverflow
 
 __all__ = [
     "q_log_factorial",
@@ -86,11 +88,10 @@ def _check_probabilities(p) -> np.ndarray:
     return arr
 
 
-def _tail(q: float, n: float) -> list:
-    """Terms whose sum is sum_{M<k<=n} log_q(k) to double precision, for
-    n > M: the q-log-form integral from M to n, the half-terms and the
-    B2..B8 corrections."""
-    a = float(_HEAD)
+def _tail(q: float, a: float, n: float) -> list:
+    """Terms whose sum is sum_{a<k<=n} log_q(k) to double precision, for
+    integers n > a >= M: the q-log-form integral from a to n, the
+    half-terms and the B2..B8 corrections."""
     terms = [n * q_log(q, n), -a * q_log(q, a), -a ** (2.0 - q) * q_log(q - 1.0, n / a),
              0.5 * q_log(q, n), -0.5 * q_log(q, a)]
     # f'(x) = x**-q; two more derivatives multiply by (q+i)(q+i+1)/x**2
@@ -103,6 +104,22 @@ def _tail(q: float, n: float) -> list:
     return terms
 
 
+def _log_q_range(q: float, lo: int, n: int) -> float:
+    """sum of log_q(k) for lo < k <= n: the exact ``fsum`` of the first
+    (at most M) terms plus, past lo + M, the Euler-Maclaurin tail.  A result
+    past the largest double, or a bound that is not a double, raises
+    :class:`~qdeform.errors.RangeOverflow` naming q and n."""
+    top = min(n, lo + _HEAD)
+    try:
+        head = math.fsum(_q_log_array(q, np.arange(lo + 1, top + 1, dtype=float)).tolist())
+        value = head if n == top else math.fsum([head, *_tail(q, float(top), float(n))])
+    except (OverflowError, ValueError):  # a term past the largest double, or inf - inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeOverflow("log_q_factorial", q, f"n={n!r}")
+    return value
+
+
 def q_log_factorial(q: float, n: int) -> float:
     """log_q(n!_q) = sum of log_q(k) for k = 1..n, in constant time.
 
@@ -112,16 +129,7 @@ def q_log_factorial(q: float, n: int) -> float:
     largest double, or an n that is not a double, raises
     :class:`~qdeform.errors.RangeOverflow` naming q and n.
     """
-    q = check_index(q)
-    n = _check_count("n", n)
-    try:
-        head = math.fsum(_q_log_array(q, np.arange(1, min(n, _HEAD) + 1, dtype=float)).tolist())
-        value = head if n <= _HEAD else math.fsum([head, *_tail(q, float(n))])
-    except (OverflowError, ValueError):  # a term past the largest double, or inf - inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise _overflow("log_q_factorial", q, f"n={n!r}")
-    return value
+    return _log_q_range(check_index(q), 0, _check_count("n", n))
 
 
 def q_stirling(q: float, n: int) -> float:
@@ -147,17 +155,19 @@ def q_stirling(q: float, n: int) -> float:
     except OverflowError:  # n or log_q(n) past the largest double
         value = math.inf
     if not math.isfinite(value):  # a term past it, or inf - inf
-        raise _overflow("q_stirling", q, f"n={n!r}")
+        raise RangeOverflow("q_stirling", q, f"n={n!r}")
     return value
 
 
 def q_log_multinomial(q: float, counts) -> float:
-    """log_q of the deformed multinomial from :func:`q_log_factorial`, no
-    asymptotics."""
+    """log_q of the deformed multinomial, no asymptotics: the sum of
+    log_q(k) from the largest count + 1 to the total, less the other
+    counts' :func:`q_log_factorial`.  The largest block's factorial is never
+    formed, so a total that the largest count nearly fills does not cancel."""
     q = check_index(q)
-    values = _check_counts(counts)
-    n = sum(values)
-    return q_log_factorial(q, n) - math.fsum(q_log_factorial(q, c) for c in values)
+    values = sorted(_check_counts(counts))
+    return (_log_q_range(q, values[-1], sum(values))
+            - math.fsum(q_log_factorial(q, c) for c in values[:-1]))
 
 
 def tsallis_entropy(q: float, p) -> float:
@@ -182,7 +192,7 @@ def tsallis_entropy(q: float, p) -> float:
     except OverflowError:  # finite powers whose sum passes the largest double
         value = math.inf
     if not math.isfinite(value):
-        raise _overflow("tsallis_entropy", q, f"sum of {positive.size} powers p_i**q")
+        raise RangeOverflow("tsallis_entropy", q, f"sum of {positive.size} powers p_i**q")
     return value
 
 

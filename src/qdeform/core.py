@@ -66,11 +66,6 @@ def _check_positive(name: str, value) -> float:
     return value
 
 
-def _overflow(name: str, q: float, where: str) -> RangeOverflow:
-    """The error for a result past the largest double, naming q and where."""
-    return RangeOverflow(name, q, where)
-
-
 def _lift(q: float, y: float) -> float:
     """y**(1-q) - 1 = (1-q) log_q(y) for y > 0 and q != 1, as
     expm1((1-q) ln y) so that it does not cancel near q = 1."""
@@ -100,7 +95,7 @@ def q_log(q: float, y: float) -> float:
             return value
     except OverflowError:
         pass
-    raise _overflow("log_q", q, f"y={y!r}")
+    raise RangeOverflow("log_q", q, f"y={y!r}")
 
 
 def q_exp(q: float, x: float, cutoff: bool = False) -> float:
@@ -127,7 +122,7 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
             return value
     except OverflowError:
         pass
-    raise _overflow("exp_q", q, f"x={x!r}")
+    raise RangeOverflow("exp_q", q, f"x={x!r}")
 
 
 def _check_all(ok: np.ndarray, error) -> None:
@@ -138,7 +133,7 @@ def _check_all(ok: np.ndarray, error) -> None:
 
 def _finite(q: float, name: str, values: np.ndarray) -> np.ndarray:
     _check_all(np.isfinite(values),
-               lambda i: _overflow(name, q, f"element {i}"))
+               lambda i: RangeOverflow(name, q, f"element {i}"))
     return values
 
 

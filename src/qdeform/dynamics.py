@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive, _overflow, check_index, q_exp, q_exp_bracket, q_log
-from .errors import BlowupDetected
+from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .errors import BlowupDetected, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
 __all__ = [
@@ -106,10 +106,10 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     try:
         x_scale = _check_positive("scale**(1-q)", s ** (1.0 - q))
     except OverflowError:
-        raise _overflow("analytic_solution", q, f"scale={s!r}, x={x!r}") from None
+        raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}") from None
     value = s * q_exp(q, d * x / x_scale)
     if value == math.inf:
-        raise _overflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
+        raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
     return value
 
 
@@ -213,7 +213,7 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     y2, x2 = shift_expansion(q, shift2)
     y_scale, x_scale = y1 * y2, x1 * x2
     if max(y_scale, x_scale) == math.inf:
-        raise _overflow("compose_shifts", q, f"shift1={shift1!r}, shift2={shift2!r}")
+        raise RangeOverflow("compose_shifts", q, f"shift1={shift1!r}, shift2={shift2!r}")
     return _check_positive("y_scale", y_scale), x_scale
 
 

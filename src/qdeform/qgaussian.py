@@ -1,30 +1,30 @@
-"""Deformed Gaussian densities and the maximum-likelihood-at-the-mean check.
+"""Deformed Gaussian densities, their likelihood, and frequency rescaling.
 
-A location family whose deformed log-likelihood
+A location family whose deformed log-likelihood L(theta) = sum_i log_q
+f(x_i - theta) peaks at the sample mean for every sample must have a bell
+density whose deformed log is an exact downward parabola, log_q f(e) =
+ode_coeff * e**2 / 2 + log_offset with ode_coeff < 0, equivalently
+f'(e)/f(e)**q = ode_coeff * e.  Normalized, it is
 
-    L(theta) = sum_i log_q f(x_i - theta)
+    pdf(e) = exp_q(-beta * e**2) / Z,    beta = -ode_coeff / (2 * (1 + (1-q) * log_offset)),
 
-peaks at the sample mean for every sample must have a bell density whose
-deformed log is an exact downward parabola,
+for q < 3: compact support |e| < 1/sqrt(beta*(1-q)) below q = 1,
+power-law tails ~ |e|**(-2/(q-1)) above.  ``log_offset`` stays an explicit
+model parameter: it sets the scale c = exp_q(log_offset) of the frequency
+curve, and every emitted table records the scale it was computed at.  Z has
+the closed Gamma-function form C_q / sqrt(beta) (Umarov, Tsallis &
+Steinberg, Milan J. Math. 76 (2008) 307).
 
-    log_q f(e) = ode_coeff * e**2 / 2 + log_offset,      ode_coeff < 0,
+The likelihood never forms the density.  By log_q(y/x) = x**(q-1) (log_q y - log_q x),
 
-equivalently f'(e)/f(e)**q = ode_coeff * e.  Normalizing turns this into
+    log_q pdf(e) = Z**(q-1) * (-beta * e**2 - log_q Z),
+    L(theta)     = Z**(q-1) * (-beta * sum_i (x_i - theta)**2 - n * log_q Z),
 
-    pdf(e) = exp_q(-beta * e**2) / Z,
-    beta   = -ode_coeff / (2 * (1 + (1-q) * log_offset)),
-
-normalizable for q < 3: compact support |e| < 1/sqrt(beta*(1-q)) below
-q = 1, power-law tails ~ |e|**(-2/(q-1)) above.  The integration constant
-``log_offset`` stays an explicit model parameter -- it sets the scale
-c = exp_q(log_offset) of the associated frequency curve and is never
-defaulted silently; every emitted table records the scale it was computed
-at, because normalization is only meaningful per fixed scale.
-
-The normalization integral has the closed Gamma-function form
-C_q / sqrt(beta) (Umarov, Tsallis & Steinberg, Milan J. Math. 76 (2008)
-307), evaluated without quadrature; ``verify`` integrates the normalized
-density independently as its check.
+an exact parabola with its vertex at the sample mean and curvature
+-2 n beta Z**(q-1) (Suyari & Tsukada, IEEE Trans. Inf. Theory 51 (2005)
+753).  No density is formed, so none underflows: at q = 1 a sample 40
+widths out adds its finite -beta e**2 - ln Z.  ``verify`` integrates the
+density and sums log_q pdf sample by sample as its checks.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_positive, _q_exp_array, check_index, q_exp, q_exp_bracket, q_log
-from .errors import DomainViolation, UnnormalizableModel
+from .core import (_check_all, _check_positive, _q_exp_array, check_index, q_exp,
+                   q_exp_bracket, q_log)
+from .errors import DomainViolation, RangeOverflow, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
 
 __all__ = [
@@ -161,55 +162,78 @@ def q_gaussian_pdf(model: QGaussianModel, e: float) -> float:
     return q_exp(model.q, -model.beta * e * e, cutoff=True) / model.norm
 
 
+def _deviations(model: QGaussianModel, samples, theta, strict: bool):
+    """theta (the sample mean when None), the deviations x_i - theta inside
+    the support, 1 - (1-q) beta e**2 > 0 below q = 1, and the sample count.
+    In strict mode a sample outside raises :class:`DomainViolation`."""
+    xs = np.asarray(samples, dtype=float)
+    if xs.ndim != 1 or not xs.size:
+        raise ValueError("samples must be non-empty")
+    _check_all(np.isfinite(xs), lambda i: ValueError(
+        f"samples[{i}] must be finite, got {float(xs[i])!r}"))
+    if theta is None:
+        try:
+            theta = math.fsum(xs.tolist()) / xs.size
+        except OverflowError:  # finite samples whose sum passes the largest double
+            raise RangeOverflow("sample mean", model.q, f"{xs.size} samples") from None
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    # a deviation past the largest double lies outside any compact support,
+    # and from q = 1 on it overflows the sum of squares, which names it
+    with np.errstate(over="ignore"):
+        e = xs - theta
+        if model.q >= 1.0:
+            return theta, e, xs.size
+        bracket = q_exp_bracket(model.q, -model.beta * e * e)
+    inside = bracket > 0.0
+    if strict:
+        _check_all(inside, lambda i: DomainViolation(
+            f"sample {i} outside the density support", float(bracket[i]), index=i))
+    return theta, e[inside], xs.size
+
+
 def q_log_likelihood(model: QGaussianModel, theta: float, samples,
                      strict: bool = True) -> float:
-    """Deformed log-likelihood sum_i log_q pdf(x_i - theta).
+    """Deformed log-likelihood sum_i log_q pdf(x_i - theta): the parabola of
+    the module docstring.
 
     In strict mode a sample outside the support (possible only for q < 1)
     raises :class:`DomainViolation` naming the sample; otherwise it
     contributes log_q(0+) = -1/(1-q), the finite infimum of the deformed
-    log, as a domain-limited penalty.
+    log.  A non-finite theta or sample raises :class:`ValueError`, and a
+    sum past the largest double :class:`~qdeform.errors.RangeOverflow`.
     """
-    theta = float(theta)
+    theta, e, n = _deviations(model, samples, theta, strict)
     q = model.q
-    terms = []
-    for i, x in enumerate(samples):
-        f = q_gaussian_pdf(model, float(x) - theta)
-        if f <= 0.0:
-            if strict:
-                e = float(x) - theta
-                raise DomainViolation(
-                    f"sample {i} outside the density support",
-                    q_exp_bracket(q, -model.beta * e * e), index=i)
-            terms.append(-1.0 / (1.0 - q))
-        else:
-            terms.append(q_log(q, f))
-    if not terms:
-        raise ValueError("samples must be non-empty")
-    return math.fsum(terms)
+    with np.errstate(over="ignore"):
+        squares = (e * e).tolist()
+    try:
+        value = model.norm ** (q - 1.0) * (-model.beta * math.fsum(squares)
+                                           - e.size * q_log(q, model.norm))
+    except OverflowError:  # Z**(q-1) or finite squares whose sum passes the largest double
+        value = math.inf
+    if e.size < n:  # only below q = 1
+        value += (n - e.size) * (-1.0 / (1.0 - q))
+    if not math.isfinite(value):
+        raise RangeOverflow("q_log_likelihood", q, f"theta={theta!r}, {n} samples")
+    return value
 
 
 def mlp_stationarity(model: QGaussianModel, samples):
-    """First and second central differences of the likelihood at the mean.
-
-    Returns (gradient, curvature) at theta* = mean(samples), with step
-    1e-6 * scale where scale = max(1, largest deviation from the mean).
-    For a correctly specified model the gradient vanishes (the likelihood
-    is an exact downward parabola in theta) and the curvature is negative:
-    |gradient| <= 1e-6 * |curvature| * scale holds with wide margin.
+    """Exact (gradient, curvature) of the likelihood at theta* = mean(samples):
+    2 beta Z**(q-1) * sum_i (x_i - theta*), zero up to the rounding of the
+    mean, and -2 n beta Z**(q-1) < 0.  A sample outside the support raises
+    :class:`DomainViolation`, as in :func:`q_log_likelihood`'s strict mode.
     """
-    xs = [float(x) for x in samples]
-    if not xs:
-        raise ValueError("samples must be non-empty")
-    theta_star = math.fsum(xs) / len(xs)
-    spread = max(abs(x - theta_star) for x in xs)
-    scale = max(1.0, spread)
-    h = 1e-6 * scale
-    l_plus = q_log_likelihood(model, theta_star + h, xs)
-    l_minus = q_log_likelihood(model, theta_star - h, xs)
-    l_mid = q_log_likelihood(model, theta_star, xs)
-    gradient = (l_plus - l_minus) / (2.0 * h)
-    curvature = (l_plus - 2.0 * l_mid + l_minus) / (h * h)
+    _, e, n = _deviations(model, samples, None, strict=True)
+    try:
+        slope = 2.0 * model.beta * model.norm ** (model.q - 1.0)
+        gradient, curvature = slope * math.fsum(e.tolist()), -n * slope
+    except (OverflowError, ValueError):  # Z**(q-1) or deviations past the largest double
+        gradient = curvature = math.inf
+    if not (math.isfinite(gradient) and math.isfinite(curvature)):
+        raise RangeOverflow("mlp_stationarity", model.q, f"{n} samples")
     return gradient, curvature
 
 

@@ -7,9 +7,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import (_check_all, _check_positive, _finite, _overflow, _q_exp_array,
-                   _q_log_array, check_index, q_log)
-from .errors import NonPositiveArgument
+from .core import (_check_all, _check_positive, _finite, _q_exp_array, _q_log_array,
+                   check_index, q_log)
+from .errors import NonPositiveArgument, RangeOverflow
 
 __all__ = ["FigureTable"]
 
@@ -56,7 +56,7 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
         try:
             x_scale = c ** ((1.0 - q) / power)
         except OverflowError:
-            raise _overflow("x scale", q, f"scales[{ci}]={c!r}") from None
+            raise RangeOverflow("x scale", q, f"scales[{ci}]={c!r}") from None
         x_scales.append(_check_positive(f"x scale of scales[{ci}]", x_scale))
     profile = _q_exp_array(q, -(grid ** power))
     x_rescaled, y_rescaled = grid.tolist(), profile.tolist()

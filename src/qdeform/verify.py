@@ -35,6 +35,7 @@ import numpy as np
 
 from . import algebra, canonical, combinatorics, dynamics, qgaussian
 from .core import _lift_array, _q_log_array, q_exp, q_exp_bracket, q_log, q_log_of_ratio
+from .errors import DomainViolation
 
 __all__ = ["CaseResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]
 
@@ -459,6 +460,7 @@ def _integrate_density(model) -> float:
 
 
 _ODE_STEP = 1e-6  # central-difference step of _defining_ode_residual
+_LIKELIHOOD_SAMPLES = 10  # samples a set of the likelihood_parabola case
 
 
 def _defining_ode_residual(model, e: float) -> float:
@@ -475,6 +477,41 @@ def _defining_ode_residual(model, e: float) -> float:
 
     derivative = (f(e + _ODE_STEP) - f(e - _ODE_STEP)) / (2.0 * _ODE_STEP)
     return derivative / f(e) ** q - model.ode_coeff * e
+
+
+def _likelihood_terms(model, theta: float, samples) -> list:
+    """The oracle of the likelihood: log_q pdf(x_i - theta) taken one sample
+    at a time through the density.  A sample where the density is 0 raises
+    :class:`DomainViolation` naming it."""
+    theta = float(theta)
+    q = model.q
+    terms = []
+    for i, x in enumerate(samples):
+        f = qgaussian.q_gaussian_pdf(model, float(x) - theta)
+        if f <= 0.0:
+            e = float(x) - theta
+            raise DomainViolation(
+                f"sample {i} outside the density support",
+                q_exp_bracket(q, -model.beta * e * e), index=i)
+        terms.append(q_log(q, f))
+    return terms
+
+
+def _central_differences(model, samples):
+    """First and second central differences of the per-sample likelihood
+    sum at theta* = mean(samples), with step 1e-6 * max(1, largest
+    deviation from the mean)."""
+    xs = [float(x) for x in samples]
+    theta_star = math.fsum(xs) / len(xs)
+    spread = max(abs(x - theta_star) for x in xs)
+    scale = max(1.0, spread)
+    h = 1e-6 * scale
+    l_plus = math.fsum(_likelihood_terms(model, theta_star + h, xs))
+    l_minus = math.fsum(_likelihood_terms(model, theta_star - h, xs))
+    l_mid = math.fsum(_likelihood_terms(model, theta_star, xs))
+    gradient = (l_plus - l_minus) / (2.0 * h)
+    curvature = (l_plus - 2.0 * l_mid + l_minus) / (h * h)
+    return gradient, curvature
 
 
 def _mlp(seed: int) -> tuple:
@@ -497,7 +534,7 @@ def _mlp(seed: int) -> tuple:
         else:
             draws = rng.normal(0.0, 1.0, size=(100, 10))
         for samples in draws:
-            grad, curv = qgaussian.mlp_stationarity(model, samples)
+            grad, curv = _central_differences(model, samples)
             if not curv < 0.0:
                 negativity_violations += 1
                 continue
@@ -506,6 +543,31 @@ def _mlp(seed: int) -> tuple:
     cases.append(_case("mlp_gradient_at_mean", worst, 1e-6))
     cases.append(_case("mlp_curvature_negative_violations",
                        negativity_violations, 0.5))
+
+    # the closed-form likelihood, and the parabola its exact derivatives
+    # span, L(theta* + s h) = L(theta*) + s h gradient + h**2 curvature / 2,
+    # against the per-sample sum at theta* and theta* +- h, relative to the
+    # sum of |terms|; deviations stay within 3/4 of a compact support
+    worst = 0.0
+    for q in (0.0, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
+        for beta in (0.5, 1.0, 2.0):
+            model = qgaussian.QGaussianModel.from_beta(q, beta)
+            width = 1.0 / math.sqrt(beta)
+            if q < 1.0:
+                samples = rng.uniform(-0.5 * width, 0.5 * width, size=_LIKELIHOOD_SAMPLES)
+            else:
+                samples = rng.normal(0.0, width, size=_LIKELIHOOD_SAMPLES)
+            grad, curv = qgaussian.mlp_stationarity(model, samples)
+            theta, h = math.fsum(samples.tolist()) / samples.size, 0.25 * width
+            for s in (0.0, -1.0, 1.0):
+                terms = _likelihood_terms(model, theta + s * h, samples)
+                exact, size = math.fsum(terms), math.fsum(map(abs, terms))
+                if not s:
+                    center = exact
+                closed = qgaussian.q_log_likelihood(model, theta + s * h, samples)
+                parabola = center + s * h * grad + 0.5 * (s * h) ** 2 * curv
+                worst = max(worst, abs(closed - exact) / size, abs(parabola - exact) / size)
+    cases.append(_case("likelihood_parabola", worst, 1e-12))
 
     worst = 0.0
     grid = np.linspace(-0.3, 0.3, 61)

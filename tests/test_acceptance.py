@@ -86,7 +86,7 @@ def test_06_likelihood_stationary_at_mean():
     with criterion(6, "gradient vanishes at the sample mean", 10.0):
         assert_cases("mlp", 606060, {
             "mlp_gradient_at_mean": 1e-6, "mlp_curvature_negative_violations": 0.5,
-            "lnq_density_quadratic": 1e-6})
+            "likelihood_parabola": 1e-12, "lnq_density_quadratic": 1e-6})
 
 
 def test_07_normalization():

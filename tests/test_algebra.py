@@ -1,6 +1,7 @@
 """Deformed product/ratio algebra and scale-drift expansion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qdeform import (
     DomainViolation,
     NonPositiveArgument,
     ObservationSequence,
+    RangeOverflow,
     q_exp,
     q_exp_bracket,
     q_log,
@@ -171,6 +173,22 @@ class TestScaleDrift:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ObservationSequence(1.5, [])
+
+    @pytest.mark.parametrize("shifts, index", [([math.nan], 0), ([1.0, math.inf], 1)])
+    def test_non_finite_shift_is_named(self, shifts, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^shifts\[{index}\] must be finite"):
+                ObservationSequence(1.5, shifts)
+
+    def test_partial_sum_overflow_names_step(self):
+        # at q = 1 the bracket of an infinite partial sum is 1 + 0 * inf = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflow) as err:
+                scale_drift_expand(1.0, [1e308, 1e308, 1.0])
+        assert err.value.q == 1.0
+        assert str(err.value) == "partial sum of shifts at q=1.0 overflows a double (step 2)"
 
 
 class TestFold:

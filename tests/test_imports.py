@@ -4,7 +4,9 @@ No linter is a dependency of the project, so this stands in for the
 unused-import rule: each ``src/qdeform/*.py`` except ``__init__`` is parsed
 with ``ast`` and every name bound by a top-level ``import`` must be read
 somewhere in the module or listed in its ``__all__``.  The package's public
-names and the modules' ``__all__`` lists must name the same objects.
+names and the modules' ``__all__`` lists must name the same objects.  Only
+``core`` may read ``expm1`` or ``log1p``: the deformed log and exp have one
+kernel pair, and every other module goes through it.
 """
 
 import ast
@@ -53,6 +55,36 @@ def test_detector_flags_only_unused_names():
               "__all__ = ['QDeformError']\n"
               "def f():\n    import sys\n    return np.pi\n")
     assert unused_imports(source) == ["DomainViolation", "math", "os"]
+
+
+KERNEL_NAMES = {"expm1", "log1p"}
+
+
+def kernel_reads(source: str) -> list:
+    """Names and attributes in KERNEL_NAMES that the source reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in KERNEL_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name in KERNEL_NAMES:
+            found.append(node.name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_reads_expm1_or_log1p(path):
+    assert kernel_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_kernel_detector_flags_every_spelling():
+    source = ("import math\nimport numpy as np\nfrom math import log1p\n"
+              "a = math.expm1(1.0)\nb = np.log1p(0.5)\nc = log1p\n"
+              "expm1_doc = 'expm1 in a string is not a read'\n")
+    assert kernel_reads(source) == ["expm1", "log1p", "log1p", "log1p"]
+    assert kernel_reads((PACKAGE / "core.py").read_text(encoding="utf-8"))
 
 
 def _module_exports() -> Counter:

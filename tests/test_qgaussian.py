@@ -11,6 +11,7 @@ from scipy.special import gamma as gamma_fn
 from qdeform import (
     DomainViolation,
     QGaussianModel,
+    RangeOverflow,
     UnnormalizableModel,
     beta_from,
     fig3_data,
@@ -18,12 +19,13 @@ from qdeform import (
     mlp_stationarity,
     normalization,
     q_exp,
+    q_exp_bracket,
     q_gaussian_pdf,
     q_log,
     q_log_likelihood,
 )
 from qdeform.qgaussian import FIG3_GRID
-from qdeform.verify import _defining_ode_residual
+from qdeform.verify import _defining_ode_residual, _likelihood_terms
 
 SQRT_PI = 1.772453850905516027298
 INV_SQRT_PI = 0.5641895835477562869481
@@ -172,8 +174,11 @@ class TestLikelihood:
     def test_strict_mode_raises_outside_support(self):
         model = QGaussianModel.from_beta(0.5, 1.0)
         with pytest.raises(DomainViolation) as err:
-            q_log_likelihood(model, 0.0, [0.1, 5.0])
+            q_log_likelihood(model, 0.0, [0.1, 5.0, 7.0])
         assert err.value.index == 1
+        assert err.value.constraint == q_exp_bracket(0.5, -25.0) == -11.5
+        assert str(err.value) == ("sample 1 outside the density support (element 1): "
+                                  "constraint value -11.5 <= 0")
 
     def test_penalty_mode_is_finite(self):
         model = QGaussianModel.from_beta(0.5, 1.0)
@@ -181,6 +186,54 @@ class TestLikelihood:
         assert math.isfinite(value)
         # the penalty is the infimum of log_q over positive densities
         assert value < q_log_likelihood(model, 0.0, [0.1, 0.2], strict=False)
+        assert value == pytest.approx(q_log_likelihood(model, 0.0, [0.1]) - 2.0,
+                                      rel=1e-15)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_classical_far_samples_stay_finite(self, strict):
+        # exp(-1600) underflows to 0, so a density-first sum has no log to take
+        for beta in (0.5, 1.0):
+            model = QGaussianModel.from_beta(1.0, beta)
+            value = q_log_likelihood(model, 0.0, [0.0, 40.0], strict=strict)
+            assert value == pytest.approx(-1600.0 * beta - 2.0 * math.log(model.norm),
+                                          rel=1e-15)
+
+    # 10k samples at theta* and a quarter width either side: the parabola
+    # agrees with the per-sample sum within 1e-12 of the sum of |terms|
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5])
+    def test_parabola_matches_per_sample_sum(self, q):
+        rng = np.random.default_rng(13)
+        for beta in (0.5, 1.0, 2.0):
+            model = QGaussianModel.from_beta(q, beta)
+            width = 1.0 / math.sqrt(beta)
+            if q < 1.0:
+                samples = rng.uniform(-0.5 * width, 0.5 * width, size=10_000)
+            else:
+                samples = rng.normal(0.0, width, size=10_000)
+            mean = float(np.mean(samples))
+            for theta in (mean - 0.25 * width, mean, mean + 0.25 * width):
+                terms = _likelihood_terms(model, theta, samples)
+                assert abs(q_log_likelihood(model, theta, samples) - math.fsum(terms)) <= (
+                    1e-12 * math.fsum(map(abs, terms))), (beta, theta)
+
+    @pytest.mark.parametrize("theta, samples, named", [
+        (math.nan, [1.0], "theta must be finite, got nan"),
+        (0.0, [1.0, math.inf], r"samples\[1\] must be finite, got inf"),
+        (0.0, [], "samples must be non-empty"),
+    ])
+    def test_non_finite_input_is_named(self, theta, samples, named):
+        with pytest.raises(ValueError, match=named):
+            q_log_likelihood(QGaussianModel.from_beta(1.5, 1.0), theta, samples)
+
+    @pytest.mark.parametrize("q, samples", [(1.0, [1e200, 1e200]), (1.5, [1e160]),
+                                            (2.5, [1e154, 1e154, 1e154])])
+    def test_overflow_is_named_without_warning(self, q, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflow) as err:
+                q_log_likelihood(QGaussianModel.from_beta(q, 1.0), 0.0, samples)
+        assert err.value.q == q
+        assert f"(theta=0.0, {len(samples)} samples)" in str(err.value)
 
     def test_grid_argmax_is_sample_mean(self):
         model = QGaussianModel.from_beta(1.7, 1.0)
@@ -193,6 +246,26 @@ class TestLikelihood:
 
 
 class TestStationarity:
+    def test_classical_far_sample(self):
+        for beta in (0.5, 1.0):
+            model = QGaussianModel.from_beta(1.0, beta)
+            grad, curv = mlp_stationarity(model, [0.0, 60.0])
+            assert grad == 0.0
+            assert curv == -4.0 * beta
+
+    def test_exact_curvature(self):
+        for q in (0.0, 0.5, 1.0, 1.7, 2.5):
+            model = QGaussianModel.from_beta(q, 1.3)
+            grad, curv = mlp_stationarity(model, [-0.2, 0.1, 0.3])
+            assert curv == pytest.approx(-6.0 * 1.3 * model.norm ** (q - 1.0), rel=1e-15)
+            assert abs(grad) <= 1e-15 * abs(curv)
+
+    def test_keeps_the_support_check(self):
+        model = QGaussianModel.from_beta(0.5, 1.0)
+        with pytest.raises(DomainViolation) as err:
+            mlp_stationarity(model, [0.0, 0.1, 4.0])
+        assert err.value.index == 2
+
     def test_symmetric_samples(self):
         model = QGaussianModel.from_beta(1.3, 1.0)
         grad, curv = mlp_stationarity(model, [-1.0, -0.25, 0.25, 1.0])

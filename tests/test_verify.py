@@ -90,6 +90,7 @@ _CASES = {
     "mlp/pdf_total_mass": 1e-8,
     "mlp/mlp_gradient_at_mean": 1e-6,
     "mlp/mlp_curvature_negative_violations": 0.5,
+    "mlp/likelihood_parabola": 1e-12,
     "mlp/lnq_density_quadratic": 1e-6,
     "mlp/defining_ode_residual": 1.0,
     "mlp/frequency_rescaling_invariance": 1e-12,
@@ -173,7 +174,10 @@ _CHECKER_CALLS = {
                    (dynamics, "shift_expansion"): 10_000},
     "dynamics": {(dynamics, "compose_shifts"): 1000},
     "stirling": {(combinatorics, "tsallis_entropy"): 9183},
-    "mlp": {(qgaussian, "mlp_stationarity"): 300},
+    # mlp: 300 sets through the central differences of the per-sample sum,
+    # and 7 indices x 3 widths checked at the mean and one step either side
+    "mlp": {(verify, "_central_differences"): 300,
+            (qgaussian, "mlp_stationarity"): 21, (qgaussian, "q_log_likelihood"): 63},
     "canonical": {(canonical, "build_distribution"): 204,
                   (canonical, "split_representation"): 200},
 }
@@ -220,6 +224,29 @@ def test_tail_case_fails_on_a_wrong_tail(monkeypatch):
     monkeypatch.setattr(combinatorics, "q_log_factorial", perturbed)
     failed = {c.name for c in run_suite("stirling", seed=0).cases if not c.passed}
     assert failed == {"log_factorial_tail"}
+
+
+def test_likelihood_case_fails_on_a_wrong_likelihood(monkeypatch):
+    exact = qgaussian.q_log_likelihood
+
+    def perturbed(model, theta, samples, strict=True):
+        return exact(model, theta, samples, strict) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(qgaussian, "q_log_likelihood", perturbed)
+    failed = {c.name for c in run_suite("mlp", seed=0).cases if not c.passed}
+    assert failed == {"likelihood_parabola"}
+
+
+def test_likelihood_case_fails_on_a_wrong_curvature(monkeypatch):
+    exact = qgaussian.mlp_stationarity
+
+    def perturbed(model, samples):
+        gradient, curvature = exact(model, samples)
+        return gradient, curvature * (1.0 + 1e-9)
+
+    monkeypatch.setattr(qgaussian, "mlp_stationarity", perturbed)
+    failed = {c.name for c in run_suite("mlp", seed=0).cases if not c.passed}
+    assert failed == {"likelihood_parabola"}
 
 
 def test_split_draws_clear_the_margin(monkeypatch):
