@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import _check_all, _check_positive, _drop, _lift, check_index, q_exp_bracket, q_log
 from .errors import DomainViolation, RangeOverflow
 
@@ -55,6 +53,8 @@ class ObservationSequence:
     observed: tuple = field(init=False)
 
     def __post_init__(self):
+        import numpy as np  # here, so that the scalar primitives start without it
+
         q = check_index(self.q)
         xs = np.fromiter(self.shifts, dtype=float)
         if not xs.size:

@@ -24,26 +24,23 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .algebra import q_product, q_ratio
-from .canonical import build_distribution, canonical_form
-from .combinatorics import tsallis_entropy
-from .core import q_exp, q_log
-from .dynamics import FIG2_GRID, FIG2_INDEX, FIG2_SCALES, fig2_data
 from .errors import QDeformError
-from .qgaussian import FIG3_GRID, FIG3_INDEX, FIG3_SCALES, fig3_data
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFICATION_FAILED = 2
 
-# table builder and its default index, scales and (min, max, points) grid
-_FIGURES = {
-    "fig2": (fig2_data, FIG2_INDEX, FIG2_SCALES, FIG2_GRID),
-    "fig3": (fig3_data, FIG3_INDEX, FIG3_SCALES, FIG3_GRID),
-}
+
+class _SuiteNames:
+    """``verify.SUITE_NAMES`` as argparse choices, imported only when argparse
+    reads them: ``verify`` loads numpy, and the other commands never need it."""
+
+    def __iter__(self):
+        from .verify import SUITE_NAMES
+        return iter(SUITE_NAMES)
+
+    def __contains__(self, name):
+        return name in tuple(self)
 
 
 class _CliInputError(Exception):
@@ -117,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extend exp_q by 0 past the domain boundary (q < 1)")
 
     p_verify = sub.add_parser("verify", help="run a seeded verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES)
+    # a metavar, so that building the parser does not list the choices
+    p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite",
+                          help="one of %(choices)s")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--format", choices=("csv", "json"), default="json")
     p_verify.add_argument("--out")
@@ -146,18 +145,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    from .algebra import q_product, q_ratio
+    from .core import q_exp, q_log
+
     def need(flag, value):
         if value is None:
             raise _CliInputError(f"eval {args.fn} requires {flag}")
         return value
+
+    def tsallis():
+        from .combinatorics import tsallis_entropy  # the one eval that loads numpy
+        return tsallis_entropy(args.q, _parse_floats(need("--p", args.p), "--p"))
 
     evaluate = {
         "qlog": lambda: q_log(args.q, need("--y", args.y)),
         "qexp": lambda: q_exp(args.q, need("--x", args.x), cutoff=args.cutoff_mode),
         "qprod": lambda: q_product(args.q, need("--x", args.x), need("--y", args.y)),
         "qratio": lambda: q_ratio(args.q, need("--x", args.x), need("--y", args.y)),
-        "tsallis": lambda: tsallis_entropy(
-            args.q, _parse_floats(need("--p", args.p), "--p")),
+        "tsallis": tsallis,
     }[args.fn]
     try:
         value = float(evaluate())
@@ -174,6 +179,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, seed)
     if args.format == "json":
@@ -189,10 +196,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fig(args) -> int:
-    build, q, scales, (lo, hi, points) = _FIGURES[args.which]
+    import numpy as np
+
+    from .dynamics import FIG2_GRID, FIG2_INDEX, FIG2_SCALES, fig2_data
+    from .qgaussian import FIG3_GRID, FIG3_INDEX, FIG3_SCALES, fig3_data
+
+    # table builder and its default index, scales and (min, max, points) grid
+    build, q, scales, (lo, hi, points) = {
+        "fig2": (fig2_data, FIG2_INDEX, FIG2_SCALES, FIG2_GRID),
+        "fig3": (fig3_data, FIG3_INDEX, FIG3_SCALES, FIG3_GRID),
+    }[args.which]
     if args.q is not None:
         q = args.q
-    if args.scales:
+    if args.scales is not None:
         scales = _parse_floats(args.scales, "--scales")
     if args.grid_min is not None:
         lo = args.grid_min
@@ -245,6 +261,8 @@ def _read_values(path):
 
 
 def _cmd_canonicalize(args) -> int:
+    from .canonical import build_distribution, canonical_form
+
     xs = _read_values(args.input)
     dist = build_distribution(args.q, xs, args.c)
     form = canonical_form(dist)

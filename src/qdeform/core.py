@@ -21,6 +21,11 @@ down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
 and numpy do, and each caller names its own overflow.
 
+This module imports only ``math``, so the scalar primitives (and the CLI
+commands built on them alone) start without numpy.  The numpy twins, with
+the array primitives ``_q_log_array``/``_q_exp_array``, live in the private
+module :mod:`qdeform._array`.
+
 Out-of-domain calls raise :class:`~qdeform.errors.DomainViolation` carrying
 the offending bracket value.  The sharp-cutoff convention (exp_q := 0 where
 the bracket is <= 0, only meaningful for q < 1 where the extension is
@@ -30,8 +35,6 @@ continuous) is opt-in via ``cutoff=True`` and never the default.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
@@ -125,56 +128,11 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
     raise RangeOverflow("exp_q", q, f"x={x!r}")
 
 
-def _check_all(ok: np.ndarray, error) -> None:
-    """Raise ``error(i)`` at the flat index i of the first False in ``ok``."""
+def _check_all(ok, error) -> None:
+    """Raise ``error(i)`` at the flat index i of the first False in the
+    boolean array ``ok``."""
     if not ok.all():
-        raise error(int(np.argmin(ok)))
-
-
-def _finite(q: float, name: str, values: np.ndarray) -> np.ndarray:
-    _check_all(np.isfinite(values),
-               lambda i: RangeOverflow(name, q, f"element {i}"))
-    return values
-
-
-def _lift_array(q, y) -> np.ndarray:
-    """Elementwise :func:`_lift`; ``q`` may be an array that broadcasts
-    with ``y``."""
-    return np.expm1((1.0 - q) * np.log(y))
-
-
-def _drop_array(q: float, d) -> np.ndarray:
-    """Elementwise :func:`_drop`."""
-    return np.exp(np.log1p(d) / (1.0 - q))
-
-
-def _q_log_array(q: float, y) -> np.ndarray:
-    """Elementwise :func:`q_log` for a checked index.  Errors name the first
-    failing element; a result past the largest double raises
-    :class:`OverflowError`, as :func:`q_log` does."""
-    y = np.asarray(y, dtype=float)
-    _check_all((y > 0.0) & np.isfinite(y),
-               lambda i: NonPositiveArgument(f"y[{i}]", float(y.flat[i])))
-    if q == 1.0:
-        return np.log(y)
-    with np.errstate(over="ignore"):
-        return _finite(q, "log_q", _lift_array(q, y) / (1.0 - q))
-
-
-def _q_exp_array(q: float, x) -> np.ndarray:
-    """Elementwise :func:`q_exp` without cutoff, for a checked index.  Errors
-    name the first failing element; a result past the largest double
-    raises :class:`OverflowError`, as :func:`q_exp` does."""
-    x = np.asarray(x, dtype=float)
-    _check_all(np.isfinite(x), lambda i: ValueError(
-        f"argument must be finite, got {float(x.flat[i])!r} (element {i})"))
-    with np.errstate(over="ignore"):
-        if q == 1.0:
-            return _finite(q, "exp_q", np.exp(x))
-        d = (1.0 - q) * x
-        _check_all(d > -1.0, lambda i: DomainViolation(
-            "exp_q argument outside domain", float(1.0 + d.flat[i]), index=i))
-        return _finite(q, "exp_q", _drop_array(q, d))
+        raise error(int(ok.argmin()))
 
 
 def q_log_of_ratio(q: float, y: float, x: float) -> float:

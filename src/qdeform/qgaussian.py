@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_check_all, _check_positive, _q_exp_array, check_index, q_exp,
-                   q_exp_bracket, q_log)
+from ._array import _q_exp_array
+from .core import _check_all, _check_positive, check_index, q_exp, q_exp_bracket, q_log
 from .errors import DomainViolation, RangeOverflow, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
 

@@ -7,8 +7,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import (_check_all, _check_positive, _finite, _q_exp_array, _q_log_array,
-                   check_index, q_log)
+from ._array import _finite, _q_exp_array, _q_log_array
+from .core import _check_all, _check_positive, check_index, q_log
 from .errors import NonPositiveArgument, RangeOverflow
 
 __all__ = ["FigureTable"]
@@ -47,10 +47,15 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
     x_raw = grid * c**((1-q)/power), y_raw = c * profile, so every curve's
     rows share the rescaled columns, the grid and the profile.  The collapse
     is checked in the q-log form qlog_y = log_q(y_raw) = -x_raw**power + log_q(c).
+    Empty scales or an empty grid raise :class:`ValueError`.
     """
     q = check_index(q)
     grid = np.asarray(grid, dtype=float)
     scales = [_check_positive(f"scales[{ci}]", c) for ci, c in enumerate(scales)]
+    if not scales:
+        raise ValueError("scales must be non-empty")
+    if not grid.size:
+        raise ValueError("grid must be non-empty")
     x_scales = []
     for ci, c in enumerate(scales):
         try:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, canonical, combinatorics, dynamics, qgaussian
-from .core import _lift_array, _q_log_array, q_exp, q_exp_bracket, q_log, q_log_of_ratio
+from ._array import _lift_array, _q_log_array
+from .core import q_exp, q_exp_bracket, q_log, q_log_of_ratio
 from .errors import DomainViolation
 
 __all__ = ["CaseResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]

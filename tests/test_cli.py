@@ -113,7 +113,7 @@ class TestVerify:
                 CaseResult(name="forced", max_rel_err=1.0,
                            tolerance=1e-12, passed=False),))
 
-        monkeypatch.setattr("qdeform.cli.run_suite", failing)
+        monkeypatch.setattr("qdeform.verify.run_suite", failing)
         code, out, _ = run_cli(capsys, "verify", "canonical", "--seed", "0")
         assert code == 2
         assert json.loads(out)["pass"] is False
@@ -196,6 +196,15 @@ class TestFig:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    # ``--scales ,`` once printed a header-only table, and ``--scales ""``
+    # fell back to the default scales
+    @pytest.mark.parametrize("scales", [",", ""])
+    def test_empty_scales_exit_one(self, scales, capsys):
+        code, out, err = run_cli(capsys, "fig", "fig2", "--scales", scales)
+        assert code == 1
+        assert out == ""
+        assert err == "error: scales must be non-empty\n"
 
     def test_bad_grid_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "fig", "fig2", "--grid-min", "3",
@@ -357,6 +366,33 @@ def test_numeric_cells_are_finite_floats(capsys, tmp_path):
             cells += payload["xs"] + payload["frequencies"] + payload["probabilities"]
     assert len(cells) > 100
     assert all(math.isfinite(float(cell)) for cell in cells)
+
+
+# ``python -m qdeform ARGV``, then whether the process had loaded numpy
+_RUN_AND_REPORT_NUMPY = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('qdeform', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as stop:\n"
+    "    print('numpy' in sys.modules, stop.code)\n")
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (("eval", "qlog", "--q", "1.5", "--y", "2"), False),
+    (("eval", "qexp", "--q", "1.5", "--x", "0.3"), False),
+    (("eval", "qprod", "--q", "0.5", "--x", "4", "--y", "9"), False),
+    (("eval", "qratio", "--q", "0.5", "--x", "16", "--y", "9"), False),
+    (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "csv"), False),
+    (("eval", "tsallis", "--q", "2", "--p", "0.5,0.5"), True),
+])
+def test_scalar_commands_load_no_numpy(argv, loads_numpy, src_env, tmp_path):
+    data = tmp_path / "xs.txt"
+    data.write_text("0.1\n0.5\n1.2\n")
+    argv = [str(data) if a == "DATA" else a for a in argv]
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *argv],
+                            capture_output=True, env=src_env, text=True)
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == f"{loads_numpy} 0"
 
 
 def test_import_loads_no_scipy(src_env):

@@ -168,6 +168,16 @@ class TestMultinomial:
         assert q_log_multinomial(q, [n - 1, 1]) == pytest.approx(q_log(q, n), rel=1e-13)
         assert q_log_multinomial(q, [1, n - 1]) == q_log_multinomial(q, [n - 1, 1])
 
+    # log of the binomial coefficient, mpmath loggamma at 50 digits; the
+    # tail between two large bounds once cancelled in b log_q b - a log_q a
+    # and read 2.4e-8 and 1.1e-11 relative off these
+    @pytest.mark.parametrize("counts, expected", [
+        ([10**12, 5000], 100563.9620832684744510667),
+        ([10**12, 10**7], 125129295.6715542513253954),
+    ])
+    def test_two_large_counts_do_not_cancel(self, counts, expected):
+        assert q_log_multinomial(1.0, counts) == pytest.approx(expected, rel=1e-13)
+
 
 class TestTsallisEntropy:
     def test_two_outcomes_index_two(self):

@@ -29,7 +29,7 @@ from qdeform import (
     rescale_factor,
     split_representation,
 )
-from qdeform.core import _q_exp_array, _q_log_array
+from qdeform._array import _q_exp_array, _q_log_array
 
 # 40-digit evaluation of (1 + 0.3)**(-1/0.3)
 QEXP_13_MINUS1 = 0.4170506723141460936064

@@ -269,6 +269,13 @@ class TestFig2Data:
             expected = -row[2] + q_log(1.3, row[1])
             assert row[6] == pytest.approx(expected, abs=1e-9)
 
+    def test_empty_scales_or_grid_is_rejected(self):
+        # both once returned a table with no rows
+        with pytest.raises(ValueError, match="scales must be non-empty"):
+            fig2_data([], 1.3, np.linspace(*FIG2_GRID))
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            fig2_data([1.0, 10.0], 1.3, [])
+
     def test_classical_override_collapses_x_scaling(self):
         table = fig2_data(q=1.0)
         for row in table.rows:

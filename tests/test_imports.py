@@ -5,13 +5,18 @@ unused-import rule: each ``src/qdeform/*.py`` except ``__init__`` is parsed
 with ``ast`` and every name bound by a top-level ``import`` must be read
 somewhere in the module or listed in its ``__all__``.  The package's public
 names and the modules' ``__all__`` lists must name the same objects.  Only
-``core`` may read ``expm1`` or ``log1p``: the deformed log and exp have one
-kernel pair, and every other module goes through it.
+``core`` and its numpy twin ``_array`` may read ``expm1`` or ``log1p``: the
+deformed log and exp have one kernel pair, and every other module goes
+through it.  The scalar modules and the CLI import no numpy at module level,
+and the CLI no qdeform module but ``errors``, so the scalar commands start
+without numpy.
 """
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -73,7 +78,10 @@ def kernel_reads(source: str) -> list:
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+KERNEL_MODULES = ("core.py", "_array.py")  # the scalar pair and its numpy twin
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in KERNEL_MODULES],
                          ids=lambda p: p.name)
 def test_only_core_reads_expm1_or_log1p(path):
     assert kernel_reads(path.read_text(encoding="utf-8")) == []
@@ -84,7 +92,62 @@ def test_kernel_detector_flags_every_spelling():
               "a = math.expm1(1.0)\nb = np.log1p(0.5)\nc = log1p\n"
               "expm1_doc = 'expm1 in a string is not a read'\n")
     assert kernel_reads(source) == ["expm1", "log1p", "log1p", "log1p"]
-    assert kernel_reads((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    for name in KERNEL_MODULES:
+        assert kernel_reads((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+def module_level_imports(source: str) -> list:
+    """Modules imported when the source runs as a module: every import
+    outside a function body, as ``numpy`` or ``.core`` (relative)."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = "." * node.level + (node.module or "")
+            if node.module is None:  # from . import core
+                found.extend(base + a.name for a in node.names)
+            else:
+                found.append(base)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def _reads_numpy(modules) -> list:
+    return [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+# the modules on the import path of eval qlog/qexp/qprod/qratio and canonicalize
+@pytest.mark.parametrize("name", ["core.py", "errors.py", "canonical.py", "cli.py"])
+def test_scalar_path_imports_no_numpy_at_module_level(name):
+    assert _reads_numpy(module_level_imports((PACKAGE / name).read_text(
+        encoding="utf-8"))) == []
+
+
+def test_cli_imports_only_errors_at_module_level():
+    own = [m for m in module_level_imports((PACKAGE / "cli.py").read_text(
+        encoding="utf-8")) if m.startswith(".") or m.split(".")[0] == "qdeform"]
+    assert own == [".errors"]
+
+
+def test_import_detector_flags_every_spelling():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\nimport numpy.linalg\nfrom numpy import errstate\n"
+              "from .core import q_log\nfrom . import verify\nimport qdeform.tables\n"
+              "if True:\n    import json\n"
+              "class C:\n    import csv\n"
+              "def f():\n    import math\n    from .algebra import q_product\n"
+              "g = lambda: __import__('numpy')\n")
+    found = module_level_imports(source)
+    assert found == ["numpy", "numpy.linalg", "numpy", ".core", ".verify",
+                     "qdeform.tables", "json", "csv"]
+    assert _reads_numpy(found) == ["numpy", "numpy.linalg", "numpy"]
 
 
 def _module_exports() -> Counter:
@@ -97,9 +160,7 @@ def _module_exports() -> Counter:
 
 def test_every_public_name_is_exported_by_one_module():
     exports = _module_exports()
-    public = [name for name, obj in vars(qdeform).items()
-              if not name.startswith("_") and not inspect.ismodule(obj)
-              and getattr(obj, "__module__", None) != "qdeform.errors"]
+    public = [name for name, module in qdeform._MODULE_OF.items() if module != "errors"]
     assert public
     assert {name: exports[name] for name in public
             if exports[name] != 1} == {}
@@ -108,3 +169,62 @@ def test_every_public_name_is_exported_by_one_module():
 def test_every_module_export_is_a_package_attribute():
     assert sorted(name for name in _module_exports()
                   if not hasattr(qdeform, name)) == []
+
+
+# the package's public names before it resolved them lazily: the modules'
+# exports, the error classes and the nine library modules
+PUBLIC_NAMES = sorted([
+    "BlowupDetected", "CanonicalQLogForm", "CaseResult", "DiscreteQDistribution",
+    "DomainViolation", "FigureTable", "NonPositiveArgument", "ObservationSequence",
+    "QDeformError", "QGaussianModel", "RangeOverflow", "SUITE_NAMES", "SuiteReport",
+    "Trajectory", "UnnormalizableModel", "algebra", "analytic_solution", "beta_from",
+    "build_distribution", "canonical", "canonical_form", "combinatorics",
+    "compose_shifts", "core", "dynamics", "errors", "fig2_data", "fig3_data",
+    "frequency_rescale", "integrate_ode", "mlp_stationarity", "normalization", "q_exp",
+    "q_exp_bracket", "q_gaussian_pdf", "q_log", "q_log_factorial", "q_log_likelihood",
+    "q_log_multinomial", "q_log_of_ratio", "q_log_sum", "q_product",
+    "q_product_bracket", "q_product_fold", "q_ratio", "q_stirling", "qgaussian",
+    "rescale_factor", "run_all", "run_suite", "scale_drift_expand", "shift_expansion",
+    "split_representation", "tables", "tsallis_correspondence", "tsallis_entropy",
+    "verify",
+])
+
+
+def _fresh(code, src_env):
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, env=src_env, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_package_import_loads_no_module(src_env):
+    code = ("import sys, qdeform, qdeform.cli; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('qdeform', 'numpy')))")
+    assert _fresh(code, src_env).split() == ["qdeform", "qdeform.cli", "qdeform.errors"]
+
+
+def test_star_import_dir_and_hasattr_give_the_public_names(src_env):
+    code = ("import qdeform; "
+            "print(*(n for n in dir(qdeform) if not n.startswith('_'))); "
+            "namespace = {}; exec('from qdeform import *', namespace); "
+            "print(*sorted(n for n in namespace if n != '__builtins__'))")
+    listed, star = _fresh(code, src_env).splitlines()
+    assert listed.split() == PUBLIC_NAMES
+    assert star.split() == PUBLIC_NAMES
+    assert sorted(qdeform.__all__) == PUBLIC_NAMES
+    assert all(hasattr(qdeform, name) for name in PUBLIC_NAMES)
+
+
+def test_names_resolve_to_their_modules():
+    for name, module in qdeform._MODULE_OF.items():
+        assert getattr(qdeform, name) is getattr(
+            importlib.import_module(f"qdeform.{module}"), name)
+    for module in qdeform._EXPORTS:
+        assert getattr(qdeform, module) is importlib.import_module(f"qdeform.{module}")
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'qdeform' has no attribute 'q_logg'"):
+        qdeform.q_logg
+    assert not hasattr(qdeform, "_array_kernels")

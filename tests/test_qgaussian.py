@@ -371,6 +371,12 @@ class TestFig3Data:
             assert [r[4] for r in curve] == grid
             assert [r[5] for r in curve] == [r[5] for r in curves[0]]
 
+    def test_empty_scales_or_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="scales must be non-empty"):
+            fig3_data([], 1.7, np.linspace(*FIG3_GRID))
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            fig3_data([1.0], 1.7, np.array([]))
+
     def test_qlog_column_is_parabola(self):
         table = fig3_data()
         for row in table.rows:
