@@ -32,15 +32,13 @@ EXIT_VERIFICATION_FAILED = 2
 
 
 class _SuiteNames:
-    """``verify.SUITE_NAMES`` as argparse choices, imported only when argparse
-    reads them: ``verify`` loads numpy, and the other commands never need it."""
+    """``verify.SUITE_NAMES`` as argparse choices (``in`` iterates them),
+    imported only when argparse reads them: ``verify`` loads numpy, and the
+    other commands never need it."""
 
     def __iter__(self):
         from .verify import SUITE_NAMES
         return iter(SUITE_NAMES)
-
-    def __contains__(self, name):
-        return name in tuple(self)
 
 
 class _CliInputError(Exception):

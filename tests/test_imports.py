@@ -124,7 +124,8 @@ def _reads_numpy(modules) -> list:
 
 
 # the modules on the import path of eval qlog/qexp/qprod/qratio and canonicalize
-@pytest.mark.parametrize("name", ["core.py", "errors.py", "canonical.py", "cli.py"])
+@pytest.mark.parametrize("name", ["__init__.py", "__main__.py", "cli.py", "errors.py",
+                                  "core.py", "algebra.py", "canonical.py"])
 def test_scalar_path_imports_no_numpy_at_module_level(name):
     assert _reads_numpy(module_level_imports((PACKAGE / name).read_text(
         encoding="utf-8"))) == []
