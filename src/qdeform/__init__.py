@@ -26,8 +26,9 @@ primitives and the CLI commands built on them start without numpy.
 
 from importlib import import_module as _import_module
 
-# public name -> the module that defines it; the keys of the outer table are
-# the package's modules, which are public names too
+# module -> the public names it defines; the keys are public names too.  The
+# only list of the public API: each module's ``__all__`` is its row, read from
+# the package, which is initialised before any of its submodules loads.
 _EXPORTS = {
     "algebra": ("ObservationSequence", "q_log_sum", "q_product", "q_product_bracket",
                 "q_product_fold", "q_ratio", "scale_drift_expand"),

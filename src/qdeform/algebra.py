@@ -26,25 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import _EXPORTS
 from .core import _check_all, _check_positive, _drop, _lift, check_index, q_exp_bracket, q_log
 from .errors import DomainViolation, RangeOverflow
 
-__all__ = [
-    "ObservationSequence",
-    "q_product",
-    "q_product_bracket",
-    "q_ratio",
-    "scale_drift_expand",
-    "q_product_fold",
-    "q_log_sum",
-]
+__all__ = _EXPORTS["algebra"]
 
 
 @dataclass(frozen=True)
 class ObservationSequence:
     """Same-scale shifts x_1..x_n and, derived from them at construction,
     the drifted readings x'_t = x_t / (1 + (1-q) * sum_{i<t} x_i).  The
-    first step whose partial sum passes the largest double raises
+    first step whose partial sum or reading passes the largest double raises
     :class:`~qdeform.errors.RangeOverflow`, or whose scale factor is not
     positive :class:`DomainViolation`; a non-finite shift :class:`ValueError`."""
 
@@ -61,36 +54,47 @@ class ObservationSequence:
             raise ValueError("shifts must be non-empty")
         # the cumulative sum of 0, x_1, ..., x_{n-1}: float64 add.accumulate
         # (np.cumsum) adds in sequence, so it is the running sum bit for bit
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w = q_exp_bracket(q, np.add.accumulate(np.concatenate(([0.0], xs[:-1]))))
+            observed = xs / w
 
         def failure(t):
             if not math.isfinite(xs[t]):
                 return ValueError(f"shifts[{t}] must be finite, got {float(xs[t])!r}")
             if not math.isfinite(w[t]):
                 return RangeOverflow("partial sum of shifts", q, f"step {t}")
-            return DomainViolation("partial-sum scale factor", float(w[t]), index=t)
+            if not w[t] > 0.0:
+                return DomainViolation("partial-sum scale factor", float(w[t]), index=t)
+            return RangeOverflow("drifted reading", q,
+                                 f"step {t}: shifts[{t}]={float(xs[t])!r}")
 
-        # the first step with a non-finite shift, partial sum or scale factor,
-        # or a factor that is not positive
-        _check_all(np.isfinite(xs) & np.isfinite(w) & (w > 0.0), failure)
+        # the first step with a non-finite shift, partial sum, scale factor or
+        # reading, or a factor that is not positive
+        _check_all(np.isfinite(observed) & np.isfinite(w) & (w > 0.0), failure)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "shifts", tuple(xs.tolist()))
-        object.__setattr__(self, "observed", tuple((xs / w).tolist()))
+        object.__setattr__(self, "observed", tuple(observed.tolist()))
 
 
 def _combine(name: str, bracket: str, q: float, x: float, y: float,
              sign: float) -> float:
-    """exp_q(log_q x + sign * log_q y) as _drop(q, d) for the bracket less 1,
-    d = _lift(q, x) + sign * _lift(q, y), which does not cancel near q = 1;
-    |1-q| >= 2**-53, so the exponent of _drop is finite and exp raises on
-    overflow."""
+    """Checked exp_q(log_q x + sign * log_q y): x * y**sign at q = 1, else
+    _drop(q, d) for the bracket less 1, d = _lift(q, x) + sign * _lift(q, y),
+    which does not cancel near q = 1; |1-q| >= 2**-53, so the exponent of
+    _drop is finite and exp raises on overflow."""
+    q = check_index(q)
+    x, y = _check_positive("x", x), _check_positive("y", y)
     try:
-        d = _lift(q, x) + sign * _lift(q, y)
-        if math.isfinite(d):
-            if d <= -1.0:
-                raise DomainViolation(bracket, 1.0 + d)
-            return _drop(q, d)
+        if q == 1.0:
+            value = x * y if sign > 0.0 else x / y
+            if value < math.inf:
+                return value
+        else:
+            d = _lift(q, x) + sign * _lift(q, y)
+            if math.isfinite(d):
+                if d <= -1.0:
+                    raise DomainViolation(bracket, 1.0 + d)
+                return _drop(q, d)
     except OverflowError:
         pass
     raise RangeOverflow(name, q, f"x={x!r}, y={y!r}")
@@ -99,7 +103,9 @@ def _combine(name: str, bracket: str, q: float, x: float, y: float,
 def q_product_bracket(q: float, x: float, y: float) -> float:
     """Domain certificate x**(1-q) + y**(1-q) - 1 of the deformed product:
     for x, y > 0, ``q_product(q, x, y)`` is defined exactly where it is > 0.
-    Overflow is reported as by :func:`q_product`."""
+    Bad arguments and overflow are reported as by :func:`q_product`."""
+    q = check_index(q)
+    x, y = _check_positive("x", x), _check_positive("y", y)
     try:
         d = _lift(q, x) + _lift(q, y)
         if math.isfinite(d):
@@ -118,10 +124,6 @@ def q_product(q: float, x: float, y: float) -> float:
     result past the largest double raises :class:`OverflowError` naming q,
     x and y.
     """
-    q = check_index(q)
-    x, y = _check_positive("x", x), _check_positive("y", y)
-    if q == 1.0:
-        return x * y
     return _combine("q_product", "q_product bracket x^(1-q) + y^(1-q) - 1",
                     q, x, y, 1.0)
 
@@ -129,10 +131,6 @@ def q_product(q: float, x: float, y: float) -> float:
 def q_ratio(q: float, x: float, y: float) -> float:
     """Inverse of :func:`q_product`: q_ratio(q_product(x, y), y) == x.
     Overflow is reported as by :func:`q_product`."""
-    q = check_index(q)
-    x, y = _check_positive("x", x), _check_positive("y", y)
-    if q == 1.0:
-        return x / y
     return _combine("q_ratio", "q_ratio bracket x^(1-q) - y^(1-q) + 1",
                     q, x, y, -1.0)
 

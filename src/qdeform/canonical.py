@@ -28,16 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import _EXPORTS
 from .core import _check_positive, check_index, q_exp, q_log
-from .errors import DomainViolation, RangeOverflow
+from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
-__all__ = [
-    "DiscreteQDistribution",
-    "CanonicalQLogForm",
-    "build_distribution",
-    "split_representation",
-    "canonical_form",
-]
+__all__ = _EXPORTS["canonical"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,11 @@ class DiscreteQDistribution:
             except DomainViolation as err:
                 raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
                                       err.constraint, index=i) from err
+            except ValueError:  # -x + shift is not finite
+                if not (math.isfinite(x) and math.isfinite(shift)):
+                    raise
+                raise RangeOverflow("frequency argument", q,
+                                    f"x[{i}]={x!r}, shift={shift!r}") from None
         # the frequencies may all underflow to 0, or sum past the largest double
         try:
             total = _check_positive("total", math.fsum(freqs))
@@ -101,8 +101,8 @@ def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
 
     Raises :class:`DomainViolation` naming the first data point whose
     argument leaves the deformed-exponential domain, and
-    :class:`OverflowError` naming q and the shift when the frequencies sum
-    past the largest double.
+    :class:`OverflowError` naming q and the shift (and the point) when the
+    frequencies sum (or -x_i + shift) passes the largest double.
     """
     return DiscreteQDistribution(q, xs, shift)
 
@@ -112,26 +112,38 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
 
     Both pull one sub-shift out of exp_q(-x + c1 + c2) and leave the other
     inside the rescaled argument; both normalize to the same probabilities
-    as the unsplit form.  Raises :class:`OverflowError` naming q and both
-    shifts when the frequencies sum past the largest double.
+    as the unsplit form.  A rescaled argument or frequency sum past the
+    largest double raises :class:`OverflowError`, and exp_q of a pulled-out
+    shift underflowed to 0 :class:`NonPositiveArgument`, naming q and both.
     """
     q = check_index(q)
     points = [float(x) for x in xs]
     if not points:
         raise ValueError("xs must be non-empty")
 
-    def pulled_out(outer: float, inner: float):
-        arg_scale = q_exp(q, outer) ** (1.0 - q)
-        values = [q_exp(q, (-x + inner) / arg_scale) for x in points]
+    def shifts():
+        return f"shift1={shift1!r}, shift2={shift2!r}"
+
+    def pulled_out(outer: float, inner: float, name: str):
+        y_scale = q_exp(q, outer)
+        if y_scale == 0.0:  # underflowed: no scale to pull out
+            raise NonPositiveArgument(f"exp_q({name}) at q={q!r} ({shifts()})", y_scale)
+        arg_scale = y_scale ** (1.0 - q)
+        try:
+            values = [q_exp(q, (-x + inner) / arg_scale) for x in points]
+        except ValueError as err:  # a domain error, or a rescaled argument not finite
+            if isinstance(err, DomainViolation) or not all(
+                    map(math.isfinite, (*points, shift1, shift2))):
+                raise
+            raise RangeOverflow("frequency argument", q, shifts()) from None
         # as in DiscreteQDistribution: all 0, or a sum past the largest double
         try:
             total = _check_positive("total", math.fsum(values))
         except OverflowError:
-            raise RangeOverflow("frequency total", q,
-                                f"shift1={shift1!r}, shift2={shift2!r}") from None
+            raise RangeOverflow("frequency total", q, shifts()) from None
         return tuple(v / total for v in values)
 
-    return pulled_out(shift1, shift2), pulled_out(shift2, shift1)
+    return pulled_out(shift1, shift2, "shift1"), pulled_out(shift2, shift1, "shift2")
 
 
 def canonical_form(dist: DiscreteQDistribution) -> CanonicalQLogForm:
@@ -140,11 +152,16 @@ def canonical_form(dist: DiscreteQDistribution) -> CanonicalQLogForm:
     slope = -n**(q-1) and intercept = n**(q-1)*shift - log_{2-q}(n) depend
     only on the total frequency and the total shift, never on how the shift
     might be split; log_q(p_i) = slope*x_i + intercept reproduces every
-    probability.
-    """
+    probability.  A result past the largest double raises
+    :class:`OverflowError` naming q, the total and the shift."""
     q = dist.q
     n = dist.total
-    n_pow = n ** (q - 1.0)
-    return CanonicalQLogForm(q=q, slope=-n_pow,
-                             intercept=n_pow * dist.shift - q_log(2.0 - q, n))
+    try:
+        n_pow = n ** (q - 1.0)
+        intercept = n_pow * dist.shift - q_log(2.0 - q, n)
+        if math.isfinite(intercept):
+            return CanonicalQLogForm(q=q, slope=-n_pow, intercept=intercept)
+    except OverflowError:
+        pass
+    raise RangeOverflow("canonical_form", q, f"total={n!r}, shift={dist.shift!r}")
 

@@ -164,14 +164,12 @@ def _cmd_eval(args) -> int:
     }[args.fn]
     try:
         value = float(evaluate())
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+    except OverflowError:  # a result past the largest double: name the flags that gave it
         given = " ".join(f"--{flag} {getattr(args, flag)!r}"
                          for flag in ("q", "x", "y", "p")
                          if getattr(args, flag) is not None)
         raise _CliInputError(
-            f"error: eval {args.fn} {given}: result is not a finite double")
+            f"error: eval {args.fn} {given}: result is not a finite double") from None
     sys.stdout.write(_fmt(value) + "\n")
     return EXIT_OK
 

@@ -43,17 +43,12 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from ._array import _q_log_array
 from .core import check_index, q_log
 from .errors import RangeOverflow
 
-__all__ = [
-    "q_log_factorial",
-    "q_stirling",
-    "q_log_multinomial",
-    "tsallis_entropy",
-    "tsallis_correspondence",
-]
+__all__ = _EXPORTS["combinatorics"]
 
 
 _HEAD = 1024  # terms summed exactly; the rest is the Euler-Maclaurin tail
@@ -206,8 +201,8 @@ def tsallis_correspondence(q: float, counts):
     n**(2-q)/(2-q) * S_{2-q}(counts/n) form (at bitwise q == 2, as in
     ``q_stirling``, its own branch -log(n) + sum_i log(n_i)), and rel_err
     their gap relative to the larger magnitude (0 when both vanish).  The
-    gap shrinks as the counts grow at fixed fractions.
-    """
+    gap shrinks as the counts grow at fixed fractions.  Overflow raises
+    :class:`OverflowError` naming q and the total n."""
     q = check_index(q)
     values = _check_counts(counts)
     n = sum(values)
@@ -216,6 +211,11 @@ def tsallis_correspondence(q: float, counts):
         rhs = -math.log(n) + math.fsum(math.log(c) for c in values)
     else:
         fractions = np.asarray(values, dtype=float) / n
-        rhs = n ** (2.0 - q) / (2.0 - q) * tsallis_entropy(2.0 - q, fractions)
+        try:
+            rhs = n ** (2.0 - q) / (2.0 - q) * tsallis_entropy(2.0 - q, fractions)
+        except OverflowError:
+            rhs = math.inf
+        if not math.isfinite(rhs):
+            raise RangeOverflow("tsallis_correspondence", q, f"n={n}")
     denom = max(abs(lhs), abs(rhs))
     return lhs, rhs, abs(lhs - rhs) / denom if denom else 0.0

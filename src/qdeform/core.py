@@ -36,14 +36,10 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
-__all__ = [
-    "q_exp_bracket",
-    "q_log",
-    "q_exp",
-    "q_log_of_ratio",
-]
+__all__ = _EXPORTS["core"]
 
 
 def check_index(q: float) -> float:
@@ -142,11 +138,18 @@ def q_log_of_ratio(q: float, y: float, x: float) -> float:
 
     which keeps the denominator's scale factor explicit instead of forming
     the quotient first.  Agrees with ``q_log(q, y/x)`` wherever both sides
-    are defined.
+    are defined.  A factor or result past the largest double raises
+    :class:`OverflowError` naming q, y and x.
     """
     q = check_index(q)
     y = _check_positive("y", y)
     x = _check_positive("x", x)
     if q == 1.0:
         return math.log(y) - math.log(x)
-    return x ** (q - 1.0) * (q_log(q, y) - q_log(q, x))
+    try:
+        value = x ** (q - 1.0) * (q_log(q, y) - q_log(q, x))
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise RangeOverflow("log_q ratio", q, f"y={y!r}, x={x!r}")

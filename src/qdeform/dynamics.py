@@ -31,19 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
 from .errors import BlowupDetected, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
-__all__ = [
-    "Trajectory",
-    "rescale_factor",
-    "analytic_solution",
-    "integrate_ode",
-    "shift_expansion",
-    "compose_shifts",
-    "fig2_data",
-]
+__all__ = _EXPORTS["dynamics"]
 
 FIG2_SCALES = (1.0, 10.0, 20.0)
 FIG2_INDEX = 1.3
@@ -87,30 +80,35 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
     solution through (x0, y0) for either direction, since the linear form
     log_q(y) = direction * x + log_q(scale) fixes it.  Raises
     :class:`DomainViolation` when no positive constant satisfies the
-    relation.
+    relation, and :class:`OverflowError` naming q, x0 and y0 when
+    log_q(y0) - x0 passes the largest double.
     """
     q = check_index(q)
     y0 = _check_positive("y0", y0)
-    return q_exp(q, q_log(q, y0) - float(x0))
+    arg = q_log(q, y0) - float(x0)
+    if math.isinf(arg) and math.isfinite(x0):
+        raise RangeOverflow("rescale_factor", q, f"x0={x0!r}, y0={y0!r}")
+    return q_exp(q, arg)
 
 
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     """Closed-form solution scale * exp_q(direction * x / scale**(1-q)).
-    scale**(1-q) or a result past the largest double raises
-    :class:`OverflowError` naming q, scale and x; scale**(1-q) underflowed
-    to 0 raises :class:`NonPositiveArgument` naming it."""
+    scale**(1-q), the argument of exp_q or a result past the largest double
+    raises :class:`OverflowError` naming q, scale and x; scale**(1-q)
+    underflowed to 0 raises :class:`NonPositiveArgument` naming it."""
     q = check_index(q)
     d = _check_direction(direction)
     s = _check_positive("scale", scale)
     x = float(x)
     try:
-        x_scale = _check_positive("scale**(1-q)", s ** (1.0 - q))
+        arg = d * x / _check_positive("scale**(1-q)", s ** (1.0 - q))
     except OverflowError:
-        raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}") from None
-    value = s * q_exp(q, d * x / x_scale)
-    if value == math.inf:
-        raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
-    return value
+        arg = math.inf
+    # a finite x whose exp_q argument passed the largest double overflows
+    value = math.inf if math.isinf(arg) and math.isfinite(x) else s * q_exp(q, arg)
+    if value < math.inf:
+        return value
+    raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
 
 
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
@@ -140,7 +138,9 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     scale = rescale_factor(q, d * x0, y0)
     scale_pow = scale ** (1.0 - q)
 
-    def rhs(y: float) -> float:
+    def rhs(x: float, y: float) -> float:
+        if y <= 0.0:  # an intermediate stage; each step's y is checked below
+            raise BlowupDetected(x, y, "intermediate stage left (0, y_max)")
         return d * y ** q
 
     n_steps = max(1, math.ceil((x_end - x0) / step))
@@ -153,19 +153,10 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
         x_next = x0 + (i + 1) * h
         if q != 1.0 and q_exp_bracket(q, d * x_next / scale_pow) < 1e-12:
             raise BlowupDetected(x_next, y, "analytic domain boundary reached")
-        k1 = rhs(y)
-        y2 = y + 0.5 * h * k1
-        if y2 <= 0.0:
-            raise BlowupDetected(x, y2, "intermediate stage left (0, y_max)")
-        k2 = rhs(y2)
-        y3 = y + 0.5 * h * k2
-        if y3 <= 0.0:
-            raise BlowupDetected(x, y3, "intermediate stage left (0, y_max)")
-        k3 = rhs(y3)
-        y4 = y + h * k3
-        if y4 <= 0.0:
-            raise BlowupDetected(x, y4, "intermediate stage left (0, y_max)")
-        k4 = rhs(y4)
+        k1 = rhs(x, y)
+        k2 = rhs(x, y + 0.5 * h * k1)
+        k3 = rhs(x, y + 0.5 * h * k2)
+        k4 = rhs(x, y + h * k3)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (0.0 < y < Y_MAX):
             raise BlowupDetected(x_next, y, "solution left (0, y_max)")
@@ -183,11 +174,14 @@ def shift_expansion(q: float, shift: float):
 
     for every x where both sides are defined.  Requires the shift itself to
     satisfy 1 + (1-q)*shift > 0, and exp_q(shift) not to underflow to 0
-    (:class:`NonPositiveArgument` naming ``y_scale`` otherwise).
-    """
+    (:class:`NonPositiveArgument` naming ``y_scale`` otherwise).  An
+    x_scale past the largest double raises :class:`OverflowError`."""
     q = check_index(q)
     y_scale = _check_positive("y_scale", q_exp(q, shift))
-    return y_scale, y_scale ** (1.0 - q)
+    try:
+        return y_scale, y_scale ** (1.0 - q)
+    except OverflowError:
+        raise RangeOverflow("shift_expansion", q, f"shift={shift!r}") from None
 
 
 def compose_shifts(q: float, shift1: float, shift2: float):

@@ -34,21 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from ._array import _q_exp_array
 from .core import _check_all, _check_positive, check_index, q_exp, q_exp_bracket, q_log
 from .errors import DomainViolation, RangeOverflow, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
 
-__all__ = [
-    "QGaussianModel",
-    "beta_from",
-    "normalization",
-    "q_gaussian_pdf",
-    "q_log_likelihood",
-    "mlp_stationarity",
-    "frequency_rescale",
-    "fig3_data",
-]
+__all__ = _EXPORTS["qgaussian"]
 
 FIG3_SCALES = (1.0, 10.0, 100.0)
 FIG3_INDEX = 1.7

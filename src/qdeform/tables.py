@@ -7,11 +7,12 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _EXPORTS
 from ._array import _finite, _q_exp_array, _q_log_array
 from .core import _check_all, _check_positive, check_index, q_log
 from .errors import NonPositiveArgument, RangeOverflow
 
-__all__ = ["FigureTable"]
+__all__ = _EXPORTS["tables"]
 
 
 @dataclass(frozen=True)

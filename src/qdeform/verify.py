@@ -29,16 +29,16 @@ vector to measure the one affine form instead of rebuilding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import algebra, canonical, combinatorics, dynamics, qgaussian
+from . import _EXPORTS, algebra, canonical, combinatorics, dynamics, qgaussian
 from ._array import _lift_array, _q_log_array
 from .core import q_exp, q_exp_bracket, q_log, q_log_of_ratio
 from .errors import DomainViolation
 
-__all__ = ["CaseResult", "SuiteReport", "SUITE_NAMES", "run_suite", "run_all"]
+__all__ = _EXPORTS["verify"]
 
 _BRACKET_MARGIN = 1e-2
 _MAX_DRAWS = 10_000
@@ -710,11 +710,6 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
 
 def run_all(seed: int = 0) -> SuiteReport:
     """Run every suite with the same seed; case names are suite-prefixed."""
-    cases = []
-    for name, runner in _SUITES.items():
-        for case in runner(seed):
-            cases.append(CaseResult(name=f"{name}/{case.name}",
-                                    max_rel_err=case.max_rel_err,
-                                    tolerance=case.tolerance,
-                                    passed=case.passed))
-    return SuiteReport(suite="all", seed=int(seed), cases=tuple(cases))
+    cases = tuple(replace(case, name=f"{name}/{case.name}")
+                  for name, runner in _SUITES.items() for case in runner(seed))
+    return SuiteReport(suite="all", seed=int(seed), cases=cases)

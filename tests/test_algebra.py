@@ -49,6 +49,14 @@ class TestQProduct:
         with pytest.raises(NonPositiveArgument):
             q_product(0.5, -1.0, 2.0)
 
+    # the bracket takes the product's arguments and checks them as it does
+    @pytest.mark.parametrize("args, name, value", [
+        ((0.5, 2.0, -1.0), "y", -1.0), ((0.5, 0.0, 1.0), "x", 0.0)])
+    def test_bracket_rejects_nonpositive(self, args, name, value):
+        with pytest.raises(NonPositiveArgument) as info:
+            q_product_bracket(*args)
+        assert (info.value.name, info.value.value) == (name, value)
+
     def test_associative(self):
         rng = np.random.default_rng(11)
         for q in Q_GRID:

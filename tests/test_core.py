@@ -12,6 +12,7 @@ from qdeform import (
     NonPositiveArgument,
     RangeOverflow,
     analytic_solution,
+    canonical_form,
     compose_shifts,
     frequency_rescale,
     q_exp,
@@ -23,11 +24,15 @@ from qdeform import (
     q_log_sum,
     q_product,
     q_product_bracket,
+    q_product_fold,
     q_ratio,
     build_distribution,
     q_stirling,
     rescale_factor,
+    scale_drift_expand,
+    shift_expansion,
     split_representation,
+    tsallis_correspondence,
 )
 from qdeform._array import _q_exp_array, _q_log_array
 
@@ -141,6 +146,38 @@ class TestQExp:
      f"log_q_factorial at q=-5.0 overflows a double (n={10**80 + 1})"),
     (q_log_multinomial, (1.5, [10**400, 2]),
      f"log_q_factorial at q=1.5 overflows a double (n={10**400 + 2})"),
+    # the q = 1 branch: a plain product or quotient past the largest double
+    (q_product, (1.0, 1e308, 10.0), "q_product at q=1.0 overflows a double (x=1e+308, y=10.0)"),
+    (q_ratio, (1.0, 1e308, 0.1), "q_ratio at q=1.0 overflows a double (x=1e+308, y=0.1)"),
+    (q_product_fold, (1.0, [1e308, 10.0]),
+     "q_product at q=1.0 overflows a double (x=1e+308, y=10.0)"),
+    # x**(q-1) raised, or its product with the q-log difference made inf
+    (q_log_of_ratio, (-1.36, 0.81, 5e-324),
+     "log_q ratio at q=-1.36 overflows a double (y=0.81, x=5e-324)"),
+    (q_log_of_ratio, (0.18, 1.1e197, 3e-206),
+     "log_q ratio at q=0.18 overflows a double (y=1.1e+197, x=3e-206)"),
+    # an exp_q argument computed from finite inputs passed the largest double
+    (rescale_factor, (1e-300, -1e300, 1.7976931348623157e308),
+     "rescale_factor at q=1e-300 overflows a double (x0=-1e+300, y0=1.7976931348623157e+308)"),
+    (analytic_solution, (2.45, 3.48e191, 1, -5.4e62),
+     "analytic_solution at q=2.45 overflows a double (scale=3.48e+191, x=-5.4e+62)"),
+    (build_distribution, (1.5, [-1e308], 1e308),
+     "frequency argument at q=1.5 overflows a double (x[0]=-1e+308, shift=1e+308)"),
+    (split_representation, (1e-07, [-1e94], -1.0, 1e308),
+     "frequency argument at q=1e-07 overflows a double (shift1=-1.0, shift2=1e+308)"),
+    # n**(q-1) and n**(2-q) raised
+    (lambda q, xs, shift: canonical_form(build_distribution(q, xs, shift)),
+     (1e300, [0.39, 2.31], -3.87),
+     "canonical_form at q=1e+300 overflows a double (total=2.0, shift=-3.87)"),
+    (tsallis_correspondence, (-200.0, [1000]),
+     "tsallis_correspondence at q=-200.0 overflows a double (n=1000)"),
+    # at |1-q| ~ 1e16 the rounding of exp_q(shift) carries its power past it
+    (shift_expansion, (-4.3196988666225544e16, 3.4392199811309485e289),
+     "shift_expansion at q=-4.3196988666225544e+16 overflows a double"
+     " (shift=3.4392199811309485e+289)"),
+    # x_t / w_t after every partial sum and scale factor passed
+    (scale_drift_expand, (1.5, [1.999999999, 1e300]),
+     "drifted reading at q=1.5 overflows a double (step 1: shifts[1]=1e+300)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
@@ -160,6 +197,8 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
     (analytic_solution, (1001.0, 1e300, 1, 0.0), "scale**(1-q)"),
     (frequency_rescale, (1.7, 1.0, -1e300, [0.0]), "scale"),
     (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
+    (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18),
+     "exp_q(shift1) at q=1.15 (shift1=-1e+122, shift2=-2.18)"),
 ])
 def test_underflowed_scale_names_the_factor(fn, args, named):
     with warnings.catch_warnings():

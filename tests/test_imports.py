@@ -3,11 +3,12 @@
 No linter is a dependency of the project, so this stands in for the
 unused-import rule: each ``src/qdeform/*.py`` except ``__init__`` is parsed
 with ``ast`` and every name bound by a top-level ``import`` must be read
-somewhere in the module or listed in its ``__all__``.  The package's public
-names and the modules' ``__all__`` lists must name the same objects.  Only
-``core`` and its numpy twin ``_array`` may read ``expm1`` or ``log1p``: the
-deformed log and exp have one kernel pair, and every other module goes
-through it.  The scalar modules and the CLI import no numpy at module level,
+somewhere in the module or listed in its ``__all__``, which is the module's
+row of the package's ``_EXPORTS`` table (or, in a test source, a literal).
+The package's public names and the modules' ``__all__`` must name the same
+objects.  Only ``core`` and its numpy twin ``_array`` may read ``expm1`` or
+``log1p``: the deformed log and exp have one kernel pair, and every other
+module goes through it.  The scalar modules and the CLI import no numpy at module level,
 and the CLI no qdeform module but ``errors``, so the scalar commands start
 without numpy.
 """
@@ -39,7 +40,10 @@ def unused_imports(source: str) -> list:
             bound.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported.update(ast.literal_eval(node.value))
+            if isinstance(node.value, ast.Subscript):  # __all__ = _EXPORTS["<module>"]
+                exported.update(qdeform._EXPORTS[ast.literal_eval(node.value.slice)])
+            else:
+                exported.update(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(bound - read - exported)
 
@@ -60,6 +64,12 @@ def test_detector_flags_only_unused_names():
               "__all__ = ['QDeformError']\n"
               "def f():\n    import sys\n    return np.pi\n")
     assert unused_imports(source) == ["DomainViolation", "math", "os"]
+
+
+def test_detector_reads_exports_from_the_table():
+    source = ("from . import _EXPORTS\nfrom .core import q_exp, q_log, check_index\n"
+              "__all__ = _EXPORTS['core']\n")
+    assert unused_imports(source) == ["check_index"]
 
 
 KERNEL_NAMES = {"expm1", "log1p"}
