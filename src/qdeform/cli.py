@@ -152,7 +152,7 @@ def _cmd_eval(args) -> int:
         return value
 
     def tsallis():
-        from .combinatorics import tsallis_entropy  # the one eval that loads numpy
+        from .combinatorics import tsallis_entropy
         return tsallis_entropy(args.q, _parse_floats(need("--p", args.p), "--p"))
 
     evaluate = {

@@ -51,16 +51,21 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
     """Width coefficient -ode_coeff / (2 * (1 + (1-q) * log_offset)).
 
     Positive whenever ode_coeff < 0 and the offset bracket is positive;
-    raises :class:`DomainViolation` when the bracket fails.
+    raises :class:`NonPositiveArgument` naming -ode_coeff when ode_coeff is
+    not a negative finite real, :class:`DomainViolation` when the bracket
+    fails, and :class:`~qdeform.errors.RangeOverflow` when a bracket near 0
+    carries the width past the largest double.
     """
     q = check_index(q)
-    ode_coeff = float(ode_coeff)
-    if not (ode_coeff < 0.0) or not math.isfinite(ode_coeff):
-        raise ValueError(f"ode_coeff must be a negative real, got {ode_coeff!r}")
-    w = q_exp_bracket(q, float(log_offset))
-    if w <= 0.0:
+    ode_coeff = -_check_positive("-ode_coeff", -float(ode_coeff))
+    log_offset = float(log_offset)
+    w = q_exp_bracket(q, log_offset)
+    if not w > 0.0:  # also a nan log_offset
         raise DomainViolation("offset bracket 1 + (1-q)*log_offset", w)
-    return -ode_coeff / (2.0 * w)
+    beta = -ode_coeff / (2.0 * w)
+    if beta == math.inf:
+        raise RangeOverflow("beta", q, f"ode_coeff={ode_coeff!r}, log_offset={log_offset!r}")
+    return beta
 
 
 def _log_gamma_ratio(z: float) -> float:
@@ -133,9 +138,15 @@ class QGaussianModel:
 
     @classmethod
     def from_beta(cls, q: float, beta: float) -> "QGaussianModel":
-        """Model with the given width coefficient and zero log offset."""
+        """Model with the given width coefficient and zero log offset.  A
+        beta whose ode_coeff = -2 beta passes the largest double raises
+        :class:`~qdeform.errors.RangeOverflow` naming beta."""
+        q = check_index(q)
         beta = _check_positive("beta", beta)
-        return cls(q=q, ode_coeff=-2.0 * beta, log_offset=0.0)
+        ode_coeff = -2.0 * beta
+        if ode_coeff == -math.inf:
+            raise RangeOverflow("ode_coeff = -2*beta", q, f"beta={beta!r}")
+        return cls(q=q, ode_coeff=ode_coeff, log_offset=0.0)
 
     def support_halfwidth(self) -> float:
         """Half-width of the support: finite only for q < 1."""
@@ -148,10 +159,16 @@ def q_gaussian_pdf(model: QGaussianModel, e: float) -> float:
     """Normalized density exp_q(-beta * e**2) / norm.
 
     Outside the compact support (q < 1) the density is 0 by the continuous
-    cutoff extension -- the natural convention in a density context.
+    cutoff extension -- the natural convention in a density context.  So it
+    is where -beta * e**2 passes the largest double: the bell has decayed.
     """
     e = float(e)
-    return q_exp(model.q, -model.beta * e * e, cutoff=True) / model.norm
+    try:
+        return q_exp(model.q, -model.beta * e * e, cutoff=True) / model.norm
+    except ValueError:  # -beta * e**2 = -inf, or e itself not finite
+        if not math.isfinite(e):
+            raise
+        return 0.0
 
 
 def _deviations(model: QGaussianModel, samples, theta, strict: bool):
@@ -245,11 +262,22 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     scale = _check_positive("scale", q_exp(q, float(log_offset)))
     x_scale = scale ** ((1.0 - q) / 2.0)
     grid = np.asarray(grid, dtype=float)
-    # an overflow to inf here is reported by the kernel
+
+    def q_exp_of(argument):
+        # an argument past the largest double from a finite grid point is an
+        # overflow; a non-finite grid point, or a bracket, keeps its error
+        try:
+            return _q_exp_array(q, argument)
+        except ValueError:
+            _check_all(np.isfinite(argument) | ~np.isfinite(grid), lambda i: RangeOverflow(
+                "frequency argument", q, f"grid[{i}]={float(grid[i])!r}, gamma={gamma!r}, "
+                f"log_offset={float(log_offset)!r}"))
+            raise
+
     with np.errstate(over="ignore"):
         e_raw = grid * x_scale
-        f_raw = _q_exp_array(q, -gamma * e_raw * e_raw + log_offset)
-        reference = _q_exp_array(q, -gamma * grid * grid)
+        f_raw = q_exp_of(-gamma * e_raw * e_raw + log_offset)
+        reference = q_exp_of(-gamma * grid * grid)
     rows = zip(e_raw.tolist(), f_raw.tolist(), grid.tolist(),
                (f_raw / scale).tolist(), reference.tolist())
     meta = {"q": q, "gamma": gamma, "log_offset": float(log_offset),

@@ -350,13 +350,18 @@ def _stirling(seed: int) -> tuple:
             worst = max(worst, abs(combinatorics.q_log_factorial(q, n) - exact) / exact)
     cases.append(_case("log_factorial_tail", worst, 1e-12))
 
+    # S_q = S_1 + (q - 1) dS/dq + O((q - 1)**2), dS/dq = -sum p ln(p)**2 / 2 at
+    # q = 1: measured against the first-order term, a flipped deformation
+    # S_{2-q} reads 2 (q - 1) dS/dq
     worst = 0.0
     for u in rng.uniform(0.1, 1.0, size=(50, 10)):
         p = u / u.sum()
         shannon = combinatorics.tsallis_entropy(1.0, p)
+        slope = -0.5 * math.fsum((p * np.log(p) ** 2).tolist())
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
-            worst = max(worst, abs(combinatorics.tsallis_entropy(q, p) - shannon))
-    cases.append(_case("entropy_classical_limit", worst, 1e-4))
+            worst = max(worst, abs(combinatorics.tsallis_entropy(q, p) - shannon
+                                   - (q - 1.0) * slope))
+    cases.append(_case("entropy_classical_limit", worst, 1e-9))
 
     violations = 0
     for q in (0.5, 1.0, 2.0):

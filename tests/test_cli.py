@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, deterministic serialization."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from qdeform import q_log
-from qdeform.cli import main
+from qdeform.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,11 @@ class TestEval:
                                "--p", "0.5,0.5")
         assert code == 0
         assert float(out) == pytest.approx(0.5, rel=1e-14)
+
+    def test_tsallis_of_a_deterministic_vector_is_plus_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "tsallis", "--q", "1", "--p", "1,0")
+        assert code == 0
+        assert out == "0.0\n"
 
     def test_domain_violation_exits_one_with_constraint(self, capsys):
         code, out, err = run_cli(capsys, "eval", "qexp", "--q", "1.3",
@@ -377,13 +383,31 @@ _RUN_AND_REPORT_NUMPY = (
     "    print('numpy' in sys.modules, stop.code)\n")
 
 
+def _eval_choices():
+    """The ``fn`` choices of the parser's ``eval`` command."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (fn,) = [action for action in commands.choices["eval"]._actions if action.dest == "fn"]
+    return fn.choices
+
+
+# one in-domain argument list for each eval function the parser offers
+_EVAL_ARGS = {
+    "qlog": ("--q", "1.5", "--y", "2"),
+    "qexp": ("--q", "1.5", "--x", "0.3"),
+    "qprod": ("--q", "0.5", "--x", "4", "--y", "9"),
+    "qratio": ("--q", "0.5", "--x", "16", "--y", "9"),
+    "tsallis": ("--q", "2", "--p", "0.5,0.5"),
+}
+
+
+def test_every_eval_function_has_arguments():
+    assert set(_eval_choices()) == _EVAL_ARGS.keys()
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
-    (("eval", "qlog", "--q", "1.5", "--y", "2"), False),
-    (("eval", "qexp", "--q", "1.5", "--x", "0.3"), False),
-    (("eval", "qprod", "--q", "0.5", "--x", "4", "--y", "9"), False),
-    (("eval", "qratio", "--q", "0.5", "--x", "16", "--y", "9"), False),
+    *((("eval", fn, *_EVAL_ARGS.get(fn, ())), False) for fn in _eval_choices()),
     (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "csv"), False),
-    (("eval", "tsallis", "--q", "2", "--p", "0.5,0.5"), True),
 ])
 def test_scalar_commands_load_no_numpy(argv, loads_numpy, src_env, tmp_path):
     data = tmp_path / "xs.txt"

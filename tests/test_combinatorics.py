@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,8 +185,11 @@ class TestTsallisEntropy:
         assert tsallis_entropy(2.0, [0.5, 0.5]) == pytest.approx(0.5, rel=1e-14)
 
     def test_deterministic_vanishes(self):
-        for q in (0.5, 1.0, 2.0):
-            assert tsallis_entropy(q, [1.0, 0.0, 0.0]) == 0.0
+        for q in (0.5, 1.0, 1.5, 2.0, 6.0):
+            for p in ([1.0, 0.0, 0.0], [1.0, 0.0], [1.0]):
+                value = tsallis_entropy(q, p)
+                assert value == 0.0
+                assert math.copysign(1.0, value) == 1.0, (q, p)  # +0.0, not -0.0
 
     def test_uniform_equals_qlog_of_k(self):
         for q in (0.5, 1.3, 2.0):
@@ -228,14 +232,26 @@ class TestTsallisEntropy:
         with pytest.raises(ValueError, match="finite and non-negative"):
             tsallis_entropy(1.5, [1.0, bad, 0.25])
 
-    # at q = -1000, 0.3**q is inf; at q = -1023 both powers are finite and
-    # only their sum passes the largest double
-    @pytest.mark.parametrize("q, p", [(-1000.0, [0.3, 0.7]), (-1023.0, [0.5, 0.5])])
+    # at q = -1000, 0.3**q passes the largest double, and so does the entropy
+    @pytest.mark.parametrize("q, p", [(-1000.0, [0.3, 0.7])])
     def test_overflow_names_index(self, q, p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=f"q={q!r}"):
                 tsallis_entropy(q, p)
+
+    # at q = -1023 the sum of the powers 0.5**q passes the largest double,
+    # but the entropy (2**1024 - 1)/1024 does not; the bounded log factor
+    # keeps every term below it.  At large q the terms go to 1/(q - 1).
+    @pytest.mark.parametrize("q, p, expected", [
+        (-1023.0, [0.5, 0.5], 1.7555597020139804e305),
+        (1100.0, [0.5, 0.5], 1.0 / 1099.0),
+        (1e300, [0.5, 0.5], 1e-300),
+    ])
+    def test_finite_entropy_past_the_power_sum(self, q, p, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tsallis_entropy(q, p) == pytest.approx(expected, rel=1e-15)
 
     def test_large_finite_value_is_returned(self):
         with warnings.catch_warnings():
@@ -243,6 +259,50 @@ class TestTsallisEntropy:
             value = tsallis_entropy(-400.0, [0.3, 0.7])
         assert value == pytest.approx((0.3 ** -400 + 0.7 ** -400 - 1.0) / 401.0,
                                       rel=1e-12)
+
+
+def _entropy_60_digits(p, qs):
+    """60-digit S_q(p / sum(p)) = sum P_i log_q(1/P_i) at each q of qs."""
+    with mpmath.workdps(60):
+        total = mpmath.fsum(mpmath.mpf(v) for v in p)
+        terms = [(x, mpmath.log(x)) for x in (mpmath.mpf(v) / total for v in p if v > 0.0)]
+        values = []
+        for q in map(mpmath.mpf, qs):
+            if q == 1:
+                values.append(-mpmath.fsum(x * ln for x, ln in terms))
+            else:
+                values.append(mpmath.fsum(x * mpmath.expm1((q - 1) * ln) for x, ln in terms)
+                              / (1 - q))
+        return values
+
+
+class TestTsallisAccuracy:
+    INDICES = np.linspace(-3.0, 6.0, 19).tolist() + [1.0 - 1e-9, 1.0 + 1e-9,
+                                                     2.0 - 1e-9, 2.0 + 1e-9]
+
+    def worst(self, weights):
+        """Worst relative error over INDICES of the entropy of each weights
+        row normalized in floating point, against the 60-digit entropy."""
+        worst = 0
+        for u in weights:
+            p = (u / u.sum()).tolist()
+            for q, exact in zip(self.INDICES, _entropy_60_digits(p, self.INDICES)):
+                worst = max(worst, abs(tsallis_entropy(q, p) / exact - 1))
+        return float(worst)
+
+    # the q-exp-side form (1 - sum p**q)/(q - 1) read 4e-7 here at q = 1 -/+ 1e-9
+    def test_within_an_ulp_of_the_normalized_entropy(self):
+        rng = np.random.default_rng(16)
+        assert self.worst(rng.uniform(0.0, 1.0, size=k)
+                          for k in rng.integers(2, 12, size=200)) <= 1e-15
+
+    # near a vertex the rounding of sum(p) - 1 weighs against an entropy near
+    # 0: summed for p as given, without p/sum(p), these read up to 9e-7
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9])
+    def test_near_a_vertex(self, eps):
+        rng = np.random.default_rng(17)
+        assert self.worst(np.concatenate([[1.0], eps * rng.uniform(0.0, 1.0, size=k)])
+                          for k in (1, 2, 4) for _ in range(5)) <= 1e-15
 
 
 class TestCorrespondence:

@@ -1,9 +1,10 @@
 """The error contract, walked over the package's table of public names.
 
-Called with finite floats, each scalar export either returns finite floats
-or raises a :class:`~qdeform.errors.QDeformError`; a bare ``OverflowError``,
-``ValueError`` or ``ZeroDivisionError``, an ``inf`` or ``nan`` result, or a
-numpy warning fails.  Every callable in ``qdeform._EXPORTS`` is either drawn
+Called with finite floats (and, where it takes one, a probability vector
+or a model built from finite floats), each scalar export either returns
+finite floats or raises a :class:`~qdeform.errors.QDeformError`; a bare
+``OverflowError``, ``ValueError`` or ``ZeroDivisionError``, an ``inf`` or
+``nan`` result, or a numpy warning fails.  Every callable in ``qdeform._EXPORTS`` is either drawn
 here or listed as exempt with its reason, so a new export has to be placed.
 """
 
@@ -14,9 +15,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdeform
-from qdeform import QDeformError
+from qdeform import QDeformError, QGaussianModel
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _normalized(weights, tiny):
+    """weights / sum(weights), then the zero and subnormal entries in tiny,
+    which move the sum by less than 1e-307."""
+    total = math.fsum(weights)
+    return [w / total for w in weights] + tiny
+
+
+# finite probability vectors that sum to 1, with zeros and subnormals among them
+PROBABILITIES = st.builds(
+    _normalized,
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11).filter(lambda w: sum(w) > 0.0),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308)), max_size=4),
+).flatmap(st.permutations)
+
+
+def _model(q, beta):
+    """QGaussianModel.from_beta(q, beta), or None where it raises the named
+    error it may raise; any other exception fails the draw."""
+    try:
+        return QGaussianModel.from_beta(q, beta)
+    except QDeformError:
+        return None
+
+
+MODELS = st.builds(_model, FINITE, FINITE).filter(lambda model: model is not None)
 
 # export -> strategies for its positional arguments
 PROPERTY = {
@@ -30,6 +58,9 @@ PROPERTY = {
     "compose_shifts": (FINITE, FINITE, FINITE),
     "rescale_factor": (FINITE, FINITE, FINITE),
     "analytic_solution": (FINITE, FINITE, st.sampled_from([1, -1]), FINITE),
+    "tsallis_entropy": (FINITE, PROBABILITIES),
+    "beta_from": (FINITE, FINITE, FINITE),
+    "q_gaussian_pdf": (MODELS, FINITE),
 }
 
 _SEQUENCE = "takes a sequence; parametrized overflow tests pin its named errors"
@@ -43,14 +74,11 @@ EXEMPT = {
     "split_representation": _SEQUENCE,
     "canonical_form": "takes a DiscreteQDistribution; its overflow is a row of test_core",
     "q_log_multinomial": _SEQUENCE,
-    "tsallis_entropy": _SEQUENCE,
     "tsallis_correspondence": _SEQUENCE,
     "q_log_factorial": "takes an integer count; its overflows are rows of test_core",
     "q_stirling": "takes an integer count; its overflows are rows of test_core",
     "integrate_ode": "an RK4 loop over a grid; not yet swept",
-    "beta_from": "a model parameter; not yet swept",
     "normalization": "a model parameter; not yet swept",
-    "q_gaussian_pdf": "takes a QGaussianModel; not yet swept",
     "q_log_likelihood": "takes a model and a sample array; not yet swept",
     "mlp_stationarity": "takes a model and a sample array; not yet swept",
     "frequency_rescale": "returns a FigureTable over an array grid",

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from qdeform import (
     DomainViolation,
     NonPositiveArgument,
+    QGaussianModel,
     RangeOverflow,
     analytic_solution,
+    beta_from,
     canonical_form,
     compose_shifts,
     frequency_rescale,
@@ -178,6 +180,14 @@ class TestQExp:
     # x_t / w_t after every partial sum and scale factor passed
     (scale_drift_expand, (1.5, [1.999999999, 1e300]),
      "drifted reading at q=1.5 overflows a double (step 1: shifts[1]=1e+300)"),
+    # the width over a bracket 1 + (1-q)*log_offset near 0, and -2*beta
+    (beta_from, (2.0, -1e308, 0.9999999999999999),
+     "beta at q=2.0 overflows a double (ode_coeff=-1e+308, log_offset=0.9999999999999999)"),
+    (QGaussianModel.from_beta, (1.0, 1.7976931348623157e308),
+     "at q=1.0 overflows a double (beta=1.7976931348623157e+308)"),
+    # -gamma * e_raw**2 + log_offset from a finite grid point
+    (frequency_rescale, (0.0, 5.643803094122361e102, 0.0, [5.643803094122362e102]),
+     "frequency argument at q=0.0 overflows a double (grid[0]=5.643803094122362e+102,"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():

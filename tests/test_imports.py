@@ -133,9 +133,10 @@ def _reads_numpy(modules) -> list:
     return [m for m in modules if m.split(".")[0] == "numpy"]
 
 
-# the modules on the import path of eval qlog/qexp/qprod/qratio and canonicalize
+# the modules on the import path of every eval command and canonicalize
 @pytest.mark.parametrize("name", ["__init__.py", "__main__.py", "cli.py", "errors.py",
-                                  "core.py", "algebra.py", "canonical.py"])
+                                  "core.py", "algebra.py", "canonical.py",
+                                  "combinatorics.py"])
 def test_scalar_path_imports_no_numpy_at_module_level(name):
     assert _reads_numpy(module_level_imports((PACKAGE / name).read_text(
         encoding="utf-8"))) == []
@@ -213,6 +214,14 @@ def test_package_import_loads_no_module(src_env):
             "print(*sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('qdeform', 'numpy')))")
     assert _fresh(code, src_env).split() == ["qdeform", "qdeform.cli", "qdeform.errors"]
+
+
+def test_entropy_loads_no_numpy_until_a_factorial(src_env):
+    code = ("import sys, qdeform.combinatorics as c; "
+            "c.tsallis_entropy(1.5, [0.5, 0.25, 0.25]); c.q_stirling(1.5, 10); "
+            "print('numpy' in sys.modules); "
+            "c.q_log_factorial(1.5, 10); print('numpy' in sys.modules)")
+    assert _fresh(code, src_env).split() == ["False", "True"]
 
 
 def test_star_import_dir_and_hasattr_give_the_public_names(src_env):

@@ -10,6 +10,7 @@ from scipy.special import gamma as gamma_fn
 
 from qdeform import (
     DomainViolation,
+    NonPositiveArgument,
     QGaussianModel,
     RangeOverflow,
     UnnormalizableModel,
@@ -94,9 +95,21 @@ class TestBetaFrom:
         with pytest.raises(DomainViolation):
             beta_from(1.7, -2.0, 3.0)  # 1 - 0.7*3 < 0
 
+    def test_nan_offset_is_a_bracket_violation(self):
+        # a nan bracket is not positive
+        with pytest.raises(DomainViolation):
+            beta_from(1.7, -2.0, math.nan)
+
     def test_sign_requirement(self):
         with pytest.raises(ValueError):
             beta_from(1.5, 2.0, 0.0)
+
+    @pytest.mark.parametrize("ode_coeff", [2.0, 0.0, -math.inf, math.nan])
+    def test_sign_requirement_is_named_with_its_value(self, ode_coeff):
+        with pytest.raises(NonPositiveArgument, match="-ode_coeff must be") as info:
+            beta_from(1.5, ode_coeff, 0.0)
+        assert info.value.name == "-ode_coeff"
+        assert math.copysign(1.0, info.value.value) == -math.copysign(1.0, ode_coeff)
 
 
 class TestModelAndPdf:
@@ -114,6 +127,17 @@ class TestModelAndPdf:
         model = QGaussianModel.from_beta(1.7, 0.8)
         for e in (0.1, 0.9, 2.4):
             assert q_gaussian_pdf(model, e) == q_gaussian_pdf(model, -e)
+
+    # -beta * e**2 passes the largest double: the bell has decayed to 0, as
+    # past the cutoff; a non-finite e is still an error
+    @pytest.mark.parametrize("q", [-2.2883457448439016e16, 0.5, 1.0, 1.7])
+    def test_far_tail_is_zero(self, q):
+        model = QGaussianModel.from_beta(q, 2.481793860521234e-176)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_gaussian_pdf(model, -3.131090151915462e250) == 0.0
+        with pytest.raises(ValueError, match="must be finite"):
+            q_gaussian_pdf(model, math.inf)
 
     def test_compact_support_cutoff(self):
         model = QGaussianModel.from_beta(0.5, 1.0)

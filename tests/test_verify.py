@@ -84,7 +84,7 @@ _CASES = {
     "dynamics/fig2_qlog_affine": 1e-9,
     "stirling/stirling_error_monotone_violations": 0.5,
     "stirling/log_factorial_tail": 1e-12,
-    "stirling/entropy_classical_limit": 1e-4,
+    "stirling/entropy_classical_limit": 1e-9,
     "stirling/uniform_maximality_violations": 0.5,
     "stirling/tsallis_correspondence_trend_violations": 0.5,
     "mlp/pdf_total_mass": 1e-8,
@@ -224,6 +224,18 @@ def test_tail_case_fails_on_a_wrong_tail(monkeypatch):
     monkeypatch.setattr(combinatorics, "q_log_factorial", perturbed)
     failed = {c.name for c in run_suite("stirling", seed=0).cases if not c.passed}
     assert failed == {"log_factorial_tail"}
+
+
+def test_entropy_limit_case_fails_on_the_flipped_deformation(monkeypatch):
+    # S_{2-q} agrees with S_q at q = 1 and differs from it at first order;
+    # the correspondence's entropy side goes through the same function
+    exact = combinatorics.tsallis_entropy
+    monkeypatch.setattr(combinatorics, "tsallis_entropy", lambda q, p: exact(2.0 - q, p))
+    failed = {c.name: c.max_rel_err for c in run_suite("stirling", seed=0).cases
+              if not c.passed}
+    assert failed.keys() == {"entropy_classical_limit",
+                             "tsallis_correspondence_trend_violations"}
+    assert failed["entropy_classical_limit"] > 1e-6
 
 
 def test_likelihood_case_fails_on_a_wrong_likelihood(monkeypatch):
