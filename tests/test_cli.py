@@ -407,6 +407,8 @@ def test_every_eval_function_has_arguments():
 
 @pytest.mark.parametrize("argv, loads_numpy", [
     *((("eval", fn, *_EVAL_ARGS.get(fn, ())), False) for fn in _eval_choices()),
+    # a control: ``fig`` builds numpy arrays, so the probe must report it
+    (("fig", "fig3", "--grid-points", "3"), True),
     (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "csv"), False),
 ])
 def test_scalar_commands_load_no_numpy(argv, loads_numpy, src_env, tmp_path):
