@@ -94,10 +94,18 @@ def _check_counts(counts) -> list:
 
 def _check_probabilities(p):
     """The entries of p as floats, and sum(p) - 1 rounded once."""
-    # an array's tolist() nests a 2-d one, and float() rejects the rows
+    entries = p.tolist() if hasattr(p, "tolist") else p
+    # a string would iterate as its characters; a scalar does not iterate,
+    # and float() rejects the rows of a 2-d array's tolist()
     try:
-        values = [float(v) for v in (p.tolist() if hasattr(p, "tolist") else p)]
+        if isinstance(entries, (str, bytes, bytearray)):
+            raise TypeError
+        entries = list(entries)
+        values = [float(v) for v in entries]
     except TypeError:
+        for v in entries if isinstance(entries, list) else ():
+            if isinstance(v, complex):
+                raise ValueError(f"probabilities must be real, got {v!r}") from None
         values = []
     if not values:
         raise ValueError("probability vector must be 1-d and non-empty")

@@ -159,8 +159,12 @@ def q_gaussian_pdf(model: QGaussianModel, e: float) -> float:
     """Normalized density exp_q(-beta * e**2) / norm.
 
     Outside the compact support (q < 1) the density is 0 by the continuous
-    cutoff extension -- the natural convention in a density context.  So it
-    is where -beta * e**2 passes the largest double: the bell has decayed.
+    cutoff extension -- the natural convention in a density context.  Where
+    beta * e**2 passes the largest double, the density is 0 up to q = 1
+    (past the cutoff, or below the smallest double); above q = 1 it is the
+    power-law tail ((q-1) beta e**2)**(-1/(q-1)) / norm, taken in logs, as
+    the 1 of the bracket is below rounding there.  It is still a nonzero
+    double from about q = 1.96 on.
     """
     e = float(e)
     try:
@@ -168,7 +172,11 @@ def q_gaussian_pdf(model: QGaussianModel, e: float) -> float:
     except ValueError:  # -beta * e**2 = -inf, or e itself not finite
         if not math.isfinite(e):
             raise
+    q = model.q
+    if q <= 1.0:
         return 0.0
+    log_x = math.log(q - 1.0) + math.log(model.beta) + 2.0 * math.log(abs(e))
+    return math.exp(-log_x / (q - 1.0) - math.log(model.norm))
 
 
 def _deviations(model: QGaussianModel, samples, theta, strict: bool):

@@ -227,6 +227,18 @@ class TestTsallisEntropy:
         with pytest.raises(ValueError):
             tsallis_entropy(1.5, [0.5, 0.4])
 
+    # a string is not taken as a vector of its characters
+    @pytest.mark.parametrize("p", ["1", "01", b"01", 1.0, [], [[0.5, 0.5]],
+                                   np.array([[0.5, 0.5]]), np.array(1.0)])
+    def test_rejects_non_vector(self, p):
+        with pytest.raises(ValueError, match="1-d and non-empty"):
+            tsallis_entropy(1.0, p)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5 + 0j], np.array([0.5, 0.5], dtype=complex)])
+    def test_rejects_complex_entry(self, p):
+        with pytest.raises(ValueError, match=r"must be real, got \(0\.5\+0j\)"):
+            tsallis_entropy(1.0, p)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
     def test_rejects_nonfinite_or_negative_entry(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):

@@ -1,8 +1,10 @@
 """Deformed bell densities, likelihood stationarity, frequency rescaling."""
 
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -128,8 +130,8 @@ class TestModelAndPdf:
         for e in (0.1, 0.9, 2.4):
             assert q_gaussian_pdf(model, e) == q_gaussian_pdf(model, -e)
 
-    # -beta * e**2 passes the largest double: the bell has decayed to 0, as
-    # past the cutoff; a non-finite e is still an error
+    # -beta * e**2 passes the largest double: at these indices the bell is
+    # past the cutoff or below the smallest double; a non-finite e is still an error
     @pytest.mark.parametrize("q", [-2.2883457448439016e16, 0.5, 1.0, 1.7])
     def test_far_tail_is_zero(self, q):
         model = QGaussianModel.from_beta(q, 2.481793860521234e-176)
@@ -138,6 +140,26 @@ class TestModelAndPdf:
             assert q_gaussian_pdf(model, -3.131090151915462e250) == 0.0
         with pytest.raises(ValueError, match="must be finite"):
             q_gaussian_pdf(model, math.inf)
+
+    # above q of about 1.96 the power-law tail is still a nonzero double where
+    # -beta * e**2 passes the largest double; 60-digit mpmath is the reference
+    @pytest.mark.parametrize("q", [2.0, 2.5, 2.9, 2.99])
+    @pytest.mark.parametrize("beta, e", [(1.0, 1e160), (1.0, -1e200),
+                                         (2.481793860521234e-176, -3.131090151915462e250)])
+    def test_far_heavy_tail_matches_mpmath(self, q, beta, e):
+        model = QGaussianModel.from_beta(q, beta)
+        assert -model.beta * e * e == -math.inf
+        with mpmath.workdps(60):
+            mq, mbeta, me = mpmath.mpf(q), mpmath.mpf(beta), mpmath.mpf(e)
+            norm = (mpmath.sqrt(mpmath.pi / ((mq - 1) * mbeta))
+                    * mpmath.gamma((3 - mq) / (2 * (mq - 1))) / mpmath.gamma(1 / (mq - 1)))
+            expected = (1 + (mq - 1) * mbeta * me**2) ** (-1 / (mq - 1)) / norm
+        value = q_gaussian_pdf(model, e)
+        if expected < sys.float_info.min:  # subnormal, or below the smallest double
+            assert value == pytest.approx(float(expected), rel=0, abs=1e-323)
+        else:
+            assert value > 0.0
+            assert value == pytest.approx(float(expected), rel=1e-12)
 
     def test_compact_support_cutoff(self):
         model = QGaussianModel.from_beta(0.5, 1.0)
