@@ -54,7 +54,8 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
     raises :class:`NonPositiveArgument` naming -ode_coeff when ode_coeff is
     not a negative finite real, :class:`DomainViolation` when the bracket
     fails, and :class:`~qdeform.errors.RangeOverflow` when a bracket near 0
-    carries the width past the largest double.
+    carries the width past the largest double or twice the bracket passes
+    it, where the width would read 0.
     """
     q = check_index(q)
     ode_coeff = -_check_positive("-ode_coeff", -float(ode_coeff))
@@ -62,6 +63,8 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
     w = q_exp_bracket(q, log_offset)
     if not w > 0.0:  # also a nan log_offset
         raise DomainViolation("offset bracket 1 + (1-q)*log_offset", w)
+    if 2.0 * w == math.inf:  # the width would read 0
+        raise RangeOverflow("2 * (1 + (1-q)*log_offset)", q, f"log_offset={log_offset!r}")
     beta = -ode_coeff / (2.0 * w)
     if beta == math.inf:
         raise RangeOverflow("beta", q, f"ode_coeff={ode_coeff!r}, log_offset={log_offset!r}")

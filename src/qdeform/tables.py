@@ -64,7 +64,8 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
         except OverflowError:
             raise RangeOverflow("x scale", q, f"scales[{ci}]={c!r}") from None
         x_scales.append(_check_positive(f"x scale of scales[{ci}]", x_scale))
-    profile = _q_exp_array(q, -(grid ** power))
+    with np.errstate(over="ignore"):
+        profile = _q_exp_array(q, -_finite(q, f"grid**{power}", grid ** power))
     x_rescaled, y_rescaled = grid.tolist(), profile.tolist()
     rows = []
     for ci, (c, x_scale) in enumerate(zip(scales, x_scales)):

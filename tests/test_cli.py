@@ -321,6 +321,8 @@ class TestDeterminism:
     ("fig", "fig2", "--q", "1", "--grid-min=-1000"),  # exp(1000) overflows
     ("canonicalize", "{pts}", "--q", "1", "--c", "1000"),
     ("canonicalize", "{pts}", "--q", "1", "--c", "-1000"),  # total underflows to 0
+    # grid**2 overflows on a finite grid point
+    ("fig", "fig3", "--grid-min", "0", "--grid-max", "1.4e308", "--grid-points", "3"),
 ])
 def test_out_of_range_exits_one_without_traceback(argv, tmp_path, src_env):
     pts = tmp_path / "pts.txt"

@@ -188,6 +188,10 @@ class TestQExp:
     # -gamma * e_raw**2 + log_offset from a finite grid point
     (frequency_rescale, (0.0, 5.643803094122361e102, 0.0, [5.643803094122362e102]),
      "frequency argument at q=0.0 overflows a double (grid[0]=5.643803094122362e+102,"),
+    # a bracket 1 + (1-q)*log_offset past the largest double, over which the
+    # width would read 0
+    (beta_from, (-1e308, -1.0, 1e308),
+     "2 * (1 + (1-q)*log_offset) at q=-1e+308 overflows a double (log_offset=1e+308)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():

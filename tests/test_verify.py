@@ -200,6 +200,57 @@ def test_suites_keep_their_sample_counts(suite, monkeypatch):
     assert counts == _CHECKER_CALLS[suite]
 
 
+@pytest.mark.parametrize("module, name, suite, fails", [
+    (verify, "q_log_of_ratio", "identities", {"q_log_of_ratio"}),
+    (dynamics, "analytic_solution", "dynamics",
+     {"rk4_vs_analytic_decay", "rk4_vs_analytic_growth"}),
+    # an ordering count: a NaN step breaks the order it requires
+    (combinatorics, "q_stirling", "stirling", {"stirling_error_monotone_violations"}),
+])
+def test_a_nan_fails_its_case(module, name, suite, fails, monkeypatch):
+    monkeypatch.setattr(module, name, lambda *args: float("nan"))
+    failed = {c.name for c in run_suite(suite, seed=0).cases if not c.passed}
+    assert failed == fails
+
+
+@pytest.mark.parametrize("errors, worst", [
+    (0.25, 0.25), (3, 3.0), ((), 0.0), ([1e-3, 2e-3, 1e-4], 2e-3),
+])
+def test_max_error_reduces_one_number_or_many(errors, worst):
+    assert verify._max_error(errors) == worst
+    assert type(verify._max_error(errors)) is float
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_max_error_keeps_a_nan_and_reads_every_error(at):
+    errors = [1e-3, 2e-3, 5e-4, 4e-3, 1e-4]
+    errors[at] = float("nan")
+    read = []
+
+    def stream():
+        for err in errors:
+            read.append(err)
+            yield err
+
+    assert np.isnan(verify._max_error(stream()))
+    assert len(read) == len(errors)
+
+
+def test_run_suite_and_run_all_reach_suites_through_the_registry(monkeypatch):
+    # a wrapper put in the registry (as a tracer does) sees every run
+    calls = []
+    exact = verify._SUITES["canonical"]
+
+    def counted(seed):
+        calls.append(seed)
+        return exact(seed)
+
+    monkeypatch.setitem(verify._SUITES, "canonical", counted)
+    run_suite("canonical", seed=4)
+    run_all(seed=5)
+    assert calls == [4, 5]
+
+
 def test_split_cases_fail_on_a_wrong_probability(monkeypatch):
     exact = canonical.split_representation
 
