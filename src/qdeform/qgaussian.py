@@ -54,8 +54,9 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
     raises :class:`NonPositiveArgument` naming -ode_coeff when ode_coeff is
     not a negative finite real, :class:`DomainViolation` when the bracket
     fails, and :class:`~qdeform.errors.RangeOverflow` when a bracket near 0
-    carries the width past the largest double or twice the bracket passes
-    it, where the width would read 0.
+    carries the width past the largest double, or when twice the bracket,
+    or the reciprocal width 2 * bracket / -ode_coeff, passes it, where the
+    width would read 0.
     """
     q = check_index(q)
     ode_coeff = -_check_positive("-ode_coeff", -float(ode_coeff))
@@ -66,8 +67,11 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
     if 2.0 * w == math.inf:  # the width would read 0
         raise RangeOverflow("2 * (1 + (1-q)*log_offset)", q, f"log_offset={log_offset!r}")
     beta = -ode_coeff / (2.0 * w)
+    where = f"ode_coeff={ode_coeff!r}, log_offset={log_offset!r}"
     if beta == math.inf:
-        raise RangeOverflow("beta", q, f"ode_coeff={ode_coeff!r}, log_offset={log_offset!r}")
+        raise RangeOverflow("beta", q, where)
+    if beta == 0.0:  # the width underflowed: its reciprocal is past the largest double
+        raise RangeOverflow("2 * (1 + (1-q)*log_offset) / -ode_coeff", q, where)
     return beta
 
 
@@ -272,7 +276,7 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     gamma = _check_positive("gamma", gamma)
     scale = _check_positive("scale", q_exp(q, float(log_offset)))
     x_scale = scale ** ((1.0 - q) / 2.0)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)  # a copy: the table marks it read-only
 
     def q_exp_of(argument):
         # an argument past the largest double from a finite grid point is an
@@ -289,12 +293,10 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
         e_raw = grid * x_scale
         f_raw = q_exp_of(-gamma * e_raw * e_raw + log_offset)
         reference = q_exp_of(-gamma * grid * grid)
-    rows = zip(e_raw.tolist(), f_raw.tolist(), grid.tolist(),
-               (f_raw / scale).tolist(), reference.tolist())
     meta = {"q": q, "gamma": gamma, "log_offset": float(log_offset),
             "scale": scale, "x_scale": x_scale}
     return FigureTable(("e_raw", "f_raw", "e_rescaled", "f_rescaled", "reference"),
-                       tuple(rows), meta)
+                       ((e_raw, f_raw, grid, f_raw / scale, reference),), meta)
 
 
 def fig3_data(scales=FIG3_SCALES, q: float = FIG3_INDEX, grid=None) -> FigureTable:

@@ -1,7 +1,15 @@
-"""Row-store result tables shared by the figure generators and the CLI."""
+"""Result tables shared by the figure generators and the CLI, stored as
+curve blocks.
+
+A figure is a few curves over one grid: within a curve ``curve_id`` and
+``scale`` are one number, and the rescaled columns are the same arrays in
+every curve.  :class:`FigureTable` stores exactly that, one block per
+curve, and builds row tuples only when a caller first reads a row.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -15,29 +23,120 @@ from .errors import NonPositiveArgument, RangeOverflow
 __all__ = _EXPORTS["tables"]
 
 
-@dataclass(frozen=True)
-class FigureTable:
-    """An immutable row store: column names, row tuples and run metadata.
+def _read_only(values) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    if array.ndim != 1:
+        raise ValueError(f"a table column array must be one-dimensional, got {array.ndim} dims")
+    array.setflags(write=False)
+    return array
 
-    ``meta`` always records the parameters the table was produced with,
-    including the chosen scale(s), so downstream consumers never have to
-    guess the normalization context.
+
+class _Rows(Sequence):
+    """The row tuples of a list of blocks.  ``len`` reads the block lengths;
+    the tuples are built on first item access or iteration and kept.  Each
+    distinct array is converted once, so rows that share an array share its
+    floats."""
+
+    def __init__(self, blocks, lengths):
+        self._blocks, self._lengths, self._rows = blocks, lengths, None
+
+    def __len__(self) -> int:
+        return sum(self._lengths)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self) -> tuple:
+        if self._rows is None:
+            lists = {}  # id(array) -> array.tolist(); the blocks keep each id alive
+
+            def values(value, n):
+                if not isinstance(value, np.ndarray):
+                    return repeat(value, n)
+                if id(value) not in lists:
+                    lists[id(value)] = value.tolist()
+                return lists[id(value)]
+
+            rows = []  # a list: a growing tuple would be re-tracked by the gc at each resize
+            for block, n in zip(self._blocks, self._lengths):
+                rows += zip(*(values(v, n) for v in block))
+            self._rows = tuple(rows)
+        return self._rows
+
+
+@dataclass(frozen=True, eq=False)
+class FigureTable:
+    """An immutable table of curve blocks: column names, blocks and run
+    metadata.
+
+    Each block holds one value per column: a float array, or a number that
+    is the column's value in every row of the block.  Blocks may share an
+    array.  The table takes its arrays over and marks them read-only; it
+    does not copy them.
+
+    - ``column(name)`` is the column over all blocks, read-only;
+    - ``rows`` is the sequence of row tuples, built on first item access or
+      iteration and kept (its ``len`` builds nothing);
+    - ``curves()`` groups ``rows`` by the ``curve_id`` number of each block.
+
+    Two tables are equal when their column names, metadata and every
+    column are.  ``meta`` always records the parameters the table was
+    produced with, including the chosen scale(s), so downstream consumers
+    never have to guess the normalization context.
     """
 
     columns: tuple
-    rows: tuple
+    blocks: tuple
     meta: dict = field(default_factory=dict)
+    rows: Sequence = field(init=False, repr=False)
+
+    __hash__ = None
+
+    def __post_init__(self):
+        blocks = tuple(tuple(v if np.ndim(v) == 0 else _read_only(v) for v in block)
+                       for block in self.blocks)
+        lengths = []
+        for b, block in enumerate(blocks):
+            sizes = {v.size for v in block if isinstance(v, np.ndarray)}
+            if len(block) != len(self.columns) or len(sizes) != 1:
+                raise ValueError(f"block {b} needs one value per column and at least "
+                                 f"one array, all of one length")
+            lengths.append(sizes.pop())
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "rows", _Rows(blocks, self._lengths))
+
+    def __eq__(self, other):
+        if not isinstance(other, FigureTable):
+            return NotImplemented
+        return (self.columns == other.columns and self.meta == other.meta
+                and all(np.array_equal(self.column(c), other.column(c))
+                        for c in self.columns))
 
     def column(self, name: str) -> np.ndarray:
+        """The named column over all blocks, read-only.  A one-block table
+        returns its stored array, without a copy."""
         i = self.columns.index(name)
-        return np.asarray([row[i] for row in self.rows], dtype=float)
+        if len(self.blocks) == 1 and isinstance(self.blocks[0][i], np.ndarray):
+            return self.blocks[0][i]
+        parts = [v if isinstance(v, np.ndarray) else np.full(n, v, dtype=float)
+                 for v, n in zip((block[i] for block in self.blocks), self._lengths)]
+        return _read_only(np.concatenate(parts) if parts else np.empty(0))
 
     def curves(self) -> dict:
-        """Rows grouped by the ``curve_id`` column, insertion-ordered."""
+        """Rows grouped by the ``curve_id`` number of each block,
+        insertion-ordered.  Each curve is a slice of ``rows``, so its rows
+        are the table's own row tuples."""
         i = self.columns.index("curve_id")
-        grouped: dict = {}
-        for row in self.rows:
-            grouped.setdefault(row[i], []).append(row)
+        grouped, start = {}, 0
+        for block, n in zip(self.blocks, self._lengths):
+            if isinstance(block[i], np.ndarray):
+                raise ValueError("curves() needs one curve_id number per block")
+            grouped[block[i]] = grouped.get(block[i], ()) + self.rows[start:start + n]
+            start += n
         return grouped
 
 
@@ -46,12 +145,12 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
 
     The profile exp_q(-grid**power) is evaluated once, and curve c is
     x_raw = grid * c**((1-q)/power), y_raw = c * profile, so every curve's
-    rows share the rescaled columns, the grid and the profile.  The collapse
+    block shares the rescaled columns, the grid and the profile.  The collapse
     is checked in the q-log form qlog_y = log_q(y_raw) = -x_raw**power + log_q(c).
     Empty scales or an empty grid raise :class:`ValueError`.
     """
     q = check_index(q)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)  # a copy: the table marks it read-only
     scales = [_check_positive(f"scales[{ci}]", c) for ci, c in enumerate(scales)]
     if not scales:
         raise ValueError("scales must be non-empty")
@@ -66,8 +165,7 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
         x_scales.append(_check_positive(f"x scale of scales[{ci}]", x_scale))
     with np.errstate(over="ignore"):
         profile = _q_exp_array(q, -_finite(q, f"grid**{power}", grid ** power))
-    x_rescaled, y_rescaled = grid.tolist(), profile.tolist()
-    rows = []
+    blocks = []
     for ci, (c, x_scale) in enumerate(zip(scales, x_scales)):
         with np.errstate(over="ignore"):
             x_raw = _finite(q, f"x_raw of scales[{ci}]", grid * x_scale)
@@ -75,9 +173,8 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
         # the profile, or c times it, may underflow to 0
         _check_all(y_raw > 0.0, lambda i: NonPositiveArgument(
             f"y_raw of scales[{ci}] at grid[{i}]={float(grid[i])!r}", float(y_raw[i])))
-        rows += zip(repeat(ci), repeat(c), x_raw.tolist(), y_raw.tolist(),
-                    x_rescaled, y_rescaled, _q_log_array(q, y_raw).tolist())
+        blocks.append((ci, c, x_raw, y_raw, grid, profile, _q_log_array(q, y_raw)))
     meta = {"q": q, **meta, "scales": scales, "grid_points": int(grid.size),
             "qlog_intercepts": [q_log(q, c) for c in scales]}
     return FigureTable(("curve_id", "scale", "x_raw", "y_raw", "x_rescaled",
-                        "y_rescaled", "qlog_y"), tuple(rows), meta)
+                        "y_rescaled", "qlog_y"), tuple(blocks), meta)

@@ -7,11 +7,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qdeform import q_log
 from qdeform.cli import build_parser, main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +220,19 @@ class TestFig:
                                "--grid-max", "1")
         assert code == 1
         assert "grid" in err
+
+    # saved output: how a table stores its curves must not move a byte
+    @pytest.mark.parametrize("name, argv", [
+        ("fig2_points5", ("fig2",)),
+        ("fig3_points5", ("fig3",)),
+        ("fig2_points5_scales2_5", ("fig2", "--scales", "2,5")),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_matches_saved_text(self, name, argv, fmt, capsys):
+        code, out, _ = run_cli(capsys, "fig", *argv, "--grid-points", "5",
+                               "--format", fmt)
+        assert code == 0
+        assert out == (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
 class TestCanonicalize:

@@ -192,6 +192,10 @@ class TestQExp:
     # width would read 0
     (beta_from, (-1e308, -1.0, 1e308),
      "2 * (1 + (1-q)*log_offset) at q=-1e+308 overflows a double (log_offset=1e+308)"),
+    # a finite bracket so large that the width underflows to 0
+    (beta_from, (1.5, -1e-300, -1e100),
+     "2 * (1 + (1-q)*log_offset) / -ode_coeff at q=1.5 overflows a double"
+     " (ode_coeff=-1e-300, log_offset=-1e+100)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():

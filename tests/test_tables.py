@@ -1,0 +1,75 @@
+"""FigureTable: curve blocks, columns, rows built on first use, curves."""
+
+import numpy as np
+import pytest
+
+from qdeform import FigureTable, fig2_data, fig3_data, frequency_rescale
+
+GRID_1E5 = np.linspace(0.0, 10.0, 100_000)
+
+
+def test_equal_builds_are_equal_and_a_changed_scale_is_not():
+    assert fig2_data() == fig2_data()
+    assert fig3_data() == fig3_data()
+    assert fig2_data() != fig2_data([1.0, 10.0, 21.0])
+    grid = np.linspace(-1.0, 1.0, 9)
+    assert frequency_rescale(1.7, 1.0, 0.5, grid) == frequency_rescale(1.7, 1.0, 0.5, grid)
+    with pytest.raises(TypeError):
+        hash(fig2_data())
+
+
+@pytest.mark.parametrize("build", [fig2_data, fig3_data])
+def test_curves_are_slices_of_the_rows(build):
+    table = build()
+    start = 0
+    for cid, curve in table.curves().items():
+        assert all(row is table.rows[start + k] for k, row in enumerate(curve))
+        assert {row[0] for row in curve} == {cid}
+        start += len(curve)
+    assert start == len(table.rows)
+
+
+@pytest.mark.parametrize("name", ["curve_id", "scale", "x_raw", "qlog_y"])
+def test_columns_match_the_rows(name):
+    table = fig3_data(grid=np.linspace(-2.0, 2.0, 7))
+    i = table.columns.index(name)
+    assert table.column(name).tolist() == [float(row[i]) for row in table.rows]
+
+
+def test_len_of_rows_builds_no_rows(assert_peak_alloc):
+    table = fig2_data(grid=GRID_1E5)
+    assert_peak_alloc(1 << 20, len, table.rows)
+    assert len(table.rows) == 3 * GRID_1E5.size
+
+
+def test_fig2_data_holds_its_curves_as_arrays(assert_peak_alloc):
+    # the row tuples of 3e5 rows hold about 55 MB
+    assert_peak_alloc(20 << 20, fig2_data, [1.0, 10.0, 20.0], 1.3, GRID_1E5)
+
+
+def test_columns_are_read_only_and_the_grid_is_copied():
+    grid = np.linspace(-1.0, 1.0, 5)
+    for table, name in ((fig2_data(grid=grid), "x_rescaled"),
+                        (frequency_rescale(1.7, 1.0, 0.5, grid), "e_rescaled")):
+        for column in (table.column(name), table.column(table.columns[-1])):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7.0
+        assert grid.flags.writeable
+        grid[0] = 7.0  # the table kept its own copy
+        assert table.column(name)[0] != 7.0
+        grid[0] = -1.0
+
+
+def test_one_block_column_is_the_stored_array():
+    table = frequency_rescale(1.7, 1.0, 0.5, np.linspace(-1.0, 1.0, 5))
+    assert table.column("f_raw") is table.column("f_raw")
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0, np.zeros(3)),),                   # one value short
+    ((0, 1.0, 2.0),),                      # no array: no length
+    ((np.zeros(3), np.zeros(4), 1.0),),    # arrays of two lengths
+])
+def test_malformed_blocks_are_rejected(blocks):
+    with pytest.raises(ValueError, match="block 0"):
+        FigureTable(("curve_id", "a", "b"), blocks)
