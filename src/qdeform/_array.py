@@ -20,6 +20,14 @@ def _finite(q: float, name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_finite(name: str, values: np.ndarray) -> np.ndarray:
+    """Raise :class:`ValueError` naming the first non-finite element as
+    ``name[i]``."""
+    _check_all(np.isfinite(values), lambda i: ValueError(
+        f"{name}[{i}] must be finite, got {float(values.flat[i])!r}"))
+    return values
+
+
 def _lift_array(q, y) -> np.ndarray:
     """Elementwise :func:`~qdeform.core._lift`; ``q`` may be an array that
     broadcasts with ``y``."""

@@ -29,10 +29,73 @@ import math
 from dataclasses import dataclass, field
 
 from . import _EXPORTS
-from .core import _check_positive, check_index, q_exp, q_log
+from .core import _check_positive, _drop, check_index, q_exp, q_log
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = _EXPORTS["canonical"]
+
+
+def _check_finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _points(xs) -> tuple:
+    """The data points as a non-empty tuple of finite floats."""
+    points = tuple(map(float, xs))
+    if not points:
+        raise ValueError("xs must be non-empty")
+    if not math.isfinite(sum(points)):  # a non-finite point, or a sum past the largest double
+        for i, x in enumerate(points):
+            _check_finite(f"x[{i}]", x)
+    return points
+
+
+def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts,
+                 name_points: bool):
+    """Frequencies exp_q((-x + inner) / scale) of finite points, their
+    compensated total and the probabilities, for a checked index, a finite
+    inner shift and a positive scale (1.0 for the unsplit form).
+
+    One loop through ``_drop`` (``math.exp`` at q = 1), with no check per
+    point.  A frequency that is not a finite double still shows: the loop
+    raises for a bracket 1 + (1-q)*argument <= 0 or a finite overflow, an
+    inf reaches the total, and an argument past -inf (which gives 0) is the
+    largest point's first, the argument falling as x grows.  Only then are
+    the points scanned through :func:`q_exp` for the first that fails; when
+    none does, the total passed the largest double.  ``shifts()`` names the
+    shift(s) in an overflow, and ``name_points`` whether an error also
+    names the point, as the unsplit form's do.
+    """
+    c = 1.0 - q
+    try:
+        if (-max(points) + inner) / scale == -math.inf:
+            raise ArithmeticError  # the smallest argument passed -inf
+        if q == 1.0:
+            values = [math.exp((-x + inner) / scale) for x in points]
+        else:
+            values = [_drop(q, c * ((-x + inner) / scale)) for x in points]
+        total = math.fsum(values)  # raises past the largest double, unless a value is inf
+        if total == math.inf:
+            raise ArithmeticError
+    except (ValueError, ArithmeticError):
+        for i, x in enumerate(points):
+            argument = (-x + inner) / scale
+            if not math.isfinite(argument):
+                where = f"x[{i}]={x!r}, {shifts()}" if name_points else shifts()
+                raise RangeOverflow("frequency argument", q, where) from None
+            try:
+                q_exp(q, argument)
+            except DomainViolation as err:
+                if not name_points:
+                    raise
+                raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
+                                      err.constraint, index=i) from err
+        raise RangeOverflow("frequency total", q, shifts()) from None
+    total = _check_positive("total", total)  # the frequencies may all underflow to 0
+    return tuple(values), total, tuple([v / total for v in values])
 
 
 @dataclass(frozen=True)
@@ -42,7 +105,8 @@ class DiscreteQDistribution:
     Built from (q, xs, shift), the rest derived: frequencies exp_q(-x_i +
     shift) are positive reals (the deformed exponential is generically
     non-integer), ``total`` is their compensated sum and the probabilities
-    are frequencies/total.
+    are frequencies/total.  A non-finite point or shift raises
+    :class:`ValueError` naming it.
     """
 
     q: float
@@ -54,33 +118,16 @@ class DiscreteQDistribution:
 
     def __post_init__(self):
         q = check_index(self.q)
-        shift = float(self.shift)
-        points = tuple(float(x) for x in self.xs)
-        if not points:
-            raise ValueError("xs must be non-empty")
-        freqs = []
-        for i, x in enumerate(points):
-            try:
-                freqs.append(q_exp(q, -x + shift))
-            except DomainViolation as err:
-                raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
-                                      err.constraint, index=i) from err
-            except ValueError:  # -x + shift is not finite
-                if not (math.isfinite(x) and math.isfinite(shift)):
-                    raise
-                raise RangeOverflow("frequency argument", q,
-                                    f"x[{i}]={x!r}, shift={shift!r}") from None
-        # the frequencies may all underflow to 0, or sum past the largest double
-        try:
-            total = _check_positive("total", math.fsum(freqs))
-        except OverflowError:
-            raise RangeOverflow("frequency total", q, f"shift={shift!r}") from None
+        shift = _check_finite("shift", self.shift)
+        points = _points(self.xs)
+        freqs, total, probs = _frequencies(q, points, shift, 1.0, lambda: f"shift={shift!r}",
+                                           name_points=True)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "xs", points)
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "frequencies", tuple(freqs))
+        object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "probabilities", tuple(f / total for f in freqs))
+        object.__setattr__(self, "probabilities", probs)
 
 
 @dataclass(frozen=True)
@@ -102,7 +149,8 @@ def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
     Raises :class:`DomainViolation` naming the first data point whose
     argument leaves the deformed-exponential domain, and
     :class:`OverflowError` naming q and the shift (and the point) when the
-    frequencies sum (or -x_i + shift) passes the largest double.
+    frequencies sum (or -x_i + shift) passes the largest double.  A
+    non-finite point or shift raises :class:`ValueError` naming it.
     """
     return DiscreteQDistribution(q, xs, shift)
 
@@ -115,11 +163,11 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     as the unsplit form.  A rescaled argument or frequency sum past the
     largest double raises :class:`OverflowError`, and exp_q of a pulled-out
     shift underflowed to 0 :class:`NonPositiveArgument`, naming q and both.
+    A non-finite point or shift raises :class:`ValueError` naming it.
     """
     q = check_index(q)
-    points = [float(x) for x in xs]
-    if not points:
-        raise ValueError("xs must be non-empty")
+    points = _points(xs)
+    shift1, shift2 = _check_finite("shift1", shift1), _check_finite("shift2", shift2)
 
     def shifts():
         return f"shift1={shift1!r}, shift2={shift2!r}"
@@ -128,20 +176,11 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
         y_scale = q_exp(q, outer)
         if y_scale == 0.0:  # underflowed: no scale to pull out
             raise NonPositiveArgument(f"exp_q({name}) at q={q!r} ({shifts()})", y_scale)
-        arg_scale = y_scale ** (1.0 - q)
-        try:
-            values = [q_exp(q, (-x + inner) / arg_scale) for x in points]
-        except ValueError as err:  # a domain error, or a rescaled argument not finite
-            if isinstance(err, DomainViolation) or not all(
-                    map(math.isfinite, (*points, shift1, shift2))):
-                raise
-            raise RangeOverflow("frequency argument", q, shifts()) from None
-        # as in DiscreteQDistribution: all 0, or a sum past the largest double
-        try:
-            total = _check_positive("total", math.fsum(values))
+        try:  # the rounding of y_scale, raised to a huge 1-q, can pass the largest double
+            arg_scale = y_scale ** (1.0 - q)
         except OverflowError:
-            raise RangeOverflow("frequency total", q, shifts()) from None
-        return tuple(v / total for v in values)
+            raise RangeOverflow(f"exp_q({name})**(1-q)", q, shifts()) from None
+        return _frequencies(q, points, inner, arg_scale, shifts, name_points=False)[2]
 
     return pulled_out(shift1, shift2, "shift1"), pulled_out(shift2, shift1, "shift2")
 

@@ -10,6 +10,14 @@ byte-identical bytes; numpy and libm may round exp/log differently in the
 last bit.  Numbers are serialized with ``repr``, the shortest
 representation that round-trips the double exactly.
 
+CSV is written by column: a table arrives as blocks, each holding per column
+either a sequence or one value for all of the block's rows (a figure table's
+curve blocks, one block for ``canonicalize`` and for ``verify``).  Each
+distinct sequence is formatted once and each single value once per block,
+and the cells are joined straight into lines; no list of row tuples is
+built.  A cell that holds a comma, a quote or a line break is quoted, as
+:mod:`csv` quotes it.
+
 The fallback seed is read from the ``QDEFORM_SEED`` environment variable
 when ``--seed`` is not given; the flag always wins.
 """
@@ -17,12 +25,11 @@ when ``--seed`` is not given; the flag always wins.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
+from itertools import repeat
 
 from .errors import QDeformError
 
@@ -84,13 +91,41 @@ def _emit(text: str, out_path):
         handle.write(text)
 
 
-def _csv_text(columns, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buffer.getvalue()
+def _cell(value) -> str:
+    """One CSV cell, quoted where it holds a comma, a quote or a line break."""
+    text = _fmt(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _is_column(value) -> bool:
+    return hasattr(value, "__len__") and not isinstance(value, str)
+
+
+def _csv_text(columns, blocks) -> str:
+    """The CSV text of a header and blocks of rows.
+
+    Each block holds one value per column: a sequence (list, tuple or numpy
+    array) with one entry per row, or a single value for every row of the
+    block; it needs at least one sequence.  Each distinct sequence is
+    formatted once and each single value once per block, and the cells are
+    joined straight into lines."""
+    formatted = {}  # id(sequence) -> its cells; the blocks keep each id alive
+
+    def cells(values):
+        if id(values) not in formatted:
+            entries = values.tolist() if hasattr(values, "tolist") else values
+            formatted[id(values)] = [repr(v) if type(v) is float else _cell(v)
+                                     for v in entries]
+        return formatted[id(values)]
+
+    lines = [",".join(map(_cell, columns))]
+    for block in blocks:
+        rows = len(next(v for v in block if _is_column(v)))
+        lines += map(",".join, zip(*(cells(v) if _is_column(v) else repeat(_cell(v), rows)
+                                      for v in block)))
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(payload) -> str:
@@ -182,11 +217,11 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         text = _json_text(report.to_json_dict())
     else:
-        rows = [(report.suite, report.seed, case.name, case.max_rel_err,
-                 case.tolerance, case.passed)
-                for case in report.cases]
-        text = _csv_text(("suite", "seed", "name", "max_rel_err",
-                          "tolerance", "pass"), rows)
+        cases = report.cases
+        text = _csv_text(("suite", "seed", "name", "max_rel_err", "tolerance", "pass"), [(
+            report.suite, report.seed, [case.name for case in cases],
+            [case.max_rel_err for case in cases], [case.tolerance for case in cases],
+            [case.passed for case in cases])])
     _emit(text, args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
@@ -218,7 +253,7 @@ def _cmd_fig(args) -> int:
         raise _CliInputError("--grid-min must be below --grid-max")
     table = build(scales, q, np.linspace(lo, hi, points))
     if args.format == "csv":
-        text = _csv_text(table.columns, table.rows)
+        text = _csv_text(table.columns, table.blocks)
     else:
         text = _json_text({
             "columns": list(table.columns),
@@ -275,12 +310,9 @@ def _cmd_canonicalize(args) -> int:
             "probabilities": list(dist.probabilities),
         })
     else:
-        rows = [(x, f, p, dist.q, dist.shift, dist.total, form.slope,
-                 form.intercept)
-                for x, f, p in zip(dist.xs, dist.frequencies,
-                                   dist.probabilities)]
-        text = _csv_text(("x", "frequency", "p", "q", "c", "n", "slope",
-                          "intercept"), rows)
+        text = _csv_text(("x", "frequency", "p", "q", "c", "n", "slope", "intercept"), [(
+            dist.xs, dist.frequencies, dist.probabilities, dist.q, dist.shift, dist.total,
+            form.slope, form.intercept)])
     _emit(text, args.out)
     return EXIT_OK
 

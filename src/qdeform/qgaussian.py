@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from ._array import _q_exp_array
+from ._array import _check_finite, _q_exp_array
 from .core import _check_all, _check_positive, check_index, q_exp, q_exp_bracket, q_log
 from .errors import DomainViolation, RangeOverflow, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
@@ -193,8 +193,7 @@ def _deviations(model: QGaussianModel, samples, theta, strict: bool):
     xs = np.asarray(samples, dtype=float)
     if xs.ndim != 1 or not xs.size:
         raise ValueError("samples must be non-empty")
-    _check_all(np.isfinite(xs), lambda i: ValueError(
-        f"samples[{i}] must be finite, got {float(xs[i])!r}"))
+    _check_finite("samples", xs)
     if theta is None:
         try:
             theta = math.fsum(xs.tolist()) / xs.size
@@ -270,21 +269,22 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     computed from its raw form, so its rescaled ordinates f(e)/scale are a
     measurement to compare with the scale-free reference
     exp_q(-gamma * grid**2).  The chosen scale is recorded in the table
-    metadata.
+    metadata.  A non-finite grid point raises :class:`ValueError` naming it.
     """
     q = check_index(q)
     gamma = _check_positive("gamma", gamma)
     scale = _check_positive("scale", q_exp(q, float(log_offset)))
     x_scale = scale ** ((1.0 - q) / 2.0)
-    grid = np.array(grid, dtype=float)  # a copy: the table marks it read-only
+    # a copy: the table marks it read-only
+    grid = _check_finite("grid", np.array(grid, dtype=float))
 
     def q_exp_of(argument):
-        # an argument past the largest double from a finite grid point is an
-        # overflow; a non-finite grid point, or a bracket, keeps its error
+        # the grid is finite, so an argument that is not passed the largest
+        # double; a bracket keeps its error
         try:
             return _q_exp_array(q, argument)
         except ValueError:
-            _check_all(np.isfinite(argument) | ~np.isfinite(grid), lambda i: RangeOverflow(
+            _check_all(np.isfinite(argument), lambda i: RangeOverflow(
                 "frequency argument", q, f"grid[{i}]={float(grid[i])!r}, gamma={gamma!r}, "
                 f"log_offset={float(log_offset)!r}"))
             raise

@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _EXPORTS
-from ._array import _finite, _q_exp_array, _q_log_array
+from ._array import _check_finite, _finite, _q_exp_array, _q_log_array
 from .core import _check_all, _check_positive, check_index, q_log
 from .errors import NonPositiveArgument, RangeOverflow
 
@@ -147,7 +147,8 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
     x_raw = grid * c**((1-q)/power), y_raw = c * profile, so every curve's
     block shares the rescaled columns, the grid and the profile.  The collapse
     is checked in the q-log form qlog_y = log_q(y_raw) = -x_raw**power + log_q(c).
-    Empty scales or an empty grid raise :class:`ValueError`.
+    Empty scales, an empty grid or a non-finite grid point raise
+    :class:`ValueError`.
     """
     q = check_index(q)
     grid = np.array(grid, dtype=float)  # a copy: the table marks it read-only
@@ -156,6 +157,7 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
         raise ValueError("scales must be non-empty")
     if not grid.size:
         raise ValueError("grid must be non-empty")
+    _check_finite("grid", grid)
     x_scales = []
     for ci, c in enumerate(scales):
         try:

@@ -8,6 +8,7 @@ import pytest
 from qdeform import (
     DiscreteQDistribution,
     DomainViolation,
+    RangeOverflow,
     build_distribution,
     canonical_form,
     q_exp,
@@ -92,6 +93,68 @@ class TestSplitRepresentation:
         ref = build_distribution(1.0, xs, 1.0).probabilities
         for p in split_representation(1.0, xs, 0.25, 0.75):
             assert p == pytest.approx(ref, rel=1e-13)
+
+
+# a non-finite point or shift once raised q_exp's anonymous
+# "argument must be finite, got inf"
+@pytest.mark.parametrize("build, args, named", [
+    (build_distribution, (1.5, [0.0, math.inf], 0.0), r"x\[1\] must be finite, got inf"),
+    (build_distribution, (1.5, [math.nan], 0.0), r"x\[0\] must be finite, got nan"),
+    (build_distribution, (1.5, [0.0], math.nan), "shift must be finite, got nan"),
+    (split_representation, (1.5, [0.0, 1.0, -math.inf], 0.2, 0.3),
+     r"x\[2\] must be finite, got -inf"),
+    (split_representation, (1.5, [0.0], math.inf, 0.3), "shift1 must be finite, got inf"),
+    (split_representation, (1.0, [0.0], 0.2, math.nan), "shift2 must be finite, got nan"),
+])
+def test_nonfinite_point_or_shift_is_named(build, args, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        build(*args)
+
+
+# finite points whose sum passes the largest double are still points
+def test_points_summing_past_the_largest_double_are_finite():
+    dist = build_distribution(1.0, [1e308, 1e308, 0.0], 0.0)
+    assert dist.probabilities == (0.0, 0.0, 1.0)
+
+
+class TestFrequencyErrors:
+    """The first failing point decides the error, as a loop over q_exp would."""
+
+    def test_domain_error_of_the_split_names_no_point(self):
+        with pytest.raises(DomainViolation) as err:
+            split_representation(1.5, [0.0, -3.0], 0.0, 0.0)
+        assert err.value.index is None
+        assert str(err.value).startswith("exp_q argument outside domain:")
+
+    def test_first_failing_point_wins(self):
+        # at q = 0.5, x = 3 leaves the domain and exp_q(1e200) overflows
+        with pytest.raises(DomainViolation) as err:
+            build_distribution(0.5, [0.0, 3.0, -1e200], 0.0)
+        assert err.value.index == 1
+        with pytest.raises(RangeOverflow, match=r"^exp_q at q=0.5 overflows"):
+            build_distribution(0.5, [0.0, -1e200, 3.0], 0.0)
+
+    def test_argument_past_minus_inf_is_an_overflow_not_a_zero(self):
+        # exp_2(-inf) would be 0; the largest point's argument is the first to pass
+        with pytest.raises(RangeOverflow, match=r"frequency argument .*\(x\[1\]=1e\+308,"):
+            build_distribution(2.0, [0.0, 1e308], -1e308)
+
+    def test_frequency_past_the_largest_double_names_its_argument(self):
+        # exp_0.5(x) = (1 + x/2)**2 overflows from a finite argument
+        named = r"^exp_q at q=0.5 overflows a double \(x=1e\+200\)"
+        with pytest.raises(RangeOverflow, match=named):
+            split_representation(0.5, [0.0, -1e200], 0.0, 0.0)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_frequencies_are_q_exp_of_the_argument(self, q):
+        xs = [0.0, 0.7, -0.4, 2.1, 0.05]
+        dist = build_distribution(q, xs, 0.3)
+        assert dist.frequencies == tuple(q_exp(q, -x + 0.3) for x in xs)
+        for pair, (outer, inner) in zip(split_representation(q, xs, 0.1, 0.2),
+                                        ((0.1, 0.2), (0.2, 0.1))):
+            scale = q_exp(q, outer) ** (1.0 - q)
+            values = [q_exp(q, (-x + inner) / scale) for x in xs]
+            assert pair == tuple(v / math.fsum(values) for v in values)
 
 
 class TestCanonicalForm:

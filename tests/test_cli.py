@@ -235,6 +235,36 @@ class TestFig:
         assert out == (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+# saved output of the other CSV writers: writing by column must not move a byte
+@pytest.mark.parametrize("name, argv", [
+    ("canonicalize_q1.3_c0.2.csv", ("canonicalize", str(DATA / "canonicalize_xs.txt"),
+                                    "--q", "1.3", "--c", "0.2", "--format", "csv")),
+    ("canonicalize_q1.3_c0.2.json", ("canonicalize", str(DATA / "canonicalize_xs.txt"),
+                                     "--q", "1.3", "--c", "0.2", "--format", "json")),
+    ("verify_canonical_seed0.csv", ("verify", "canonical", "--seed", "0", "--format", "csv")),
+])
+def test_canonicalize_and_verify_match_saved_text(name, argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_csv_text_writes_what_csv_writer_writes():
+    # the writer of rows it replaced: csv.writer over the _fmt cells of each row
+    from qdeform.cli import _csv_text, _fmt
+
+    shared = (0.1, 2.5e-308, -3.0)
+    blocks = [(0, "a,b", shared, [1, True, 'say "hi"'], 1.5),
+              (1, "plain", shared, ("x", None, 7.0), float("1e300"))]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["id", "label", "value", "mixed", "scale"])
+    for block in blocks:
+        for row in zip(*(v if isinstance(v, (tuple, list)) else [v] * 3 for v in block)):
+            writer.writerow([_fmt(v) for v in row])
+    assert _csv_text(("id", "label", "value", "mixed", "scale"), blocks) == buffer.getvalue()
+
+
 class TestCanonicalize:
     def test_hand_case(self, capsys, tmp_path):
         data = tmp_path / "xs.txt"
@@ -428,6 +458,7 @@ def test_every_eval_function_has_arguments():
     # a control: ``fig`` builds numpy arrays, so the probe must report it
     (("fig", "fig3", "--grid-points", "3"), True),
     (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "csv"), False),
+    (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "json"), False),
 ])
 def test_scalar_commands_load_no_numpy(argv, loads_numpy, src_env, tmp_path):
     data = tmp_path / "xs.txt"

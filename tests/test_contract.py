@@ -1,11 +1,13 @@
 """The error contract, walked over the package's table of public names.
 
-Called with finite floats (and, where it takes one, a probability vector
-or a model built from finite floats), each scalar export either returns
-finite floats or raises a :class:`~qdeform.errors.QDeformError`; a bare
+Called with finite floats (and, where it takes one, a list of them, a
+probability vector or a model built from finite floats), each export drawn
+here either returns finite floats (every float of a distribution record)
+or raises a :class:`~qdeform.errors.QDeformError`; a bare
 ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``, an ``inf`` or
-``nan`` result, or a numpy warning fails.  Every callable in ``qdeform._EXPORTS`` is either drawn
-here or listed as exempt with its reason, so a new export has to be placed.
+``nan`` result, or a numpy warning fails.  Every callable in
+``qdeform._EXPORTS`` is either drawn here or listed as exempt with its
+reason, so a new export has to be placed.
 """
 
 import math
@@ -44,6 +46,8 @@ def _model(q, beta):
         return None
 
 
+POINTS = st.lists(FINITE, min_size=1, max_size=8)
+
 MODELS = st.builds(_model, FINITE, FINITE).filter(lambda model: model is not None)
 
 # export -> strategies for its positional arguments
@@ -61,6 +65,14 @@ PROPERTY = {
     "tsallis_entropy": (FINITE, PROBABILITIES),
     "beta_from": (FINITE, FINITE, FINITE),
     "q_gaussian_pdf": (MODELS, FINITE),
+    "build_distribution": (FINITE, POINTS, FINITE),
+    "split_representation": (FINITE, POINTS, FINITE, FINITE),
+}
+
+# export -> the floats of its result, where that is not a float or a tuple of floats
+FLOATS_OF = {
+    "build_distribution": lambda dist: (*dist.frequencies, dist.total, *dist.probabilities),
+    "split_representation": lambda pair: (*pair[0], *pair[1]),
 }
 
 _SEQUENCE = "takes a sequence; parametrized overflow tests pin its named errors"
@@ -70,8 +82,6 @@ EXEMPT = {
     "q_product_fold": _SEQUENCE,
     "q_log_sum": _SEQUENCE,
     "scale_drift_expand": _SEQUENCE,
-    "build_distribution": _SEQUENCE,
-    "split_representation": _SEQUENCE,
     "canonical_form": "takes a DiscreteQDistribution; its overflow is a row of test_core",
     "q_log_multinomial": _SEQUENCE,
     "tsallis_correspondence": _SEQUENCE,
@@ -123,6 +133,7 @@ def test_finite_input_gives_finite_output_or_a_named_error(name):
                 value = fn(*args)
             except QDeformError:
                 return
-        assert _finite_floats(value), (args, value)
+        floats = FLOATS_OF[name](value) if name in FLOATS_OF else value
+        assert _finite_floats(floats), (args, value)
 
     check()

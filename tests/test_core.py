@@ -196,6 +196,12 @@ class TestQExp:
     (beta_from, (1.5, -1e-300, -1e100),
      "2 * (1 + (1-q)*log_offset) / -ode_coeff at q=1.5 overflows a double"
      " (ode_coeff=-1e-300, log_offset=-1e+100)"),
+    # exp_q(shift1), about 1 + 6e-16, is rounded; its power 1-q, about 1e18, overflows
+    (split_representation, (-1.1820939862583954e18, [1.0397106742315173e276, -7.995976449044797,
+                                                     -4.395464287919659],
+                            7.238113294949192e283, -3.2456717940750865e-106),
+     "exp_q(shift1)**(1-q) at q=-1.1820939862583954e+18 overflows a double"
+     " (shift1=7.238113294949192e+283, shift2=-3.2456717940750865e-106)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():

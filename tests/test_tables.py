@@ -73,3 +73,16 @@ def test_one_block_column_is_the_stored_array():
 def test_malformed_blocks_are_rejected(blocks):
     with pytest.raises(ValueError, match="block 0"):
         FigureTable(("curve_id", "a", "b"), blocks)
+
+
+# a NaN or infinite grid point once read as the overflow
+# "grid**1 at q=1.3 overflows a double", or named the q_exp argument
+@pytest.mark.parametrize("build", [
+    lambda grid: fig2_data([1.0], 1.3, grid),
+    lambda grid: fig3_data([1.0, 2.0], 1.7, grid),
+    lambda grid: frequency_rescale(1.7, 1.0, 0.0, grid),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_grid_point_is_named(build, bad):
+    with pytest.raises(ValueError, match=rf"^grid\[1\] must be finite, got {bad!r}$"):
+        build([0.5, bad, 1.0])
