@@ -27,8 +27,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import _EXPORTS
-from .core import _check_all, _check_positive, _drop, _lift, check_index, q_exp_bracket, q_log
-from .errors import DomainViolation, RangeOverflow
+from .core import (_check_all, _check_positive, _drop, _index_error, _lift, check_index,
+                   q_exp_bracket, q_log)
+from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = _EXPORTS["algebra"]
 
@@ -82,8 +83,12 @@ def _combine(name: str, bracket: str, q: float, x: float, y: float,
     _drop(q, d) for the bracket less 1, d = _lift(q, x) + sign * _lift(q, y),
     which does not cancel near q = 1; |1-q| >= 2**-53, so the exponent of
     _drop is finite and exp raises on overflow."""
-    q = check_index(q)
-    x, y = _check_positive("x", x), _check_positive("y", y)
+    if not math.isfinite(q := float(q)):
+        raise _index_error(q)
+    if not 0.0 < (x := float(x)) < math.inf:
+        raise NonPositiveArgument("x", x)
+    if not 0.0 < (y := float(y)) < math.inf:
+        raise NonPositiveArgument("y", y)
     try:
         if q == 1.0:
             value = x * y if sign > 0.0 else x / y

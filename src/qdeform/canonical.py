@@ -53,8 +53,7 @@ def _points(xs) -> tuple:
     return points
 
 
-def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts,
-                 name_points: bool):
+def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts):
     """Frequencies exp_q((-x + inner) / scale) of finite points, their
     compensated total and the probabilities, for a checked index, a finite
     inner shift and a positive scale (1.0 for the unsplit form).
@@ -65,9 +64,8 @@ def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts,
     inf reaches the total, and an argument past -inf (which gives 0) is the
     largest point's first, the argument falling as x grows.  Only then are
     the points scanned through :func:`q_exp` for the first that fails; when
-    none does, the total passed the largest double.  ``shifts()`` names the
-    shift(s) in an overflow, and ``name_points`` whether an error also
-    names the point, as the unsplit form's do.
+    none does, the total passed the largest double.  An error names the
+    failing point and its index, and ``shifts()`` the shift(s) in an overflow.
     """
     c = 1.0 - q
     try:
@@ -84,13 +82,11 @@ def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts,
         for i, x in enumerate(points):
             argument = (-x + inner) / scale
             if not math.isfinite(argument):
-                where = f"x[{i}]={x!r}, {shifts()}" if name_points else shifts()
-                raise RangeOverflow("frequency argument", q, where) from None
+                raise RangeOverflow("frequency argument", q,
+                                    f"x[{i}]={x!r}, {shifts()}") from None
             try:
                 q_exp(q, argument)
             except DomainViolation as err:
-                if not name_points:
-                    raise
                 raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
                                       err.constraint, index=i) from err
         raise RangeOverflow("frequency total", q, shifts()) from None
@@ -120,8 +116,7 @@ class DiscreteQDistribution:
         q = check_index(self.q)
         shift = _check_finite("shift", self.shift)
         points = _points(self.xs)
-        freqs, total, probs = _frequencies(q, points, shift, 1.0, lambda: f"shift={shift!r}",
-                                           name_points=True)
+        freqs, total, probs = _frequencies(q, points, shift, 1.0, lambda: f"shift={shift!r}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "xs", points)
         object.__setattr__(self, "shift", shift)
@@ -162,8 +157,10 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     inside the rescaled argument; both normalize to the same probabilities
     as the unsplit form.  A rescaled argument or frequency sum past the
     largest double raises :class:`OverflowError`, and exp_q of a pulled-out
-    shift underflowed to 0 :class:`NonPositiveArgument`, naming q and both.
-    A non-finite point or shift raises :class:`ValueError` naming it.
+    shift underflowed to 0 :class:`NonPositiveArgument`, naming q and both
+    (and the point, for an argument); the first point outside the domain
+    :class:`DomainViolation` naming it.  A non-finite point or shift raises
+    :class:`ValueError` naming it.
     """
     q = check_index(q)
     points = _points(xs)
@@ -180,7 +177,7 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
             arg_scale = y_scale ** (1.0 - q)
         except OverflowError:
             raise RangeOverflow(f"exp_q({name})**(1-q)", q, shifts()) from None
-        return _frequencies(q, points, inner, arg_scale, shifts, name_points=False)[2]
+        return _frequencies(q, points, inner, arg_scale, shifts)[2]
 
     return pulled_out(shift1, shift2, "shift1"), pulled_out(shift2, shift1, "shift2")
 

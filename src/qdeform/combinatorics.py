@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .core import check_index, q_log
+from .core import _lift, check_index, q_log
 from .errors import RangeOverflow
 
 __all__ = _EXPORTS["combinatorics"]
@@ -227,7 +227,10 @@ def tsallis_entropy(q: float, p) -> float:
     positive = [v for v in values if v > 0.0]
     power, index = (q, q) if q <= 1.0 else (1.0, 2.0 - q)
     try:
-        value = -math.fsum([v ** power * q_log(index, v) for v in positive])
+        if index == 1.0:
+            value = -math.fsum([v ** power * math.log(v) for v in positive])
+        else:  # log_index(v) of the checked entries, as q_log computes it
+            value = -math.fsum([v ** power * (_lift(index, v) / (1.0 - index)) for v in positive])
         if abs(q * residual) < _FIRST_ORDER:
             value = value * (1.0 - q * residual) + residual
     except OverflowError:  # p_i**q, or finite terms whose sum passes the largest double

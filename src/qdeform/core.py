@@ -19,7 +19,9 @@ evaluated through one kernel pair, the package's only ``expm1``/``log1p``,
 and its numpy twins ``_lift_array``/``_drop_array``, which stay accurate
 down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
-and numpy do, and each caller names its own overflow.
+and numpy do, and each caller names its own overflow.  A public function
+checks each argument once, in its own body; a library caller that already
+holds checked floats calls ``_lift``/``_drop`` rather than checking them again.
 
 This module imports only ``math``, so the scalar primitives (and the CLI
 commands built on them alone) start without numpy.  The numpy twins, with
@@ -42,11 +44,14 @@ from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 __all__ = _EXPORTS["core"]
 
 
+def _index_error(q: float) -> ValueError:
+    return ValueError(f"deformation index must be finite, got {q!r}")
+
+
 def check_index(q: float) -> float:
     """Validate a deformation index: any finite real (NaN/inf rejected)."""
-    q = float(q)
-    if not math.isfinite(q):
-        raise ValueError(f"deformation index must be finite, got {q!r}")
+    if not math.isfinite(q := float(q)):
+        raise _index_error(q)
     return q
 
 
@@ -59,8 +64,7 @@ def q_exp_bracket(q: float, x: float) -> float:
 
 
 def _check_positive(name: str, value) -> float:
-    value = float(value)
-    if not (value > 0.0) or not math.isfinite(value):
+    if not 0.0 < (value := float(value)) < math.inf:
         raise NonPositiveArgument(name, value)
     return value
 
@@ -84,8 +88,10 @@ def q_log(q: float, y: float) -> float:
     Raises :class:`NonPositiveArgument` for y <= 0, and an
     :class:`OverflowError` naming q and y for a result past the largest double.
     """
-    q = check_index(q)
-    y = _check_positive("y", y)
+    if not math.isfinite(q := float(q)):
+        raise _index_error(q)
+    if not 0.0 < (y := float(y)) < math.inf:
+        raise NonPositiveArgument("y", y)
     if q == 1.0:
         return math.log(y)
     try:
@@ -106,9 +112,9 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
     A result past the largest double raises :class:`OverflowError` naming
     q and x.
     """
-    q = check_index(q)
-    x = float(x)
-    if not math.isfinite(x):
+    if not math.isfinite(q := float(q)):
+        raise _index_error(q)
+    if not math.isfinite(x := float(x)):
         raise ValueError(f"argument must be finite, got {x!r}")
     d = (1.0 - q) * x  # 0 at q = 1
     if d <= -1.0:
@@ -141,13 +147,16 @@ def q_log_of_ratio(q: float, y: float, x: float) -> float:
     are defined.  A factor or result past the largest double raises
     :class:`OverflowError` naming q, y and x.
     """
-    q = check_index(q)
-    y = _check_positive("y", y)
-    x = _check_positive("x", x)
+    if not math.isfinite(q := float(q)):
+        raise _index_error(q)
+    if not 0.0 < (y := float(y)) < math.inf:
+        raise NonPositiveArgument("y", y)
+    if not 0.0 < (x := float(x)) < math.inf:
+        raise NonPositiveArgument("x", x)
     if q == 1.0:
         return math.log(y) - math.log(x)
     try:
-        value = x ** (q - 1.0) * (q_log(q, y) - q_log(q, x))
+        value = x ** (q - 1.0) * (_lift(q, y) / (1.0 - q) - _lift(q, x) / (1.0 - q))
         if math.isfinite(value):
             return value
     except OverflowError:

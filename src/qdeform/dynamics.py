@@ -176,7 +176,7 @@ def shift_expansion(q: float, shift: float):
     satisfy 1 + (1-q)*shift > 0, and exp_q(shift) not to underflow to 0
     (:class:`NonPositiveArgument` naming ``y_scale`` otherwise).  An
     x_scale past the largest double raises :class:`OverflowError`."""
-    q = check_index(q)
+    q = float(q)  # q_exp checks it
     y_scale = _check_positive("y_scale", q_exp(q, shift))
     try:
         return y_scale, y_scale ** (1.0 - q)
@@ -202,7 +202,7 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     does.  (Each x_scale factor is its shift's bracket, at least 2**-53, so
     their product cannot underflow.)
     """
-    q = check_index(q)
+    q = float(q)  # shift_expansion checks it
     y1, x1 = shift_expansion(q, shift1)
     y2, x2 = shift_expansion(q, shift2)
     y_scale, x_scale = y1 * y2, x1 * x2

@@ -229,12 +229,13 @@ def _identities(rng):
         violations += sum(not b > a for a, b in zip(values, values[1:]))
     yield "q_log_monotone_violations", 0.5, violations
 
+    # against e^x (1 - (1-q) x**2/2), exp_q's first order; exp_{2-q} reads (1-q) x**2
     def classical_limits():
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
-            for x in np.linspace(-5.0, 5.0, 201):
-                ref = math.exp(x)
-                yield abs(q_exp(q, float(x)) - ref) / ref
-    yield "classical_limit_continuity", 1e-4, classical_limits()
+            for x in np.linspace(-5.0, 5.0, 201).tolist():
+                ref = math.exp(x) * (1.0 - (1.0 - q) * x * x / 2.0)
+                yield abs(q_exp(q, x) - ref) / ref
+    yield "classical_limit_continuity", 1e-7, classical_limits()
 
     def drift_products():
         def drifts(k):
@@ -374,10 +375,9 @@ def _stirling(rng):
     violations = 0
     for q in (0.5, 1.0, 2.0):
         for k in (2, 5, 10):
-            u = np.ones(k) / k
-            bound = combinatorics.tsallis_entropy(q, u)
-            for v in rng.uniform(0.0, 1.0, size=(1000, k)) + 1e-12:
-                p = v / v.sum()
+            bound = combinatorics.tsallis_entropy(q, np.ones(k) / k)
+            v = rng.uniform(0.0, 1.0, size=(1000, k)) + 1e-12
+            for p in (v / v.sum(axis=1, keepdims=True)).tolist():
                 if not combinatorics.tsallis_entropy(q, p) <= bound + 1e-12:
                     violations += 1
     yield "uniform_maximality_violations", 0.5, violations

@@ -120,11 +120,16 @@ def test_points_summing_past_the_largest_double_are_finite():
 class TestFrequencyErrors:
     """The first failing point decides the error, as a loop over q_exp would."""
 
-    def test_domain_error_of_the_split_names_no_point(self):
-        with pytest.raises(DomainViolation) as err:
+    def test_domain_error_of_the_split_names_the_point(self):
+        # as the unsplit form's does: the point, its index and the bracket
+        with pytest.raises(DomainViolation) as split:
             split_representation(1.5, [0.0, -3.0], 0.0, 0.0)
-        assert err.value.index is None
-        assert str(err.value).startswith("exp_q argument outside domain:")
+        with pytest.raises(DomainViolation) as unsplit:
+            build_distribution(1.5, [0.0, -3.0], 0.0)
+        assert split.value.index == unsplit.value.index == 1
+        assert split.value.constraint == unsplit.value.constraint == -0.5
+        assert str(split.value) == str(unsplit.value) == (
+            "frequency argument for x[1]=-3.0 (element 1): constraint value -0.5 <= 0")
 
     def test_first_failing_point_wins(self):
         # at q = 0.5, x = 3 leaves the domain and exp_q(1e200) overflows

@@ -249,6 +249,28 @@ def test_canonicalize_and_verify_match_saved_text(name, argv, capsys):
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
+# saved `verify all` reports: every case reads the same bits, except
+# classical_limit_continuity, which was saved when it measured exp_q against
+# e^x and now measures it against e^x (1 - (1-q) x**2/2), at tolerance 1e-7
+@pytest.mark.parametrize("seed", [0, 2])
+def test_verify_all_matches_saved_report(seed, capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(seed))
+    assert code == 0
+    report = json.loads(out)
+    saved = json.loads((DATA / f"verify_all_seed{seed}.json").read_text(encoding="utf-8"))
+    changed = "identities/classical_limit_continuity"
+    rows = []
+    for payload in (report, saved):
+        rows.append((payload["tolerances"].pop(changed),
+                     [c for c in payload["cases"] if c["name"] == changed]))
+        payload["cases"] = [c for c in payload["cases"] if c["name"] != changed]
+    assert report == saved
+    assert rows[0] == (1e-7, [{"name": changed, "max_rel_err": 1.1979182783247168e-10,
+                               "pass": True}])
+    assert rows[1] == (1e-4, [{"name": changed, "max_rel_err": 1.2500119791613322e-05,
+                               "pass": True}])
+
+
 def test_csv_text_writes_what_csv_writer_writes():
     # the writer of rows it replaced: csv.writer over the _fmt cells of each row
     from qdeform.cli import _csv_text, _fmt

@@ -35,6 +35,7 @@ from qdeform import (
     shift_expansion,
     split_representation,
     tsallis_correspondence,
+    tsallis_entropy,
 )
 from qdeform._array import _q_exp_array, _q_log_array
 
@@ -166,7 +167,8 @@ class TestQExp:
     (build_distribution, (1.5, [-1e308], 1e308),
      "frequency argument at q=1.5 overflows a double (x[0]=-1e+308, shift=1e+308)"),
     (split_representation, (1e-07, [-1e94], -1.0, 1e308),
-     "frequency argument at q=1e-07 overflows a double (shift1=-1.0, shift2=1e+308)"),
+     "frequency argument at q=1e-07 overflows a double"
+     " (x[0]=-1e+94, shift1=-1.0, shift2=1e+308)"),
     # n**(q-1) and n**(2-q) raised
     (lambda q, xs, shift: canonical_form(build_distribution(q, xs, shift)),
      (1e300, [0.39, 2.31], -3.87),
@@ -251,6 +253,116 @@ class TestRatioIdentity:
             q_log_of_ratio(1.5, -1.0, 2.0)
         with pytest.raises(NonPositiveArgument):
             q_log_of_ratio(1.5, 1.0, 0.0)
+
+
+# Each public primitive checks q, then x, then y (q_log_of_ratio: y, then
+# x), converting each argument only when its check comes, so the first bad
+# argument decides the error; the messages are those of the separate
+# check_index/_check_positive calls the checks replaced
+NAN, INF = math.nan, math.inf
+NOT_NONE = "float() argument must be a string or a real number, not 'NoneType'"
+NOT_A = "could not convert string to float: 'a'"
+
+
+@pytest.mark.parametrize("fn, args, error, message", [
+    (q_log, (NAN, 2.0), ValueError, "deformation index must be finite, got nan"),
+    (q_log, (-INF, 2.0), ValueError, "deformation index must be finite, got -inf"),
+    (q_log, (1.5, NAN), NonPositiveArgument, "y must be a positive finite real, got nan"),
+    (q_log, (1.5, INF), NonPositiveArgument, "y must be a positive finite real, got inf"),
+    (q_log, (1.5, 0.0), NonPositiveArgument, "y must be a positive finite real, got 0.0"),
+    (q_log, (1.5, -1.0), NonPositiveArgument, "y must be a positive finite real, got -1.0"),
+    (q_log, (None, 2.0), TypeError, NOT_NONE),
+    (q_log, (1.5, "a"), ValueError, NOT_A),
+    (q_log, (INF, -1.0), ValueError, "deformation index must be finite, got inf"),
+    (q_exp, (INF, 0.5), ValueError, "deformation index must be finite, got inf"),
+    (q_exp, (1.5, NAN), ValueError, "argument must be finite, got nan"),
+    (q_exp, (1.5, -INF), ValueError, "argument must be finite, got -inf"),
+    (q_exp, (1.5, None), TypeError, NOT_NONE),
+    (q_exp, ("a", NAN), ValueError, NOT_A),
+    (q_exp, (1.5, 4.0), DomainViolation,
+     "exp_q argument outside domain: constraint value -1.0 <= 0"),
+    (q_product, (NAN, 2.0, 3.0), ValueError, "deformation index must be finite, got nan"),
+    (q_product, (1.5, INF, 3.0), NonPositiveArgument, "x must be a positive finite real, got inf"),
+    (q_product, (1.5, 2.0, 0.0), NonPositiveArgument, "y must be a positive finite real, got 0.0"),
+    (q_product, (1.5, -1.0, "a"), NonPositiveArgument,
+     "x must be a positive finite real, got -1.0"),
+    (q_product, (NAN, -1.0, "a"), ValueError, "deformation index must be finite, got nan"),
+    (q_product, (1.5, None, -1.0), TypeError, NOT_NONE),
+    (q_product, (1.5, 2.0, "a"), ValueError, NOT_A),
+    (q_ratio, (-INF, 2.0, 3.0), ValueError, "deformation index must be finite, got -inf"),
+    (q_ratio, (1.5, "a", -1.0), ValueError, NOT_A),
+    (q_ratio, (1.0, 0.0, NAN), NonPositiveArgument, "x must be a positive finite real, got 0.0"),
+    (q_ratio, (1.5, 2.0, -INF), NonPositiveArgument, "y must be a positive finite real, got -inf"),
+    (q_ratio, (1.5, 2.0, None), TypeError, NOT_NONE),
+    (q_ratio, (0.0, 2.0, 3.0), DomainViolation,
+     "q_ratio bracket x^(1-q) - y^(1-q) + 1: constraint value 0.0 <= 0"),
+    (q_log_of_ratio, (INF, 2.0, 3.0), ValueError, "deformation index must be finite, got inf"),
+    (q_log_of_ratio, (1.5, NAN, 3.0), NonPositiveArgument,
+     "y must be a positive finite real, got nan"),
+    (q_log_of_ratio, (1.5, 2.0, 0.0), NonPositiveArgument,
+     "x must be a positive finite real, got 0.0"),
+    (q_log_of_ratio, (1.5, -1.0, "a"), NonPositiveArgument,
+     "y must be a positive finite real, got -1.0"),
+    (q_log_of_ratio, (None, -1.0, NAN), TypeError, NOT_NONE),
+    (q_log_of_ratio, (1.5, 2.0, "a"), ValueError, NOT_A),
+])
+def test_bad_arguments_keep_their_error(fn, args, error, message):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fn, args", [
+    (q_log, (np.float64(1.5), np.float32(2.0))),
+    (q_log, (True, np.int64(3))),
+    (q_exp, (np.float64(0.5), np.float64(1.25))),
+    (q_exp, (np.int64(2), False)),
+    (q_product, (np.float64(1.3), True, np.float64(2.0))),
+    (q_ratio, (np.float32(0.5), np.float64(3.0), True)),
+    (q_log_of_ratio, (np.float64(1.7), np.int64(4), np.float64(0.5))),
+])
+def test_numpy_scalars_and_bools_are_accepted(fn, args):
+    value = fn(*args)
+    assert type(value) is float
+    assert value == fn(*(float(a) for a in args))
+
+
+def _tsallis_through_q_log(q, p):
+    """tsallis_entropy's terms taken through the public q_log, as it first
+    summed them."""
+    values = [float(v) for v in p]
+    residual = math.fsum([*values, -1.0])
+    power, index = (q, q) if q <= 1.0 else (1.0, 2.0 - q)
+    value = -math.fsum([v ** power * q_log(index, v) for v in values if v > 0.0])
+    if abs(q * residual) < 2.0 ** -26:
+        value = value * (1.0 - q * residual) + residual
+    return max(0.0, value)
+
+
+def _ratio_through_q_log(q, y, x):
+    if q == 1.0:
+        return math.log(y) - math.log(x)
+    return x ** (q - 1.0) * (q_log(q, y) - q_log(q, x))
+
+
+ROUTING_INDICES = [float(q) for q in np.linspace(-3.0, 6.0, 37)] + [
+    1.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9]
+
+
+@pytest.mark.parametrize("q", ROUTING_INDICES)
+def test_kernel_routing_is_bit_identical_to_q_log(q):
+    rng = np.random.default_rng(11)
+    for k in range(1, 12):
+        for _ in range(4):
+            u = rng.uniform(0.0, 1.0, size=k) ** 3
+            u[rng.random(k) < 0.1] = 0.0
+            u[0] += 1e-3  # not all zero
+            p = (u / u.sum()).tolist()
+            assert tsallis_entropy(q, p).hex() == _tsallis_through_q_log(q, p).hex()
+    y, x = 10.0 ** rng.uniform(-1.5, 1.5, size=(2, 200))
+    for yi, xi in zip(y.tolist(), x.tolist()):
+        assert q_log_of_ratio(q, yi, xi).hex() == _ratio_through_q_log(q, yi, xi).hex()
 
 
 def round_trip_residual(q, x):

@@ -74,7 +74,7 @@ _CASES = {
     "identities/shift_expansion": 1e-12,
     "identities/q_log_of_ratio": 1e-12,
     "identities/q_log_monotone_violations": 0.5,
-    "identities/classical_limit_continuity": 1e-4,
+    "identities/classical_limit_continuity": 1e-7,
     "identities/scale_drift_product": 1e-10,
     "identities/fold_vs_qlog_sum": 1e-12,
     "dynamics/rk4_vs_analytic_decay": 1e-6,
@@ -287,6 +287,17 @@ def test_entropy_limit_case_fails_on_the_flipped_deformation(monkeypatch):
     assert failed.keys() == {"entropy_classical_limit",
                              "tsallis_correspondence_trend_violations"}
     assert failed["entropy_classical_limit"] > 1e-6
+
+
+def test_exp_limit_case_fails_on_the_flipped_deformation(monkeypatch):
+    # exp_{2-q} at the case's two indices only, which no other case draws
+    exact = verify.q_exp
+    monkeypatch.setattr(verify, "q_exp", lambda q, x: exact(
+        2.0 - q if q in (1.0 - 1e-6, 1.0 + 1e-6) else q, x))
+    failed = {c.name: c.max_rel_err for c in run_suite("identities", seed=0).cases
+              if not c.passed}
+    assert failed.keys() == {"classical_limit_continuity"}
+    assert failed["classical_limit_continuity"] == pytest.approx(2.5e-5, rel=1e-3)
 
 
 def test_likelihood_case_fails_on_a_wrong_likelihood(monkeypatch):
