@@ -157,22 +157,31 @@ def q_product_fold(q: float, factors) -> float:
 
     Equals exp_q of the sum of the factors' deformed logarithms; the
     left-to-right order is fixed so a failing step is reproducible, and a
-    domain error reports the index of the factor that broke the fold.
+    domain error reports the index of the factor that broke the fold.  Each
+    factor is checked once, as its step comes, so errors come in loop order.
     """
     q = check_index(q)
     values = [float(f) for f in factors]
     if not values:
         raise ValueError("factors must be non-empty")
-    acc = None
-    for i, f in enumerate(values):
-        _check_positive(f"factors[{i}]", f)
-        if acc is None:
-            acc = f
-            continue
-        try:
-            acc = q_product(q, acc, f)
-        except DomainViolation as err:
-            raise DomainViolation("q_product fold bracket", err.constraint, index=i) from err
+    acc = _check_positive("factors[0]", values[0])
+    for i in range(1, len(values)):
+        f = _check_positive(f"factors[{i}]", values[i])
+        if not acc > 0.0:  # the running value underflowed to 0
+            raise NonPositiveArgument("x", acc)
+        try:  # _combine's q-product step
+            if q == 1.0:
+                if (value := acc * f) < math.inf:
+                    acc = value
+                    continue
+            elif math.isfinite(d := _lift(q, acc) + _lift(q, f)):
+                if d <= -1.0:
+                    raise DomainViolation("q_product fold bracket", 1.0 + d, index=i)
+                acc = _drop(q, d)
+                continue
+        except OverflowError:
+            pass
+        raise RangeOverflow("q_product", q, f"x={acc!r}, y={f!r}")
     return acc
 
 

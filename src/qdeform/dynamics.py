@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .core import _check_positive, check_index, q_exp, q_log
 from .errors import BlowupDetected, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
@@ -113,14 +113,17 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
 
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
                   step: float) -> Trajectory:
-    """Fixed-step classical RK4 trajectory of dy/dx = direction * y**q.
+    """Fixed-step classical RK4 trajectory of dy/dx = direction * y**q, its
+    four textbook stages written out in the loop.
 
     The step is shrunk uniformly so the grid lands on ``x_end`` exactly.
-    Integration aborts with :class:`BlowupDetected` when y leaves
+    Integration aborts with :class:`BlowupDetected` when y or a stage leaves
     (0, ``Y_MAX``) or when the analytic domain boundary for this initial
     condition is about to be crossed (bracket below 1e-12), which happens in
     finite x for the growing branch with q > 1 and for the decaying branch
-    with q < 1.
+    with q < 1.  A step count or a stage y**q past the largest double raises
+    :class:`OverflowError` naming q and x0, x_end, step or the step's x, y;
+    scale**(1-q) underflowed to 0 raises :class:`NonPositiveArgument`.
     """
     q = check_index(q)
     d = _check_direction(direction)
@@ -136,32 +139,40 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
 
     # Domain guard constants from the solution through (x0, y0); checks y0.
     scale = rescale_factor(q, d * x0, y0)
-    scale_pow = scale ** (1.0 - q)
-
-    def rhs(x: float, y: float) -> float:
-        if y <= 0.0:  # an intermediate stage; each step's y is checked below
-            raise BlowupDetected(x, y, "intermediate stage left (0, y_max)")
-        return d * y ** q
-
-    n_steps = max(1, math.ceil((x_end - x0) / step))
+    try:  # the factor analytic_solution divides by; 0 ** (1-q) raises for q > 1
+        scale_pow = _check_positive("scale**(1-q)", scale ** (1.0 - q) if scale or q <= 1.0 else 0.0)
+    except OverflowError:
+        raise RangeOverflow("integrate_ode", q, f"x={x0!r}, y={y0!r}") from None
+    if not (span := (x_end - x0) / step) < math.inf:
+        raise RangeOverflow("integrate_ode step count", q,
+                            f"x0={x0!r}, x_end={x_end!r}, step={step!r}")
+    n_steps = max(1, math.ceil(span))
     h = (x_end - x0) / n_steps
-    xs = [x0]
-    ys = [y0]
-    y = y0
-    for i in range(n_steps):
-        x = x0 + i * h
-        x_next = x0 + (i + 1) * h
-        if q != 1.0 and q_exp_bracket(q, d * x_next / scale_pow) < 1e-12:
-            raise BlowupDetected(x_next, y, "analytic domain boundary reached")
-        k1 = rhs(x, y)
-        k2 = rhs(x, y + 0.5 * h * k1)
-        k3 = rhs(x, y + 0.5 * h * k2)
-        k4 = rhs(x, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (0.0 < y < Y_MAX):
-            raise BlowupDetected(x_next, y, "solution left (0, y_max)")
-        xs.append(x_next)
-        ys.append(y)
+    half, sixth = 0.5 * h, h / 6.0
+    stage_left = "intermediate stage left (0, y_max)"
+    xs, ys, y = [x0], [y0], y0
+    try:
+        for i in range(n_steps):
+            x_next = x0 + (i + 1) * h
+            if q != 1.0 and 1.0 + (1.0 - q) * (d * x_next / scale_pow) < 1e-12:
+                raise BlowupDetected(x_next, y, "analytic domain boundary reached")
+            k1 = d * y ** q  # y > 0: y0 is checked, and each step's y below
+            if (stage := y + half * k1) <= 0.0:
+                raise BlowupDetected(x0 + i * h, stage, stage_left)
+            k2 = d * stage ** q
+            if (stage := y + half * k2) <= 0.0:
+                raise BlowupDetected(x0 + i * h, stage, stage_left)
+            k3 = d * stage ** q
+            if (stage := y + h * k3) <= 0.0:
+                raise BlowupDetected(x0 + i * h, stage, stage_left)
+            k4 = d * stage ** q
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (0.0 < y < Y_MAX):
+                raise BlowupDetected(x_next, y, "solution left (0, y_max)")
+            xs.append(x_next)
+            ys.append(y)
+    except OverflowError:  # a stage's y**q
+        raise RangeOverflow("integrate_ode", q, f"x={x0 + i * h!r}, y={y!r}") from None
     return Trajectory(xs=np.asarray(xs), ys=np.asarray(ys), q=q, direction=d)
 
 

@@ -228,6 +228,52 @@ class TestFold:
                 q_exp(q, q_log_sum(q, factors)), rel=1e-12)
 
     def test_fold_error_reports_index(self):
+        # 4**-2 + 4**-2 - 1 at the first step
         with pytest.raises(DomainViolation) as err:
             q_product_fold(3.0, [4.0, 4.0, 4.0])
-        assert err.value.index in (1, 2)
+        assert err.value.index == 1 and err.value.constraint == -0.875
+
+    # each factor is checked as its step comes: the bracket of step 1 fails
+    # before factors[2] is read, and factors[1] before any bracket
+    def test_fold_errors_come_in_loop_order(self):
+        with pytest.raises(DomainViolation) as err:
+            q_product_fold(3.0, [4.0, 4.0, -1.0])
+        assert err.value.index == 1 and err.value.constraint == -0.875
+        with pytest.raises(NonPositiveArgument) as err:
+            q_product_fold(3.0, [4.0, -1.0, 4.0])
+        assert err.value.name == "factors[1]"
+        # a running value that underflowed to 0 fails the next step, as the
+        # x of q_product(q, 0.0, f) does
+        assert q_product_fold(1.0, [1e-300, 1e-300]) == 0.0
+        with pytest.raises(NonPositiveArgument) as err:
+            q_product_fold(1.0, [1e-300, 1e-300, 2.0])
+        assert (err.value.name, err.value.value) == ("x", 0.0)
+
+    @staticmethod
+    def _left_fold(q, factors):
+        """The fold through the public q_product, one call a step, as the
+        fold was written before its step moved onto the kernel pair."""
+        acc = factors[0]
+        for i, f in enumerate(factors[1:], 1):
+            try:
+                acc = q_product(q, acc, f)
+            except DomainViolation as err:
+                return ("bracket", i, err.constraint)
+        return acc.hex()
+
+    @staticmethod
+    def _fold(q, factors):
+        try:
+            return q_product_fold(q, factors).hex()
+        except DomainViolation as err:
+            return ("bracket", err.index, err.constraint)
+
+    @pytest.mark.parametrize("sizes", [(1, 6), (1000, 1001)])
+    def test_bits_match_left_fold_through_q_product(self, sizes):
+        rng = np.random.default_rng(29)
+        for k in range(300 if sizes[0] == 1 else 20):
+            q = 1.0 if k % 5 == 0 else float(rng.uniform(0.2, 2.8))
+            n = int(rng.integers(*sizes))
+            spread = 1.5 if n < 10 else 0.05
+            factors = np.exp(rng.uniform(-spread, spread, size=n)).tolist()
+            assert self._fold(q, factors) == self._left_fold(q, factors)

@@ -17,6 +17,7 @@ from qdeform import (
     canonical_form,
     compose_shifts,
     frequency_rescale,
+    integrate_ode,
     q_exp,
     q_exp_bracket,
     q_log,
@@ -204,6 +205,17 @@ class TestQExp:
                             7.238113294949192e283, -3.2456717940750865e-106),
      "exp_q(shift1)**(1-q) at q=-1.1820939862583954e+18 overflows a double"
      " (shift1=7.238113294949192e+283, shift2=-3.2456717940750865e-106)"),
+    # (x_end - x0) / step past the largest double: no step count
+    (integrate_ode, (1.3, 0.0, 1.0, -1, 1.0, 5e-324),
+     "integrate_ode step count at q=1.3 overflows a double (x0=0.0, x_end=1.0, step=5e-324)"),
+    (integrate_ode, (1.0, -1e308, 1.0, -1, 1e308, 1.0),
+     "integrate_ode step count at q=1.0 overflows a double (x0=-1e+308, x_end=1e+308, step=1.0)"),
+    # a stage's y**q, and the power scale**(1-q) at |1-q| ~ 1e16 (see shift_expansion)
+    (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3),
+     "integrate_ode at q=50.0 overflows a double (x=0.0, y=10000000000.0)"),
+    (integrate_ode, (-4.3196988666225544e16, -3.4392199811309485e289, 1.0, 1, 0.0, 1e300),
+     "integrate_ode at q=-4.3196988666225544e+16 overflows a double"
+     " (x=-3.4392199811309485e+289, y=1.0)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
@@ -216,8 +228,8 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
 
 
 # a scale factor that underflows to 0 is no positive scale: analytic_solution
-# divided by it, frequency_rescale raised it to a negative power, and
-# compose_shifts returned it
+# divided by it, frequency_rescale and integrate_ode raised it to a negative
+# power, and compose_shifts returned it
 @pytest.mark.parametrize("fn, args, named", [
     (analytic_solution, (1001.0, 1e300, 1, 1.0), "scale**(1-q)"),
     (analytic_solution, (1001.0, 1e300, 1, 0.0), "scale**(1-q)"),
@@ -225,6 +237,8 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
     (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
     (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18),
      "exp_q(shift1) at q=1.15 (shift1=-1e+122, shift2=-2.18)"),
+    # the rescale factor of the initial condition underflowed to 0
+    (integrate_ode, (1.3, -1e308, 1.0, -1, 1e308, 1.0), "scale**(1-q)"),
 ])
 def test_underflowed_scale_names_the_factor(fn, args, named):
     with warnings.catch_warnings():

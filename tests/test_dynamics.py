@@ -19,7 +19,7 @@ from qdeform import (
     rescale_factor,
     shift_expansion,
 )
-from qdeform.dynamics import FIG2_GRID
+from qdeform.dynamics import FIG2_GRID, Y_MAX
 
 # 40-digit evaluations
 QEXP_13_MINUS1 = 0.4170506723141460936064   # (1 + 0.3)**(-1/0.3)
@@ -83,6 +83,62 @@ class TestQLogLine:
     def test_intercepts(self):
         assert q_log(1.3, 10.0) == pytest.approx(QLOG_13_10, rel=1e-14)
         assert q_log(1.3, 20.0) == pytest.approx(QLOG_13_20, rel=1e-14)
+
+
+def _stage_rk4(q, x0, y0, d, x_end, step):
+    """integrate_ode in its earlier form, each RK4 stage a call of one
+    checked stage function, kept as the reference for the written-out loop."""
+    scale = rescale_factor(q, d * x0, y0)
+    scale_pow = scale ** (1.0 - q)
+
+    def rhs(x, y):
+        if y <= 0.0:
+            raise BlowupDetected(x, y, "intermediate stage left (0, y_max)")
+        return d * y ** q
+
+    n_steps = max(1, math.ceil((x_end - x0) / step))
+    h = (x_end - x0) / n_steps
+    xs, ys, y = [x0], [y0], y0
+    for i in range(n_steps):
+        x = x0 + i * h
+        x_next = x0 + (i + 1) * h
+        if q != 1.0 and q_exp_bracket(q, d * x_next / scale_pow) < 1e-12:
+            raise BlowupDetected(x_next, y, "analytic domain boundary reached")
+        k1 = rhs(x, y)
+        k2 = rhs(x, y + 0.5 * h * k1)
+        k3 = rhs(x, y + 0.5 * h * k2)
+        k4 = rhs(x, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (0.0 < y < Y_MAX):
+            raise BlowupDetected(x_next, y, "solution left (0, y_max)")
+        xs.append(x_next)
+        ys.append(y)
+    return np.asarray(xs), np.asarray(ys)
+
+
+class TestWrittenOutStages:
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_trajectory_bits_match_stage_function_form(self, q, direction):
+        args = (q, 0.3, 1.4, direction, 0.8, 5e-4)  # 1000 steps
+        traj = integrate_ode(*args)
+        xs, ys = _stage_rk4(*args)
+        assert traj.xs.size == 1001
+        assert traj.xs.tobytes() == xs.tobytes() and traj.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("args, reason", [
+        ((0.5, 0.0, 1.0, -1, 3.0, 1e-3), "analytic domain boundary reached"),
+        ((2.0, 0.0, 1e3, -1, 1.0, 1e-2), "intermediate stage left (0, y_max)"),
+        ((1.0, 0.0, 1.0, 1, 30.0, 1e-2), "solution left (0, y_max)"),
+    ])
+    def test_blowup_matches_stage_function_form(self, args, reason):
+        with pytest.raises(BlowupDetected) as new:
+            integrate_ode(*args)
+        with pytest.raises(BlowupDetected) as old:
+            _stage_rk4(*args)
+        assert str(new.value).endswith(reason)
+        assert (new.value.x, new.value.y, str(new.value)) == (old.value.x, old.value.y,
+                                                              str(old.value))
 
 
 class TestIntegrateODE:
