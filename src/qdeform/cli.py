@@ -10,13 +10,18 @@ byte-identical bytes; numpy and libm may round exp/log differently in the
 last bit.  Numbers are serialized with ``repr``, the shortest
 representation that round-trips the double exactly.
 
-CSV is written by column: a table arrives as blocks, each holding per column
-either a sequence or one value for all of the block's rows (a figure table's
-curve blocks, one block for ``canonicalize`` and for ``verify``).  Each
-distinct sequence is formatted once and each single value once per block,
-and the cells are joined straight into lines; no list of row tuples is
-built.  A cell that holds a comma, a quote or a line break is quoted, as
+Tables are written by column: a table arrives as blocks, each holding per
+column either a sequence or one value for all of the block's rows (a figure
+table's curve blocks, one block for ``canonicalize`` and for ``verify``).
+Each distinct sequence is formatted once and each single value once per
+block, and the cells are joined straight into CSV lines or, for ``fig
+--format json``, into the ``"rows"`` arrays; no list of row tuples is built.
+A CSV cell that holds a comma, a quote or a line break is quoted, as
 :mod:`csv` quotes it.
+
+Each command imports only the modules its own output needs: ``eval`` the one
+module its function lives in, ``fig`` the one of its figure, and :mod:`json`
+is loaded only to write JSON.
 
 The fallback seed is read from the ``QDEFORM_SEED`` environment variable
 when ``--seed`` is not given; the flag always wins.
@@ -25,11 +30,10 @@ when ``--seed`` is not given; the flag always wins.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import QDeformError
 
@@ -87,12 +91,17 @@ def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise _CliInputError(f"cannot write {out_path!r}: {err}") from err
 
 
 def _cell(value) -> str:
     """One CSV cell, quoted where it holds a comma, a quote or a line break."""
+    if type(value) is float:  # a float's repr holds none of them
+        return repr(value)
     text = _fmt(value)
     if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -103,33 +112,51 @@ def _is_column(value) -> bool:
     return hasattr(value, "__len__") and not isinstance(value, str)
 
 
-def _csv_text(columns, blocks) -> str:
-    """The CSV text of a header and blocks of rows.
+def _row_cells(blocks, fmt):
+    """The rows of blocks, each a tuple of ``fmt`` cells.
 
     Each block holds one value per column: a sequence (list, tuple or numpy
     array) with one entry per row, or a single value for every row of the
     block; it needs at least one sequence.  Each distinct sequence is
-    formatted once and each single value once per block, and the cells are
-    joined straight into lines."""
+    formatted once and each single value once per block."""
     formatted = {}  # id(sequence) -> its cells; the blocks keep each id alive
 
     def cells(values):
         if id(values) not in formatted:
             entries = values.tolist() if hasattr(values, "tolist") else values
-            formatted[id(values)] = [repr(v) if type(v) is float else _cell(v)
-                                     for v in entries]
+            formatted[id(values)] = list(map(fmt, entries))
         return formatted[id(values)]
 
-    lines = [",".join(map(_cell, columns))]
-    for block in blocks:
+    def block_rows(block):
         rows = len(next(v for v in block if _is_column(v)))
-        lines += map(",".join, zip(*(cells(v) if _is_column(v) else repeat(_cell(v), rows)
-                                      for v in block)))
+        return zip(*(cells(v) if _is_column(v) else repeat(fmt(v), rows) for v in block))
+
+    return chain.from_iterable(map(block_rows, blocks))
+
+
+def _csv_text(columns, blocks) -> str:
+    """The CSV text of a header and blocks of rows (see ``_row_cells``)."""
+    lines = [",".join(map(_cell, columns)), *map(",".join, _row_cells(blocks, _cell))]
     return "\n".join(lines) + "\n"
 
 
 def _json_text(payload) -> str:
+    import json  # only the JSON writers load it
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _json_table_text(columns, blocks, meta) -> str:
+    """``_json_text`` of ``{"columns", "meta", "rows"}``, the rows written from
+    blocks (see ``_row_cells``) with every cell as a float.  ``json`` writes
+    only the columns and meta, and the rows, the last key in sorted order,
+    are spliced in after them.  The cells must be finite: ``json`` would
+    write ``NaN`` where ``repr`` writes ``nan`` (a figure table's columns are
+    all checked finite)."""
+    head = _json_text({"columns": list(columns), "meta": meta})
+    rows = "\n    ],\n    [\n      ".join(
+        map(",\n      ".join, _row_cells(blocks, lambda v: repr(float(v)))))
+    return f'{head[:-3]},\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}\n'
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,24 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    from .algebra import q_product, q_ratio
-    from .core import q_exp, q_log
+    # the package imports each name on first access: only its function's module loads
+    lib = sys.modules[__package__]
 
     def need(flag, value):
         if value is None:
             raise _CliInputError(f"eval {args.fn} requires {flag}")
         return value
 
-    def tsallis():
-        from .combinatorics import tsallis_entropy
-        return tsallis_entropy(args.q, _parse_floats(need("--p", args.p), "--p"))
-
     evaluate = {
-        "qlog": lambda: q_log(args.q, need("--y", args.y)),
-        "qexp": lambda: q_exp(args.q, need("--x", args.x), cutoff=args.cutoff_mode),
-        "qprod": lambda: q_product(args.q, need("--x", args.x), need("--y", args.y)),
-        "qratio": lambda: q_ratio(args.q, need("--x", args.x), need("--y", args.y)),
-        "tsallis": tsallis,
+        "qlog": lambda: lib.q_log(args.q, need("--y", args.y)),
+        "qexp": lambda: lib.q_exp(args.q, need("--x", args.x), cutoff=args.cutoff_mode),
+        "qprod": lambda: lib.q_product(args.q, need("--x", args.x), need("--y", args.y)),
+        "qratio": lambda: lib.q_ratio(args.q, need("--x", args.x), need("--y", args.y)),
+        "tsallis": lambda: lib.tsallis_entropy(
+            args.q, _parse_floats(need("--p", args.p), "--p")),
     }[args.fn]
     try:
         value = float(evaluate())
@@ -229,14 +253,14 @@ def _cmd_verify(args) -> int:
 def _cmd_fig(args) -> int:
     import numpy as np
 
-    from .dynamics import FIG2_GRID, FIG2_INDEX, FIG2_SCALES, fig2_data
-    from .qgaussian import FIG3_GRID, FIG3_INDEX, FIG3_SCALES, fig3_data
-
     # table builder and its default index, scales and (min, max, points) grid
-    build, q, scales, (lo, hi, points) = {
-        "fig2": (fig2_data, FIG2_INDEX, FIG2_SCALES, FIG2_GRID),
-        "fig3": (fig3_data, FIG3_INDEX, FIG3_SCALES, FIG3_GRID),
-    }[args.which]
+    if args.which == "fig2":
+        from .dynamics import FIG2_GRID as grid, FIG2_INDEX as q, FIG2_SCALES as scales
+        from .dynamics import fig2_data as build
+    else:
+        from .qgaussian import FIG3_GRID as grid, FIG3_INDEX as q, FIG3_SCALES as scales
+        from .qgaussian import fig3_data as build
+    lo, hi, points = grid
     if args.q is not None:
         q = args.q
     if args.scales is not None:
@@ -249,17 +273,19 @@ def _cmd_fig(args) -> int:
         if args.grid_points < 2:
             raise _CliInputError("--grid-points must be at least 2")
         points = args.grid_points
+    for flag, value in (("--grid-min", lo), ("--grid-max", hi)):
+        if not math.isfinite(value):
+            raise _CliInputError(f"{flag} must be finite, got {value!r}")
     if not lo < hi:
         raise _CliInputError("--grid-min must be below --grid-max")
+    if not math.isfinite(hi - lo):
+        raise _CliInputError(f"--grid-max minus --grid-min must be a finite double, "
+                             f"got {hi - lo!r}")
     table = build(scales, q, np.linspace(lo, hi, points))
     if args.format == "csv":
         text = _csv_text(table.columns, table.blocks)
     else:
-        text = _json_text({
-            "columns": list(table.columns),
-            "rows": [[float(v) for v in row] for row in table.rows],
-            "meta": table.meta,
-        })
+        text = _json_table_text(table.columns, table.blocks, table.meta)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdeform import q_log
@@ -287,6 +288,24 @@ def test_csv_text_writes_what_csv_writer_writes():
     assert _csv_text(("id", "label", "value", "mixed", "scale"), blocks) == buffer.getvalue()
 
 
+def test_json_table_text_writes_what_json_dumps_writes():
+    # the writer of rows it replaced: json.dumps of each row of table.rows as floats
+    from qdeform import fig2_data, fig3_data
+    from qdeform.cli import _json_table_text
+
+    rng = np.random.default_rng(22)
+    for trial in range(40):
+        points = 1 if trial < 4 else int(rng.integers(1, 41))  # one-point curves first
+        grid = np.sort(rng.uniform(-1.0, 1.0, points))
+        grid[rng.integers(points)] = rng.choice([-0.0, 0.0, 5e-324, -2.5e-320, 1e-310])
+        scales = rng.uniform(0.5, 50.0, rng.integers(1, 5)).tolist()
+        table = (fig2_data, fig3_data)[trial % 2](scales, rng.uniform(0.6, 1.4), grid)
+        old = json.dumps({"columns": list(table.columns),
+                          "rows": [[float(v) for v in row] for row in table.rows],
+                          "meta": table.meta}, indent=2, sort_keys=True) + "\n"
+        assert _json_table_text(table.columns, table.blocks, table.meta) == old
+
+
 class TestCanonicalize:
     def test_hand_case(self, capsys, tmp_path):
         data = tmp_path / "xs.txt"
@@ -385,6 +404,17 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def _run_qdeform(argv, tmp_path, src_env):
+    """``python -m qdeform ARGV`` with RuntimeWarnings raised as errors.  In
+    ARGV, ``{pts}`` is a three-point data file and ``{tmp}`` a directory."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0\n1\n2\n")
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdeform",
+         *(a.format(pts=pts, tmp=tmp_path) for a in argv)],
+        capture_output=True, env=src_env, text=True)
+
+
 @pytest.mark.parametrize("argv", [
     ("fig", "fig2", "--q", "1", "--grid-min=-1000"),  # exp(1000) overflows
     ("canonicalize", "{pts}", "--q", "1", "--c", "1000"),
@@ -393,16 +423,34 @@ class TestDeterminism:
     ("fig", "fig3", "--grid-min", "0", "--grid-max", "1.4e308", "--grid-points", "3"),
 ])
 def test_out_of_range_exits_one_without_traceback(argv, tmp_path, src_env):
-    pts = tmp_path / "pts.txt"
-    pts.write_text("0\n1\n2\n")
-    result = subprocess.run(
-        [sys.executable, "-m", "qdeform", *(a.format(pts=pts) for a in argv)],
-        capture_output=True, env=src_env, text=True)
+    result = _run_qdeform(argv, tmp_path, src_env)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+# an output path or grid flag the command cannot use is named on one stderr
+# line: no traceback, no numpy warning
+@pytest.mark.parametrize("argv, named", [
+    (("fig", "fig2", "--out", "{tmp}/missing/x.csv"), "cannot write "),
+    (("fig", "fig2", "--out", "{tmp}"), "cannot write "),  # a directory
+    (("verify", "canonical", "--out", "{tmp}/missing/v.json"), "cannot write "),
+    (("canonicalize", "{pts}", "--q", "1.3", "--c", "0.2", "--out", "{tmp}/missing/x.csv"),
+     "cannot write "),
+    (("fig", "fig2", "--grid-max", "inf"), "--grid-max must be finite, got inf"),
+    (("fig", "fig2", "--grid-min=-inf"), "--grid-min must be finite, got -inf"),
+    (("fig", "fig2", "--grid-max", "nan"), "--grid-max must be finite, got nan"),
+    (("fig", "fig3", "--grid-min=-1e308", "--grid-max", "1e308", "--grid-points", "3"),
+     "--grid-max minus --grid-min must be a finite double, got inf"),
+])
+def test_bad_output_or_grid_flag_exits_one_on_one_line(argv, named, tmp_path, src_env):
+    result = _run_qdeform(argv, tmp_path, src_env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(named)
+    assert result.stderr.count("\n") == 1
 
 
 def test_nonfinite_data_line_exits_one_naming_the_line(tmp_path, src_env):
@@ -444,13 +492,18 @@ def test_numeric_cells_are_finite_floats(capsys, tmp_path):
     assert all(math.isfinite(float(cell)) for cell in cells)
 
 
-# ``python -m qdeform ARGV``, then whether the process had loaded numpy
-_RUN_AND_REPORT_NUMPY = (
+# ``python -m qdeform ARGV``, then whether the process had loaded numpy, its
+# qdeform modules, and which of dataclasses and json it loaded beyond what the
+# bare interpreter (and its site) had already loaded
+_RUN_AND_REPORT_IMPORTS = (
     "import runpy, sys\n"
+    "bare = set(sys.modules)\n"
     "try:\n"
     "    runpy.run_module('qdeform', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as stop:\n"
-    "    print('numpy' in sys.modules, stop.code)\n")
+    "    print('numpy' in sys.modules, stop.code)\n"
+    "    print(*sorted(m for m in sys.modules if m.startswith('qdeform.')))\n"
+    "    print(*sorted({'dataclasses', 'json'} & (sys.modules.keys() - bare)))\n")
 
 
 def _eval_choices():
@@ -475,21 +528,41 @@ def test_every_eval_function_has_arguments():
     assert set(_eval_choices()) == _EVAL_ARGS.keys()
 
 
+# each command's qdeform modules beside ``cli``, ``core`` and ``errors``, and
+# which of dataclasses and json it loads: only what its own output needs
+_LOADS = {
+    ("eval", "qlog"): ("", ""),
+    ("eval", "qexp"): ("", ""),
+    ("eval", "tsallis"): ("combinatorics", ""),
+    ("eval", "qprod"): ("algebra", "dataclasses"),
+    ("eval", "qratio"): ("algebra", "dataclasses"),
+    ("fig", "fig2"): ("_array dynamics tables", "dataclasses"),
+    ("fig", "fig3"): ("_array qgaussian tables", "dataclasses"),
+    ("canonicalize", "csv"): ("canonical", "dataclasses"),
+    ("canonicalize", "json"): ("canonical", "dataclasses json"),
+}
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
     *((("eval", fn, *_EVAL_ARGS.get(fn, ())), False) for fn in _eval_choices()),
     # a control: ``fig`` builds numpy arrays, so the probe must report it
     (("fig", "fig3", "--grid-points", "3"), True),
     (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "csv"), False),
     (("canonicalize", "DATA", "--q", "1.3", "--c", "0.2", "--format", "json"), False),
+    (("fig", "fig2", "--grid-points", "3"), True),
 ])
 def test_scalar_commands_load_no_numpy(argv, loads_numpy, src_env, tmp_path):
     data = tmp_path / "xs.txt"
     data.write_text("0.1\n0.5\n1.2\n")
+    modules, extra = _LOADS[(argv[0], argv[-1] if argv[0] == "canonicalize" else argv[1])]
     argv = [str(data) if a == "DATA" else a for a in argv]
-    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *argv],
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_IMPORTS, *argv],
                             capture_output=True, env=src_env, text=True)
     assert result.stderr == ""
-    assert result.stdout.splitlines()[-1] == f"{loads_numpy} 0"
+    assert result.stdout.splitlines()[-3:] == [
+        f"{loads_numpy} 0",
+        " ".join(sorted(f"qdeform.{m}" for m in ["cli", "core", "errors", *modules.split()])),
+        extra]
 
 
 def test_import_loads_no_scipy(src_env):
