@@ -4,11 +4,12 @@ tables, and distribution canonicalization.
 Exit codes are a strict contract: 0 on success, 1 on any input/domain
 problem (bad flags, unparseable files, domain violations -- the offending
 constraint value is printed to stderr -- and results past the largest
-double), 2 only when a verification suite ran and failed.  On one machine
-and numpy build, identical arguments (including the seed) produce
-byte-identical bytes; numpy and libm may round exp/log differently in the
-last bit.  Numbers are serialized with ``repr``, the shortest
-representation that round-trips the double exactly.
+double), 2 only when a verification suite ran and failed.  Exit 1 writes one
+``error: ...`` line to stderr, after argparse's usage block for a usage
+error.  On one machine and numpy build, identical arguments (including the
+seed) produce byte-identical bytes; numpy and libm may round exp/log
+differently in the last bit.  Numbers are serialized with ``repr``, the
+shortest representation that round-trips the double exactly.
 
 Tables are written by column: a table arrives as blocks, each holding per
 column either a sequence or one value for all of the block's rows (a figure
@@ -58,9 +59,11 @@ class _CliInputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors by default; the exit-code
-    # contract reserves 2 for verification failures.
+    # contract reserves 2 for verification failures.  The usage block goes
+    # out first, then main's one error line.
     def error(self, message):
-        raise _CliInputError(f"{self.format_usage().rstrip()}\n{self.prog}: {message}")
+        self.print_usage(sys.stderr)
+        raise _CliInputError(f"{self.prog}: {message}")
 
 
 def _fmt(value) -> str:
@@ -228,7 +231,7 @@ def _cmd_eval(args) -> int:
                          for flag in ("q", "x", "y", "p")
                          if getattr(args, flag) is not None)
         raise _CliInputError(
-            f"error: eval {args.fn} {given}: result is not a finite double") from None
+            f"eval {args.fn} {given}: result is not a finite double") from None
     sys.stdout.write(_fmt(value) + "\n")
     return EXIT_OK
 
@@ -356,10 +359,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _CliInputError as err:
-        sys.stderr.write(str(err) + "\n")
-        return EXIT_INPUT_ERROR
-    except (QDeformError, ValueError, OverflowError) as err:
+    except (_CliInputError, QDeformError, ValueError, OverflowError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
 

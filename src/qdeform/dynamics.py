@@ -21,7 +21,9 @@ Two consequences are implemented and checkable here:
 
 ``integrate_ode`` is a deliberately plain fixed-step fourth-order
 Runge-Kutta scheme: it exists to cross-check the closed form, so it must be
-simple enough to audit independently.
+simple enough to audit independently.  Its loop steps y alone: the
+abscissas and the analytic domain guard do not depend on y, so each is one
+array expression evaluated before the first step.
 """
 
 from __future__ import annotations
@@ -114,9 +116,13 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
                   step: float) -> Trajectory:
     """Fixed-step classical RK4 trajectory of dy/dx = direction * y**q, its
-    four textbook stages written out in the loop.
+    four textbook stages written out in a loop that carries y alone.
 
-    The step is shrunk uniformly so the grid lands on ``x_end`` exactly.
+    The step is shrunk uniformly so the grid lands on ``x_end`` exactly; the
+    grid x0 + i*h and the domain guard at each step's end are computed as
+    arrays before the first step, and the direction is folded into the step
+    sizes.  A step below the spacing of doubles, whose abscissas would
+    repeat, raises :class:`ValueError` naming step and x0.
     Integration aborts with :class:`BlowupDetected` when y or a stage leaves
     (0, ``Y_MAX``) or when the analytic domain boundary for this initial
     condition is about to be crossed (bracket below 1e-12), which happens in
@@ -148,32 +154,39 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
                             f"x0={x0!r}, x_end={x_end!r}, step={step!r}")
     n_steps = max(1, math.ceil(span))
     h = (x_end - x0) / n_steps
-    half, sixth = 0.5 * h, h / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = x0 + np.arange(n_steps + 1) * h  # x0 + i * h, as Python floats round it
+        xs[0] = x0  # keeps the sign of a -0.0 start
+        if not np.all(xs[1:] > xs[:-1]):
+            raise ValueError("step must exceed the spacing of doubles between x0 and x_end, "
+                             f"got {step!r} with x0={x0!r}")
+        # the analytic domain guard at each step's end; at q = 1 the bracket
+        # is 1 (or NaN past the largest double), so it never fires there
+        guard = 1.0 + (1.0 - q) * (d * xs[1:] / scale_pow) < 1e-12
+    stop = int(guard.argmax()) if guard.any() else n_steps
+    dh, dhalf, dsixth = d * h, d * (0.5 * h), d * (h / 6.0)  # (d*c)*k == c*(d*k) for d = +-1
     stage_left = "intermediate stage left (0, y_max)"
-    xs, ys, y = [x0], [y0], y0
+    ys, y = [y0], y0
     try:
-        for i in range(n_steps):
-            x_next = x0 + (i + 1) * h
-            if q != 1.0 and 1.0 + (1.0 - q) * (d * x_next / scale_pow) < 1e-12:
-                raise BlowupDetected(x_next, y, "analytic domain boundary reached")
-            k1 = d * y ** q  # y > 0: y0 is checked, and each step's y below
-            if (stage := y + half * k1) <= 0.0:
+        for i in range(stop):
+            k1 = y ** q  # y > 0: y0 is checked, and each step's y below
+            if (stage := y + dhalf * k1) <= 0.0:
                 raise BlowupDetected(x0 + i * h, stage, stage_left)
-            k2 = d * stage ** q
-            if (stage := y + half * k2) <= 0.0:
+            k2 = stage ** q
+            if (stage := y + dhalf * k2) <= 0.0:
                 raise BlowupDetected(x0 + i * h, stage, stage_left)
-            k3 = d * stage ** q
-            if (stage := y + h * k3) <= 0.0:
+            k3 = stage ** q
+            if (stage := y + dh * k3) <= 0.0:
                 raise BlowupDetected(x0 + i * h, stage, stage_left)
-            k4 = d * stage ** q
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = y + dsixth * (k1 + 2.0 * k2 + 2.0 * k3 + stage ** q)
             if not (0.0 < y < Y_MAX):
-                raise BlowupDetected(x_next, y, "solution left (0, y_max)")
-            xs.append(x_next)
+                raise BlowupDetected(x0 + (i + 1) * h, y, "solution left (0, y_max)")
             ys.append(y)
     except OverflowError:  # a stage's y**q
         raise RangeOverflow("integrate_ode", q, f"x={x0 + i * h!r}, y={y!r}") from None
-    return Trajectory(xs=np.asarray(xs), ys=np.asarray(ys), q=q, direction=d)
+    if stop < n_steps:
+        raise BlowupDetected(float(xs[stop + 1]), y, "analytic domain boundary reached")
+    return Trajectory(xs=xs, ys=np.asarray(ys), q=q, direction=d)
 
 
 def shift_expansion(q: float, shift: float):

@@ -285,8 +285,8 @@ def _trajectory_errors(q, direction, x0, y0, x_end, step):
     """Relative gap of each RK4 point to the analytic solution."""
     traj = dynamics.integrate_ode(q, x0, y0, direction, x_end, step)
     scale = dynamics.rescale_factor(q, direction * x0, y0)
-    for x, y in zip(traj.xs, traj.ys):
-        ref = dynamics.analytic_solution(q, scale, direction, float(x))
+    for x, y in zip(traj.xs.tolist(), traj.ys.tolist()):
+        ref = dynamics.analytic_solution(q, scale, direction, x)
         yield abs(y - ref) / ref
 
 

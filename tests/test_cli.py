@@ -113,7 +113,8 @@ class TestVerify:
     def test_unknown_suite_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 1
-        assert "usage" in err.lower()
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1].startswith("error: qdeform verify: argument suite")
 
     def test_exit_two_on_failed_invariant(self, capsys, monkeypatch):
         from qdeform.verify import CaseResult, SuiteReport
@@ -431,8 +432,8 @@ def test_out_of_range_exits_one_without_traceback(argv, tmp_path, src_env):
     assert "RuntimeWarning" not in result.stderr
 
 
-# an output path or grid flag the command cannot use is named on one stderr
-# line: no traceback, no numpy warning
+# an output path or grid flag the command cannot use is named on one
+# `error: ` line on stderr: no traceback, no numpy warning
 @pytest.mark.parametrize("argv, named", [
     (("fig", "fig2", "--out", "{tmp}/missing/x.csv"), "cannot write "),
     (("fig", "fig2", "--out", "{tmp}"), "cannot write "),  # a directory
@@ -449,7 +450,7 @@ def test_bad_output_or_grid_flag_exits_one_on_one_line(argv, named, tmp_path, sr
     result = _run_qdeform(argv, tmp_path, src_env)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith(named)
+    assert result.stderr.startswith("error: " + named)
     assert result.stderr.count("\n") == 1
 
 
@@ -462,6 +463,7 @@ def test_nonfinite_data_line_exits_one_naming_the_line(tmp_path, src_env):
         capture_output=True, env=src_env, text=True)
     assert result.returncode == 1
     assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert ":2:" in result.stderr
     assert "not a finite real" in result.stderr
     assert "Traceback" not in result.stderr

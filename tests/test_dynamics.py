@@ -1,6 +1,7 @@
 """Power-law dynamics: closed form, RK4 cross-check, shift/rescale structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,29 +117,54 @@ def _stage_rk4(q, x0, y0, d, x_end, step):
     return np.asarray(xs), np.asarray(ys)
 
 
+# the blowup case whose abscissas end past the largest double: at q = 1 its
+# guard quotient d*x/scale**(1-q) is infinite, and 0 * inf is NaN
+_INF_END = (1.0, 8.795874874880185e+307, 1.0, 1, 1.7976931348623157e+308,
+            4.817955637403735e+306)
+
+
 class TestWrittenOutStages:
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.3, 2.0])
-    @pytest.mark.parametrize("direction", [1, -1])
-    def test_trajectory_bits_match_stage_function_form(self, q, direction):
-        args = (q, 0.3, 1.4, direction, 0.8, 5e-4)  # 1000 steps
+    @pytest.mark.parametrize("args", [
+        *(pytest.param((q, 0.3, 1.4, direction, 0.8, 5e-4), id=f"{direction}-{q}")
+          for direction in (1, -1) for q in (0.5, 1.0, 1.3, 2.0)),  # 1000 steps
+        # the benchmark's two branches at 5e4 steps
+        pytest.param((1.35, 0.0, 1.2, -1, 5.0, 1e-4), id="bench-decay"),
+        pytest.param((0.7, 0.0, 0.8, 1, 5.0, 1e-4), id="bench-growth"),
+    ])
+    def test_trajectory_bits_match_stage_function_form(self, args):
         traj = integrate_ode(*args)
         xs, ys = _stage_rk4(*args)
-        assert traj.xs.size == 1001
+        _, x0, _, _, x_end, step = args
+        assert traj.xs.size == math.ceil((x_end - x0) / step) + 1
         assert traj.xs.tobytes() == xs.tobytes() and traj.ys.tobytes() == ys.tobytes()
 
     @pytest.mark.parametrize("args, reason", [
         ((0.5, 0.0, 1.0, -1, 3.0, 1e-3), "analytic domain boundary reached"),
         ((2.0, 0.0, 1e3, -1, 1.0, 1e-2), "intermediate stage left (0, y_max)"),
         ((1.0, 0.0, 1.0, 1, 30.0, 1e-2), "solution left (0, y_max)"),
+        # the guard fires at the first step's end, and at the last one (x = 1)
+        ((0.5, 0.0, 1.0, -1, 5.0, 2.5), "analytic domain boundary reached"),
+        ((2.0, 0.0, 1.0, 1, 1.0, 1e-3), "analytic domain boundary reached"),
+        (_INF_END, "solution left (0, y_max)"),
     ])
     def test_blowup_matches_stage_function_form(self, args, reason):
-        with pytest.raises(BlowupDetected) as new:
-            integrate_ode(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupDetected) as new:
+                integrate_ode(*args)
         with pytest.raises(BlowupDetected) as old:
             _stage_rk4(*args)
         assert str(new.value).endswith(reason)
         assert (new.value.x, new.value.y, str(new.value)) == (old.value.x, old.value.y,
                                                               str(old.value))
+
+    def test_guard_fires_at_first_and_last_step(self):
+        with pytest.raises(BlowupDetected) as first:
+            integrate_ode(0.5, 0.0, 1.0, -1, 5.0, 2.5)
+        with pytest.raises(BlowupDetected) as last:
+            integrate_ode(2.0, 0.0, 1.0, 1, 1.0, 1e-3)
+        assert (first.value.x, first.value.y) == (2.5, 1.0)
+        assert last.value.x == 1.0 and last.value.y > 100.0
 
 
 class TestIntegrateODE:
@@ -192,6 +218,12 @@ class TestIntegrateODE:
     def test_rejects_non_finite_endpoints(self, x0, x_end, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             integrate_ode(1.3, x0, 1.0, -1, x_end, 1e-3)
+
+    def test_rejects_step_below_double_spacing(self):
+        # x0 + i*h rounds to repeated abscissas near 1e10
+        with pytest.raises(ValueError,
+                           match=r"^step must exceed the spacing of doubles .*x0=10000000000\.0"):
+            integrate_ode(1.3, 1e10, 1.0, 1, 1e10 + 1e-5, 1e-6)
 
     def test_nonzero_start(self):
         traj = integrate_ode(1.3, 1.0, 0.8, -1, 2.0, 1e-3)
