@@ -186,10 +186,10 @@ def q_gaussian_pdf(model: QGaussianModel, e: float) -> float:
     return math.exp(-log_x / (q - 1.0) - math.log(model.norm))
 
 
-def _deviations(model: QGaussianModel, samples, theta, strict: bool):
-    """theta (the sample mean when None), the deviations x_i - theta inside
-    the support, 1 - (1-q) beta e**2 > 0 below q = 1, and the sample count.
-    In strict mode a sample outside raises :class:`DomainViolation`."""
+def _deviations(model: QGaussianModel, samples, theta):
+    """theta (the sample mean when None) and the deviations x_i - theta, all
+    inside the support, 1 - (1-q) beta e**2 > 0 below q = 1: a sample
+    outside raises :class:`DomainViolation`."""
     xs = np.asarray(samples, dtype=float)
     if xs.ndim != 1 or not xs.size:
         raise ValueError("samples must be non-empty")
@@ -207,27 +207,23 @@ def _deviations(model: QGaussianModel, samples, theta, strict: bool):
     with np.errstate(over="ignore"):
         e = xs - theta
         if model.q >= 1.0:
-            return theta, e, xs.size
+            return theta, e
         bracket = q_exp_bracket(model.q, -model.beta * e * e)
-    inside = bracket > 0.0
-    if strict:
-        _check_all(inside, lambda i: DomainViolation(
-            f"sample {i} outside the density support", float(bracket[i]), index=i))
-    return theta, e[inside], xs.size
+    _check_all(bracket > 0.0, lambda i: DomainViolation(
+        f"sample {i} outside the density support", float(bracket[i]), index=i))
+    return theta, e
 
 
-def q_log_likelihood(model: QGaussianModel, theta: float, samples,
-                     strict: bool = True) -> float:
+def q_log_likelihood(model: QGaussianModel, theta: float, samples) -> float:
     """Deformed log-likelihood sum_i log_q pdf(x_i - theta): the parabola of
     the module docstring.
 
-    In strict mode a sample outside the support (possible only for q < 1)
-    raises :class:`DomainViolation` naming the sample; otherwise it
-    contributes log_q(0+) = -1/(1-q), the finite infimum of the deformed
-    log.  A non-finite theta or sample raises :class:`ValueError`, and a
-    sum past the largest double :class:`~qdeform.errors.RangeOverflow`.
+    A sample outside the support (possible only for q < 1) raises
+    :class:`DomainViolation` naming the sample.  A non-finite theta or
+    sample raises :class:`ValueError`, and a sum past the largest double
+    :class:`~qdeform.errors.RangeOverflow`.
     """
-    theta, e, n = _deviations(model, samples, theta, strict)
+    theta, e = _deviations(model, samples, theta)
     q = model.q
     with np.errstate(over="ignore"):
         squares = (e * e).tolist()
@@ -236,10 +232,8 @@ def q_log_likelihood(model: QGaussianModel, theta: float, samples,
                                            - e.size * q_log(q, model.norm))
     except OverflowError:  # Z**(q-1) or finite squares whose sum passes the largest double
         value = math.inf
-    if e.size < n:  # only below q = 1
-        value += (n - e.size) * (-1.0 / (1.0 - q))
     if not math.isfinite(value):
-        raise RangeOverflow("q_log_likelihood", q, f"theta={theta!r}, {n} samples")
+        raise RangeOverflow("q_log_likelihood", q, f"theta={theta!r}, {e.size} samples")
     return value
 
 
@@ -247,16 +241,16 @@ def mlp_stationarity(model: QGaussianModel, samples):
     """Exact (gradient, curvature) of the likelihood at theta* = mean(samples):
     2 beta Z**(q-1) * sum_i (x_i - theta*), zero up to the rounding of the
     mean, and -2 n beta Z**(q-1) < 0.  A sample outside the support raises
-    :class:`DomainViolation`, as in :func:`q_log_likelihood`'s strict mode.
+    :class:`DomainViolation`, as in :func:`q_log_likelihood`.
     """
-    _, e, n = _deviations(model, samples, None, strict=True)
+    _, e = _deviations(model, samples, None)
     try:
         slope = 2.0 * model.beta * model.norm ** (model.q - 1.0)
-        gradient, curvature = slope * math.fsum(e.tolist()), -n * slope
+        gradient, curvature = slope * math.fsum(e.tolist()), -e.size * slope
     except (OverflowError, ValueError):  # Z**(q-1) or deviations past the largest double
         gradient = curvature = math.inf
     if not (math.isfinite(gradient) and math.isfinite(curvature)):
-        raise RangeOverflow("mlp_stationarity", model.q, f"{n} samples")
+        raise RangeOverflow("mlp_stationarity", model.q, f"{e.size} samples")
     return gradient, curvature
 
 

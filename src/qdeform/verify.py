@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -213,14 +213,17 @@ def _identities(rng):
     yield "shift_expansion", 1e-12, shift_expansions()
 
     def ratios():
+        # y = x r, x of at most 20 significant bits over 1e+-30 (where log_q x
+        # saturates) and r = 2**k or 1 +- 2**-m, m <= 33: y / x is exactly r
         q = _draw_indices(rng, _SAMPLES)
-        # keep the ratio away from 1 so the relative metric is meaningful
-        y, x = _sample_rows(_SAMPLES, lambda k: _draw_positives(rng, (2, k), 0.1, 10.0),
-                            lambda y, x: np.abs(y / x - 1.0) > 0.05)
-        for qi, yi, xi in zip(q.tolist(), y.tolist(), x.tolist()):
-            a = q_log_of_ratio(qi, yi, xi)
-            b = q_log(qi, yi / xi)
-            yield abs(a - b) / max(abs(a), abs(b))
+        mantissa, exponent = np.frexp(_draw_positives(rng, _SAMPLES, 1e-30, 1e30))
+        x = np.ldexp(np.round(np.ldexp(mantissa, 20)), exponent - 20)
+        sign = rng.choice([-1, 1], size=(2, _SAMPLES))
+        r = np.where(rng.random(_SAMPLES) < 0.5,
+                     np.ldexp(1.0, sign[0] * rng.integers(1, 41, size=_SAMPLES)),
+                     1.0 + sign[1] * np.ldexp(1.0, -rng.integers(1, 34, size=_SAMPLES)))
+        for qi, yi, xi, ri in zip(q.tolist(), (x * r).tolist(), x.tolist(), r.tolist()):
+            yield abs(q_log_of_ratio(qi, yi, xi) / q_log(qi, ri) - 1.0)
     yield "q_log_of_ratio", 1e-12, ratios()
 
     violations = 0
@@ -270,9 +273,10 @@ def _identities(rng):
         count, f = _sample_rows(
             2000, lambda k: (rng.integers(1, 6, size=k),
                              _draw_positives(rng, (k, 5), 0.3, 4.0)), fold_in_margin)
+        # the closed form against the left fold through the public q_product
         for qi, k, row in zip(q.tolist(), count.tolist(), f.tolist()):
             folded = algebra.q_product_fold(qi, row[:k])
-            ref = q_exp(qi, algebra.q_log_sum(qi, row[:k]))
+            ref = reduce(partial(algebra.q_product, qi), row[:k])
             yield abs(folded - ref) / ref
     yield "fold_vs_qlog_sum", 1e-12, folds()
 

@@ -242,32 +242,30 @@ class TestFold:
         with pytest.raises(NonPositiveArgument) as err:
             q_product_fold(3.0, [4.0, -1.0, 4.0])
         assert err.value.name == "factors[1]"
-        # a running value that underflowed to 0 fails the next step, as the
-        # x of q_product(q, 0.0, f) does
+        # only the whole product can leave the double range: one below the
+        # smallest double is 0.0, whatever the step
         assert q_product_fold(1.0, [1e-300, 1e-300]) == 0.0
-        with pytest.raises(NonPositiveArgument) as err:
-            q_product_fold(1.0, [1e-300, 1e-300, 2.0])
-        assert (err.value.name, err.value.value) == ("x", 0.0)
+        assert q_product_fold(1.0, [1e-300, 1e-300, 2.0]) == 0.0
+
+    # the closed form forms no intermediate product
+    @pytest.mark.parametrize("factors, product", [
+        ([1e200, 1e200, 1e-300], 1e100), ([1e-300, 1e-300, 1e300], 1e-300)])
+    def test_classical_intermediates_may_leave_the_double_range(self, factors, product):
+        assert q_product_fold(1.0, factors) == pytest.approx(product, rel=1e-13)
 
     @staticmethod
     def _left_fold(q, factors):
-        """The fold through the public q_product, one call a step, as the
-        fold was written before its step moved onto the kernel pair."""
+        """The fold through the public q_product, one call a step."""
         acc = factors[0]
         for i, f in enumerate(factors[1:], 1):
             try:
                 acc = q_product(q, acc, f)
             except DomainViolation as err:
                 return ("bracket", i, err.constraint)
-        return acc.hex()
+        return acc
 
-    @staticmethod
-    def _fold(q, factors):
-        try:
-            return q_product_fold(q, factors).hex()
-        except DomainViolation as err:
-            return ("bracket", err.index, err.constraint)
-
+    # the closed form agrees with the left fold within 1e-12, or fails at
+    # the same step with the same bracket
     @pytest.mark.parametrize("sizes", [(1, 6), (1000, 1001)])
     def test_bits_match_left_fold_through_q_product(self, sizes):
         rng = np.random.default_rng(29)
@@ -276,4 +274,28 @@ class TestFold:
             n = int(rng.integers(*sizes))
             spread = 1.5 if n < 10 else 0.05
             factors = np.exp(rng.uniform(-spread, spread, size=n)).tolist()
-            assert self._fold(q, factors) == self._left_fold(q, factors)
+            ref = self._left_fold(q, factors)
+            try:
+                folded = q_product_fold(q, factors)
+            except DomainViolation as err:
+                assert ref[:2] == ("bracket", err.index)
+                assert err.constraint == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
+            else:
+                assert folded == pytest.approx(ref, rel=1e-12)
+
+    # brackets 1 + S_j drawn in [0.05, 0.5] before step i and in
+    # [-0.45, -0.05] at it, clear of verify's 1e-2 margin on either side
+    def test_failing_step_is_where_the_running_bracket_crosses_zero(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            q = float(rng.choice([rng.uniform(0.2, 0.9), rng.uniform(1.1, 2.8)]))
+            i = int(rng.integers(1, 6))
+            brackets = np.append(rng.uniform(0.05, 0.5, size=i), rng.uniform(-0.45, -0.05))
+            lifts = np.diff(brackets, prepend=1.0)
+            factors = [*((1.0 + lifts) ** (1.0 / (1.0 - q))).tolist(),
+                       *rng.uniform(0.3, 4.0, size=3).tolist()]
+            with pytest.raises(DomainViolation) as err:
+                q_product_fold(q, factors)
+            assert err.value.index == i
+            assert err.value.constraint == pytest.approx(brackets[-1], abs=1e-12)
+            assert self._left_fold(q, factors)[:2] == ("bracket", i)

@@ -251,26 +251,51 @@ def test_canonicalize_and_verify_match_saved_text(name, argv, capsys):
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
-# saved `verify all` reports: every case reads the same bits, except
-# classical_limit_continuity, which was saved when it measured exp_q against
-# e^x and now measures it against e^x (1 - (1-q) x**2/2), at tolerance 1e-7
+# saved `verify all` reports: every case reads the same bits, except those
+# changed since the files were saved, pinned here per seed as (tolerance,
+# max_rel_err) saved and now:
+# - classical_limit_continuity measured exp_q against e^x, and now against
+#   e^x (1 - (1-q) x**2/2) at tolerance 1e-7;
+# - q_log_of_ratio drew y, x in [0.1, 10] against q_log(q, y / x), and now
+#   draws y = x r over 1e+-30 with the quotient r exact;
+# - scale_drift_product and fold_vs_qlog_sum draw their rows after it, and
+#   the fold case checks the fold against the left fold through q_product
+#   where it checked it against q_exp(q_log_sum)
+_CHANGED_CASES = {
+    0: {"identities/classical_limit_continuity":
+            ((1e-4, 1.2500119791613322e-05), (1e-7, 1.1979182783247168e-10)),
+        "identities/q_log_of_ratio": ((1e-12, 2.518315409133513e-14), (1e-12, 0.0)),
+        "identities/scale_drift_product":
+            ((1e-10, 2.660977441258502e-15), (1e-10, 1.466409195894169e-14)),
+        "identities/fold_vs_qlog_sum":
+            ((1e-12, 9.34509354488954e-15), (1e-12, 8.799452804539434e-15))},
+    2: {"identities/classical_limit_continuity":
+            ((1e-4, 1.2500119791613322e-05), (1e-7, 1.1979182783247168e-10)),
+        "identities/q_log_of_ratio": ((1e-12, 2.290366214846693e-14), (1e-12, 0.0)),
+        "identities/scale_drift_product":
+            ((1e-10, 3.797811854981423e-15), (1e-10, 9.019856236445276e-15)),
+        "identities/fold_vs_qlog_sum":
+            ((1e-12, 1.2417850116741302e-14), (1e-12, 3.6444570997554135e-15))},
+}
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 def test_verify_all_matches_saved_report(seed, capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(seed))
     assert code == 0
     report = json.loads(out)
     saved = json.loads((DATA / f"verify_all_seed{seed}.json").read_text(encoding="utf-8"))
-    changed = "identities/classical_limit_continuity"
+    changed = _CHANGED_CASES[seed]
     rows = []
-    for payload in (report, saved):
-        rows.append((payload["tolerances"].pop(changed),
-                     [c for c in payload["cases"] if c["name"] == changed]))
-        payload["cases"] = [c for c in payload["cases"] if c["name"] != changed]
+    for payload in (saved, report):
+        cases = {c["name"]: c for c in payload["cases"]}
+        rows.append({name: (payload["tolerances"].pop(name), cases[name]["max_rel_err"])
+                     for name in changed})
+        assert all(cases[name]["pass"] for name in changed)
+        payload["cases"] = [c for c in payload["cases"] if c["name"] not in changed]
     assert report == saved
-    assert rows[0] == (1e-7, [{"name": changed, "max_rel_err": 1.1979182783247168e-10,
-                               "pass": True}])
-    assert rows[1] == (1e-4, [{"name": changed, "max_rel_err": 1.2500119791613322e-05,
-                               "pass": True}])
+    assert rows == [{name: then for name, (then, _) in changed.items()},
+                    {name: now for name, (_, now) in changed.items()}]
 
 
 def test_csv_text_writes_what_csv_writer_writes():

@@ -1,11 +1,11 @@
 """The error contract, walked over the package's table of public names.
 
-Called with finite floats (and, where it takes one, a list of them, a
-probability vector or a model built from finite floats), each export drawn
-here either returns finite floats (every float of a distribution record)
-or raises a :class:`~qdeform.errors.QDeformError`; a bare
-``OverflowError``, ``ValueError`` or ``ZeroDivisionError``, an ``inf`` or
-``nan`` result, or a numpy warning fails.  Every callable in
+Called with finite floats (and, where it takes one, a list of them or of
+fold factors, a probability vector or a model built from finite floats),
+each export drawn here either returns finite floats (every float of a
+distribution record) or raises a :class:`~qdeform.errors.QDeformError`; a
+bare ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``, an ``inf``
+or ``nan`` result, or a numpy warning fails.  Every callable in
 ``qdeform._EXPORTS`` is either drawn here or listed as exempt with its
 reason, so a new export has to be placed.
 """
@@ -48,6 +48,11 @@ def _model(q, beta):
 
 POINTS = st.lists(FINITE, min_size=1, max_size=8)
 
+# fold factors: floats >= 0 of every magnitude, among them the zeros and
+# negatives that FINITE draws
+FACTORS = st.lists(st.one_of(st.floats(min_value=0.0, allow_infinity=False), FINITE),
+                   min_size=1, max_size=8)
+
 MODELS = st.builds(_model, FINITE, FINITE).filter(lambda model: model is not None)
 
 # export -> strategies for its positional arguments
@@ -58,6 +63,8 @@ PROPERTY = {
     "q_product": (FINITE, FINITE, FINITE),
     "q_ratio": (FINITE, FINITE, FINITE),
     "q_product_bracket": (FINITE, FINITE, FINITE),
+    "q_product_fold": (FINITE, FACTORS),
+    "q_log_sum": (FINITE, FACTORS),
     "shift_expansion": (FINITE, FINITE),
     "compose_shifts": (FINITE, FINITE, FINITE),
     "rescale_factor": (FINITE, FINITE, FINITE),
@@ -79,8 +86,6 @@ _SEQUENCE = "takes a sequence; parametrized overflow tests pin its named errors"
 _RECORD = "a record built by an export drawn or exempted here"
 EXEMPT = {
     "q_exp_bracket": "bare arithmetic 1 + (1-q)*x that also takes arrays",
-    "q_product_fold": _SEQUENCE,
-    "q_log_sum": _SEQUENCE,
     "scale_drift_expand": _SEQUENCE,
     "canonical_form": "takes a DiscreteQDistribution; its overflow is a row of test_core",
     "q_log_multinomial": _SEQUENCE,

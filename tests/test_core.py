@@ -154,8 +154,8 @@ class TestQExp:
     (q_product, (1.0, 1e308, 10.0), "q_product at q=1.0 overflows a double (x=1e+308, y=10.0)"),
     (q_ratio, (1.0, 1e308, 0.1), "q_ratio at q=1.0 overflows a double (x=1e+308, y=0.1)"),
     (q_product_fold, (1.0, [1e308, 10.0]),
-     "q_product at q=1.0 overflows a double (x=1e+308, y=10.0)"),
-    # x**(q-1) raised, or its product with the q-log difference made inf
+     "q_product_fold at q=1.0 overflows a double (2 factors)"),
+    # a quotient past the largest double, and expm1((1-q) ln(y/x)) with it
     (q_log_of_ratio, (-1.36, 0.81, 5e-324),
      "log_q ratio at q=-1.36 overflows a double (y=0.81, x=5e-324)"),
     (q_log_of_ratio, (0.18, 1.1e197, 3e-206),
@@ -355,9 +355,12 @@ def _tsallis_through_q_log(q, p):
 
 
 def _ratio_through_q_log(q, y, x):
-    if q == 1.0:
-        return math.log(y) - math.log(x)
-    return x ** (q - 1.0) * (q_log(q, y) - q_log(q, x))
+    """q_log of the quotient, with ln(y/x) as log1p((y - x)/x) for a
+    quotient in [1/2, 2]."""
+    if not 0.5 <= y / x <= 2.0:
+        return q_log(q, y / x)
+    ln_ratio = math.log1p((y - x) / x)
+    return ln_ratio if q == 1.0 else math.expm1((1.0 - q) * ln_ratio) / (1.0 - q)
 
 
 ROUTING_INDICES = [float(q) for q in np.linspace(-3.0, 6.0, 37)] + [

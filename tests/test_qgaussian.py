@@ -226,21 +226,11 @@ class TestLikelihood:
         assert str(err.value) == ("sample 1 outside the density support (element 1): "
                                   "constraint value -11.5 <= 0")
 
-    def test_penalty_mode_is_finite(self):
-        model = QGaussianModel.from_beta(0.5, 1.0)
-        value = q_log_likelihood(model, 0.0, [0.1, 5.0], strict=False)
-        assert math.isfinite(value)
-        # the penalty is the infimum of log_q over positive densities
-        assert value < q_log_likelihood(model, 0.0, [0.1, 0.2], strict=False)
-        assert value == pytest.approx(q_log_likelihood(model, 0.0, [0.1]) - 2.0,
-                                      rel=1e-15)
-
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_classical_far_samples_stay_finite(self, strict):
+    def test_classical_far_samples_stay_finite(self):
         # exp(-1600) underflows to 0, so a density-first sum has no log to take
         for beta in (0.5, 1.0):
             model = QGaussianModel.from_beta(1.0, beta)
-            value = q_log_likelihood(model, 0.0, [0.0, 40.0], strict=strict)
+            value = q_log_likelihood(model, 0.0, [0.0, 40.0])
             assert value == pytest.approx(-1600.0 * beta - 2.0 * math.log(model.norm),
                                           rel=1e-15)
 

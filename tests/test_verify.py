@@ -167,9 +167,9 @@ def test_sample_rows_raises_when_every_row_is_rejected():
 # calls each suite makes at seed 3 to some of its checkers, as when every
 # case drew one row at a time: cheaper draws must not mean fewer checks
 _CHECKER_CALLS = {
-    # q_product: one per q_exp_law row and four per associativity row; the
-    # 2000 folds step on the kernel pair, not through q_product
-    "identities": {(algebra, "q_product"): 10_000 + 4 * 10_000,
+    # q_product: one per q_exp_law row, four per associativity row, and one
+    # per step of the left fold that checks each of the 2000 folds (3948 steps)
+    "identities": {(algebra, "q_product"): 10_000 + 4 * 10_000 + 3948,
                    (algebra, "q_product_fold"): 2000,
                    (dynamics, "shift_expansion"): 10_000},
     "dynamics": {(dynamics, "compose_shifts"): 1000},
@@ -300,11 +300,19 @@ def test_exp_limit_case_fails_on_the_flipped_deformation(monkeypatch):
     assert failed["classical_limit_continuity"] == pytest.approx(2.5e-5, rel=1e-3)
 
 
+def test_fold_case_fails_on_a_wrong_fold(monkeypatch):
+    exact = algebra.q_product_fold
+    monkeypatch.setattr(algebra, "q_product_fold",
+                        lambda q, factors: exact(q, factors) * (1.0 + 1e-9))
+    failed = {c.name for c in run_suite("identities", seed=0).cases if not c.passed}
+    assert failed == {"fold_vs_qlog_sum"}
+
+
 def test_likelihood_case_fails_on_a_wrong_likelihood(monkeypatch):
     exact = qgaussian.q_log_likelihood
 
-    def perturbed(model, theta, samples, strict=True):
-        return exact(model, theta, samples, strict) * (1.0 + 1e-9)
+    def perturbed(model, theta, samples):
+        return exact(model, theta, samples) * (1.0 + 1e-9)
 
     monkeypatch.setattr(qgaussian, "q_log_likelihood", perturbed)
     failed = {c.name for c in run_suite("mlp", seed=0).cases if not c.passed}
