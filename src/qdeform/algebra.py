@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import _EXPORTS
-from .core import (_check_all, _check_positive, _drop, _index_error, _lift, check_index,
-                   q_exp_bracket)
+from .core import (_check_all, _check_positive, _drop, _finite_or_overflow, _index_error, _lift,
+                   check_index, q_exp_bracket)
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = _EXPORTS["algebra"]
@@ -116,13 +116,8 @@ def q_product_bracket(q: float, x: float, y: float) -> float:
     Bad arguments and overflow are reported as by :func:`q_product`."""
     q = check_index(q)
     x, y = _check_positive("x", x), _check_positive("y", y)
-    try:
-        d = _lift(q, x) + _lift(q, y)
-        if math.isfinite(d):
-            return 1.0 + d
-    except OverflowError:
-        pass
-    raise RangeOverflow("q_product_bracket", q, f"x={x!r}, y={y!r}")
+    return _finite_or_overflow("q_product_bracket", q, lambda: f"x={x!r}, y={y!r}",
+                               lambda: 1.0 + (_lift(q, x) + _lift(q, y)))
 
 
 def q_product(q: float, x: float, y: float) -> float:
@@ -195,21 +190,18 @@ def q_product_fold(q: float, factors) -> float:
         if not factors:
             raise ValueError("factors must be non-empty")
         return _check_positive("factors[0]", factors[0])
-    try:
+
+    def fold():
         lifts, exponent = _fold_lifts(q, factors)
         total = math.fsum(lifts)
         if q == 1.0:  # the sum of logs moved within ln(2)/2 of 0 first
             k = round(total / _LN2)
-            value = math.ldexp(math.exp(total - k * _LN2), exponent + k)
-        elif total <= -1.0:
+            return math.ldexp(math.exp(total - k * _LN2), exponent + k)
+        if total <= -1.0:
             raise DomainViolation("q_product fold bracket", 1.0 + total, index=len(lifts) - 1)
-        else:
-            value = _drop(q, total)
-        if value < math.inf:
-            return value
-    except OverflowError:
-        pass
-    raise RangeOverflow("q_product_fold", q, f"{len(factors)} factors")
+        return _drop(q, total)
+
+    return _finite_or_overflow("q_product_fold", q, lambda: f"{len(factors)} factors", fold)
 
 
 def q_log_sum(q: float, factors) -> float:
@@ -219,12 +211,10 @@ def q_log_sum(q: float, factors) -> float:
     :class:`OverflowError`."""
     q = check_index(q)
     factors = list(factors)
-    try:
+
+    def log_sum():
         lifts, exponent = _fold_lifts(q, factors)
-        value = (math.fsum(lifts) + exponent * _LN2 if q == 1.0
-                 else math.fsum(lifts) / (1.0 - q))
-        if math.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise RangeOverflow("q_log_sum", q, f"{len(factors)} factors")
+        return (math.fsum(lifts) + exponent * _LN2 if q == 1.0
+                else math.fsum(lifts) / (1.0 - q))
+
+    return _finite_or_overflow("q_log_sum", q, lambda: f"{len(factors)} factors", log_sum)

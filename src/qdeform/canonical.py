@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _EXPORTS
-from .core import _check_positive, _drop, check_index, q_exp, q_log
+from .core import _check_positive, _drop, _finite_or_overflow, check_index, q_exp, q_log
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = _EXPORTS["canonical"]
@@ -173,10 +173,9 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
         y_scale = q_exp(q, outer)
         if y_scale == 0.0:  # underflowed: no scale to pull out
             raise NonPositiveArgument(f"exp_q({name}) at q={q!r} ({shifts()})", y_scale)
-        try:  # the rounding of y_scale, raised to a huge 1-q, can pass the largest double
-            arg_scale = y_scale ** (1.0 - q)
-        except OverflowError:
-            raise RangeOverflow(f"exp_q({name})**(1-q)", q, shifts()) from None
+        # the rounding of y_scale, raised to a huge 1-q, can pass the largest double
+        arg_scale = _finite_or_overflow(f"exp_q({name})**(1-q)", q, shifts,
+                                        lambda: y_scale ** (1.0 - q))
         return _frequencies(q, points, inner, arg_scale, shifts)[2]
 
     return pulled_out(shift1, shift2, "shift1"), pulled_out(shift2, shift1, "shift2")
@@ -190,14 +189,10 @@ def canonical_form(dist: DiscreteQDistribution) -> CanonicalQLogForm:
     might be split; log_q(p_i) = slope*x_i + intercept reproduces every
     probability.  A result past the largest double raises
     :class:`OverflowError` naming q, the total and the shift."""
-    q = dist.q
-    n = dist.total
-    try:
-        n_pow = n ** (q - 1.0)
-        intercept = n_pow * dist.shift - q_log(2.0 - q, n)
-        if math.isfinite(intercept):
-            return CanonicalQLogForm(q=q, slope=-n_pow, intercept=intercept)
-    except OverflowError:
-        pass
-    raise RangeOverflow("canonical_form", q, f"total={n!r}, shift={dist.shift!r}")
+    q, n = dist.q, dist.total
+    intercept = _finite_or_overflow(
+        "canonical_form", q, lambda: f"total={n!r}, shift={dist.shift!r}",
+        lambda: n ** (q - 1.0) * dist.shift - q_log(2.0 - q, n))
+    # n**(q-1) raises or is finite, so the slope is finite once the intercept is
+    return CanonicalQLogForm(q=q, slope=-n ** (q - 1.0), intercept=intercept)
 

@@ -23,16 +23,12 @@ A CSV cell that holds a comma, a quote or a line break is quoted, as
 Each command imports only the modules its own output needs: ``eval`` the one
 module its function lives in, ``fig`` the one of its figure, and :mod:`json`
 is loaded only to write JSON.
-
-The fallback seed is read from the ``QDEFORM_SEED`` environment variable
-when ``--seed`` is not given; the flag always wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from itertools import chain, repeat
 
@@ -71,16 +67,6 @@ def _fmt(value) -> str:
         # float() first: numpy scalars subclass float but repr differently
         return repr(float(value))
     return str(value)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("QDEFORM_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise _CliInputError(f"QDEFORM_SEED must be an integer, got {raw!r}") from err
 
 
 def _parse_floats(raw: str, flag: str):
@@ -180,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a metavar, so that building the parser does not list the choices
     p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite",
                           help="one of %(choices)s")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("csv", "json"), default="json")
     p_verify.add_argument("--out")
 
@@ -239,8 +225,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = run_suite(args.suite, seed)
+    report = run_suite(args.suite, args.seed)
     if args.format == "json":
         text = _json_text(report.to_json_dict())
     else:

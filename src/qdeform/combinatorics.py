@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .core import _lift, check_index, q_log
+from .core import _finite_or_overflow, _lift, check_index, q_log
 from .errors import RangeOverflow
 
 __all__ = _EXPORTS["combinatorics"]
@@ -182,18 +182,14 @@ def q_stirling(q: float, n: int) -> float:
     """
     q = check_index(q)
     n = _check_count("n", n)
-    try:
+
+    def stirling():  # n, log_q(n) or a term may pass the largest double
         if q == 2.0:
-            value = n - math.log(n) - 1.0 / (2.0 * n) - 0.5
-        else:
-            lnq = q_log(q, float(n))
-            twn = 2.0 - q
-            value = n / twn * lnq - n / twn + 0.5 * lnq + 1.0 / twn
-    except OverflowError:  # n or log_q(n) past the largest double
-        value = math.inf
-    if not math.isfinite(value):  # a term past it, or inf - inf
-        raise RangeOverflow("q_stirling", q, f"n={n!r}")
-    return value
+            return n - math.log(n) - 1.0 / (2.0 * n) - 0.5
+        lnq, twn = q_log(q, float(n)), 2.0 - q
+        return n / twn * lnq - n / twn + 0.5 * lnq + 1.0 / twn
+
+    return _finite_or_overflow("q_stirling", q, lambda: f"n={n!r}", stirling)
 
 
 def q_log_multinomial(q: float, counts) -> float:
@@ -226,18 +222,17 @@ def tsallis_entropy(q: float, p) -> float:
     values, residual = _check_probabilities(p)
     positive = [v for v in values if v > 0.0]
     power, index = (q, q) if q <= 1.0 else (1.0, 2.0 - q)
-    try:
+
+    def entropy():  # p_i**q, or finite terms whose sum passes the largest double
         if index == 1.0:
             value = -math.fsum([v ** power * math.log(v) for v in positive])
         else:  # log_index(v) of the checked entries, as q_log computes it
             value = -math.fsum([v ** power * (_lift(index, v) / (1.0 - index)) for v in positive])
-        if abs(q * residual) < _FIRST_ORDER:
-            value = value * (1.0 - q * residual) + residual
-    except OverflowError:  # p_i**q, or finite terms whose sum passes the largest double
-        value = math.inf
-    if not math.isfinite(value):
-        raise RangeOverflow("tsallis_entropy", q,
-                            f"sum of {len(positive)} terms p_i log_q(1/p_i)")
+        return (value * (1.0 - q * residual) + residual if abs(q * residual) < _FIRST_ORDER
+                else value)
+
+    value = _finite_or_overflow(
+        "tsallis_entropy", q, lambda: f"sum of {len(positive)} terms p_i log_q(1/p_i)", entropy)
     return max(0.0, value)  # +0.0 for -0.0, and for rounding below 0
 
 
@@ -258,11 +253,7 @@ def tsallis_correspondence(q: float, counts):
         rhs = -math.log(n) + math.fsum(math.log(c) for c in values)
     else:
         fractions = [c / n for c in values]
-        try:
-            rhs = n ** (2.0 - q) / (2.0 - q) * tsallis_entropy(2.0 - q, fractions)
-        except OverflowError:
-            rhs = math.inf
-        if not math.isfinite(rhs):
-            raise RangeOverflow("tsallis_correspondence", q, f"n={n}")
+        rhs = _finite_or_overflow("tsallis_correspondence", q, lambda: f"n={n}", lambda: (
+            n ** (2.0 - q) / (2.0 - q) * tsallis_entropy(2.0 - q, fractions)))
     denom = max(abs(lhs), abs(rhs))
     return lhs, rhs, abs(lhs - rhs) / denom if denom else 0.0

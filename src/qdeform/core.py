@@ -20,7 +20,11 @@ package's only ``expm1``/``log1p``),
 and its numpy twins ``_lift_array``/``_drop_array``, which stay accurate
 down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
-and numpy do, and each caller names its own overflow.  A public function
+and numpy do.  A scalar result past the largest double leaves through
+:func:`_finite_or_overflow` as a named :class:`RangeOverflow`; ``q_log``,
+``q_exp``, ``q_log_of_ratio``, ``algebra._combine``, ``shift_expansion`` and
+``analytic_solution`` keep its pattern inline, as one call frame more is a
+measurable share of their per-call time.  A public function
 checks each argument once, in its own body; a library caller that already
 holds checked floats calls ``_lift``/``_drop`` rather than checking them again.
 
@@ -68,6 +72,18 @@ def _check_positive(name: str, value) -> float:
     if not 0.0 < (value := float(value)) < math.inf:
         raise NonPositiveArgument(name, value)
     return value
+
+
+def _finite_or_overflow(name: str, q: float, where, compute):
+    """compute(), where finite; an ``OverflowError``, inf or nan from it raises
+    RangeOverflow(name, q, where()), unchained.  Other exceptions propagate."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise RangeOverflow(name, q, where())
 
 
 def _lift(q: float, y: float) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _check_positive, check_index, q_exp, q_log
+from .core import _check_positive, _finite_or_overflow, check_index, q_exp, q_log
 from .errors import BlowupDetected, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
@@ -123,18 +123,20 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     arrays before the first step, and the direction is folded into the step
     sizes.  A step below the spacing of doubles, whose abscissas would
     repeat, raises :class:`ValueError` naming step and x0.
+    The guard is the bracket of the solution through (x0, y0) in q-log form,
+    log_q y = log_q y0 + direction * (x - x0): 1 + (1-q) * direction *
+    (x - x0) / b0 with b0 = y0**(1-q), so any positive y0 at any x0 starts.
     Integration aborts with :class:`BlowupDetected` when y or a stage leaves
-    (0, ``Y_MAX``) or when the analytic domain boundary for this initial
-    condition is about to be crossed (bracket below 1e-12), which happens in
-    finite x for the growing branch with q > 1 and for the decaying branch
-    with q < 1.  A step count or a stage y**q past the largest double raises
-    :class:`OverflowError` naming q and x0, x_end, step or the step's x, y;
-    scale**(1-q) underflowed to 0 raises :class:`NonPositiveArgument`.
+    (0, ``Y_MAX``) or when that bracket is about to drop below 1e-12, which
+    happens in finite x for the growing branch with q > 1 and the decaying
+    branch with q < 1.  b0, a step count or a stage y**q past the largest
+    double raises :class:`OverflowError` naming q and x0, y0, or x0, x_end,
+    step, or the step's x, y; b0 underflowed to 0 raises
+    :class:`NonPositiveArgument` naming ``y0**(1-q)``.
     """
     q = check_index(q)
     d = _check_direction(direction)
-    x0, y0, x_end = float(x0), float(y0), float(x_end)
-    step = float(step)
+    x0, y0, x_end, step = float(x0), float(y0), float(x_end), float(step)
     for name, value in (("x0", x0), ("x_end", x_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -143,15 +145,11 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     if x_end <= x0:
         raise ValueError("x_end must exceed x0")
 
-    # Domain guard constants from the solution through (x0, y0); checks y0.
-    scale = rescale_factor(q, d * x0, y0)
-    try:  # the factor analytic_solution divides by; 0 ** (1-q) raises for q > 1
-        scale_pow = _check_positive("scale**(1-q)", scale ** (1.0 - q) if scale or q <= 1.0 else 0.0)
-    except OverflowError:
-        raise RangeOverflow("integrate_ode", q, f"x={x0!r}, y={y0!r}") from None
-    if not (span := (x_end - x0) / step) < math.inf:
-        raise RangeOverflow("integrate_ode step count", q,
-                            f"x0={x0!r}, x_end={x_end!r}, step={step!r}")
+    y0 = _check_positive("y0", y0)
+    b0 = _check_positive("y0**(1-q)", _finite_or_overflow(
+        "integrate_ode", q, lambda: f"x={x0!r}, y={y0!r}", lambda: y0 ** (1.0 - q)))
+    span = _finite_or_overflow("integrate_ode step count", q, lambda: (
+        f"x0={x0!r}, x_end={x_end!r}, step={step!r}"), lambda: (x_end - x0) / step)
     n_steps = max(1, math.ceil(span))
     h = (x_end - x0) / n_steps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,9 +158,9 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
         if not np.all(xs[1:] > xs[:-1]):
             raise ValueError("step must exceed the spacing of doubles between x0 and x_end, "
                              f"got {step!r} with x0={x0!r}")
-        # the analytic domain guard at each step's end; at q = 1 the bracket
-        # is 1 (or NaN past the largest double), so it never fires there
-        guard = 1.0 + (1.0 - q) * (d * xs[1:] / scale_pow) < 1e-12
+        # the analytic domain guard at each step's end, relative to b0; at
+        # q = 1 it is 1 (or NaN past the largest double), so it never fires
+        guard = 1.0 + (1.0 - q) * (d * (xs[1:] - x0) / b0) < 1e-12
     stop = int(guard.argmax()) if guard.any() else n_steps
     dh, dhalf, dsixth = d * h, d * (0.5 * h), d * (h / 6.0)  # (d*c)*k == c*(d*k) for d = +-1
     stage_left = "intermediate stage left (0, y_max)"

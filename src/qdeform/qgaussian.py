@@ -36,7 +36,8 @@ import numpy as np
 
 from . import _EXPORTS
 from ._array import _check_finite, _q_exp_array
-from .core import _check_all, _check_positive, check_index, q_exp, q_exp_bracket, q_log
+from .core import (_check_all, _check_positive, _finite_or_overflow, check_index, q_exp,
+                   q_exp_bracket, q_log)
 from .errors import DomainViolation, RangeOverflow, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
 
@@ -194,11 +195,9 @@ def _deviations(model: QGaussianModel, samples, theta):
     if xs.ndim != 1 or not xs.size:
         raise ValueError("samples must be non-empty")
     _check_finite("samples", xs)
-    if theta is None:
-        try:
-            theta = math.fsum(xs.tolist()) / xs.size
-        except OverflowError:  # finite samples whose sum passes the largest double
-            raise RangeOverflow("sample mean", model.q, f"{xs.size} samples") from None
+    if theta is None:  # finite samples whose sum may pass the largest double
+        theta = _finite_or_overflow("sample mean", model.q, lambda: f"{xs.size} samples",
+                                    lambda: math.fsum(xs.tolist()) / xs.size)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -227,14 +226,11 @@ def q_log_likelihood(model: QGaussianModel, theta: float, samples) -> float:
     q = model.q
     with np.errstate(over="ignore"):
         squares = (e * e).tolist()
-    try:
-        value = model.norm ** (q - 1.0) * (-model.beta * math.fsum(squares)
-                                           - e.size * q_log(q, model.norm))
-    except OverflowError:  # Z**(q-1) or finite squares whose sum passes the largest double
-        value = math.inf
-    if not math.isfinite(value):
-        raise RangeOverflow("q_log_likelihood", q, f"theta={theta!r}, {e.size} samples")
-    return value
+    # Z**(q-1) or finite squares whose sum passes the largest double
+    return _finite_or_overflow(
+        "q_log_likelihood", q, lambda: f"theta={theta!r}, {e.size} samples",
+        lambda: model.norm ** (q - 1.0) * (-model.beta * math.fsum(squares)
+                                           - e.size * q_log(q, model.norm)))
 
 
 def mlp_stationarity(model: QGaussianModel, samples):

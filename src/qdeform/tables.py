@@ -17,8 +17,8 @@ import numpy as np
 
 from . import _EXPORTS
 from ._array import _check_finite, _finite, _q_exp_array, _q_log_array
-from .core import _check_all, _check_positive, check_index, q_log
-from .errors import NonPositiveArgument, RangeOverflow
+from .core import _check_all, _check_positive, _finite_or_overflow, check_index, q_log
+from .errors import NonPositiveArgument
 
 __all__ = _EXPORTS["tables"]
 
@@ -158,13 +158,9 @@ def _scaled_family(q: float, scales, grid, power: int, meta: dict) -> FigureTabl
     if not grid.size:
         raise ValueError("grid must be non-empty")
     _check_finite("grid", grid)
-    x_scales = []
-    for ci, c in enumerate(scales):
-        try:
-            x_scale = c ** ((1.0 - q) / power)
-        except OverflowError:
-            raise RangeOverflow("x scale", q, f"scales[{ci}]={c!r}") from None
-        x_scales.append(_check_positive(f"x scale of scales[{ci}]", x_scale))
+    x_scales = [_check_positive(f"x scale of scales[{ci}]", _finite_or_overflow(
+        "x scale", q, lambda: f"scales[{ci}]={c!r}", lambda: c ** ((1.0 - q) / power)))
+        for ci, c in enumerate(scales)]
     with np.errstate(over="ignore"):
         profile = _q_exp_array(q, -_finite(q, f"grid**{power}", grid ** power))
     blocks = []

@@ -129,18 +129,6 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["pass"] is False
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDEFORM_SEED", "7")
-        code, out, _ = run_cli(capsys, "verify", "canonical")
-        assert code == 0
-        assert json.loads(out)["seed"] == 7
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDEFORM_SEED", "7")
-        code, out, _ = run_cli(capsys, "verify", "canonical", "--seed", "9")
-        assert code == 0
-        assert json.loads(out)["seed"] == 9
-
 
 class TestFig:
     def test_fig2_default_csv(self, capsys):

@@ -1,7 +1,8 @@
 """The error contract, walked over the package's table of public names.
 
 Called with finite floats (and, where it takes one, a list of them or of
-fold factors, a probability vector or a model built from finite floats),
+fold factors, a probability vector, a positive count up to 10**300 or a list
+of them, or a model or distribution built from finite floats),
 each export drawn here either returns finite floats (every float of a
 distribution record) or raises a :class:`~qdeform.errors.QDeformError`; a
 bare ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``, an ``inf``
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdeform
-from qdeform import QDeformError, QGaussianModel
+from qdeform import QDeformError, QGaussianModel, build_distribution
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -55,6 +56,23 @@ FACTORS = st.lists(st.one_of(st.floats(min_value=0.0, allow_infinity=False), FIN
 
 MODELS = st.builds(_model, FINITE, FINITE).filter(lambda model: model is not None)
 
+
+def _distribution(q, xs, shift):
+    """build_distribution(q, xs, shift), or None where it raises the named
+    error it may raise; any other exception fails the draw."""
+    try:
+        return build_distribution(q, xs, shift)
+    except QDeformError:
+        return None
+
+
+DISTRIBUTIONS = st.builds(_distribution, FINITE, POINTS, FINITE).filter(
+    lambda dist: dist is not None)
+
+# positive integer counts of every size a double holds, and lists of them
+COUNTS = st.integers(min_value=1, max_value=10**300)
+COUNT_LISTS = st.lists(COUNTS, min_size=1, max_size=8)
+
 # export -> strategies for its positional arguments
 PROPERTY = {
     "q_log": (FINITE, FINITE),
@@ -74,28 +92,30 @@ PROPERTY = {
     "q_gaussian_pdf": (MODELS, FINITE),
     "build_distribution": (FINITE, POINTS, FINITE),
     "split_representation": (FINITE, POINTS, FINITE, FINITE),
+    "normalization": (FINITE, FINITE),
+    "q_stirling": (FINITE, COUNTS),
+    "q_log_factorial": (FINITE, COUNTS),
+    "q_log_multinomial": (FINITE, COUNT_LISTS),
+    "tsallis_correspondence": (FINITE, COUNT_LISTS),
+    "canonical_form": (DISTRIBUTIONS,),
+    "scale_drift_expand": (FINITE, POINTS),
+    "q_log_likelihood": (MODELS, FINITE, POINTS),
+    "mlp_stationarity": (MODELS, POINTS),
 }
 
 # export -> the floats of its result, where that is not a float or a tuple of floats
 FLOATS_OF = {
     "build_distribution": lambda dist: (*dist.frequencies, dist.total, *dist.probabilities),
     "split_representation": lambda pair: (*pair[0], *pair[1]),
+    "canonical_form": lambda form: (form.slope, form.intercept),
+    "scale_drift_expand": lambda seq: seq.observed,
 }
 
-_SEQUENCE = "takes a sequence; parametrized overflow tests pin its named errors"
 _RECORD = "a record built by an export drawn or exempted here"
 EXEMPT = {
     "q_exp_bracket": "bare arithmetic 1 + (1-q)*x that also takes arrays",
-    "scale_drift_expand": _SEQUENCE,
-    "canonical_form": "takes a DiscreteQDistribution; its overflow is a row of test_core",
-    "q_log_multinomial": _SEQUENCE,
-    "tsallis_correspondence": _SEQUENCE,
-    "q_log_factorial": "takes an integer count; its overflows are rows of test_core",
-    "q_stirling": "takes an integer count; its overflows are rows of test_core",
-    "integrate_ode": "an RK4 loop over a grid; not yet swept",
-    "normalization": "a model parameter; not yet swept",
-    "q_log_likelihood": "takes a model and a sample array; not yet swept",
-    "mlp_stationarity": "takes a model and a sample array; not yet swept",
+    "integrate_ode": "allocates its whole grid before the first step: a step of 1e-18 "
+                     "raises a bare MemoryError",
     "frequency_rescale": "returns a FigureTable over an array grid",
     "fig2_data": "returns a FigureTable over an array grid",
     "fig3_data": "returns a FigureTable over an array grid",

@@ -210,12 +210,11 @@ class TestQExp:
      "integrate_ode step count at q=1.3 overflows a double (x0=0.0, x_end=1.0, step=5e-324)"),
     (integrate_ode, (1.0, -1e308, 1.0, -1, 1e308, 1.0),
      "integrate_ode step count at q=1.0 overflows a double (x0=-1e+308, x_end=1e+308, step=1.0)"),
-    # a stage's y**q, and the power scale**(1-q) at |1-q| ~ 1e16 (see shift_expansion)
-    (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3),
-     "integrate_ode at q=50.0 overflows a double (x=0.0, y=10000000000.0)"),
-    (integrate_ode, (-4.3196988666225544e16, -3.4392199811309485e289, 1.0, 1, 0.0, 1e300),
-     "integrate_ode at q=-4.3196988666225544e+16 overflows a double"
-     " (x=-3.4392199811309485e+289, y=1.0)"),
+    # a stage's y**q, and the guard's scale y0**(1-q)
+    (integrate_ode, (3.0, 0.0, 1e150, -1, 1.0, 1e-3),
+     "integrate_ode at q=3.0 overflows a double (x=0.0, y=1e+150)"),
+    (integrate_ode, (-1.0, 0.0, 1e200, 1, 1.0, 0.1),
+     "integrate_ode at q=-1.0 overflows a double (x=0.0, y=1e+200)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
@@ -228,7 +227,7 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
 
 
 # a scale factor that underflows to 0 is no positive scale: analytic_solution
-# divided by it, frequency_rescale and integrate_ode raised it to a negative
+# and integrate_ode divided by it, frequency_rescale raised it to a negative
 # power, and compose_shifts returned it
 @pytest.mark.parametrize("fn, args, named", [
     (analytic_solution, (1001.0, 1e300, 1, 1.0), "scale**(1-q)"),
@@ -237,8 +236,8 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
     (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
     (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18),
      "exp_q(shift1) at q=1.15 (shift1=-1e+122, shift2=-2.18)"),
-    # the rescale factor of the initial condition underflowed to 0
-    (integrate_ode, (1.3, -1e308, 1.0, -1, 1e308, 1.0), "scale**(1-q)"),
+    # the guard's scale y0**(1-q), at the initial condition, underflowed to 0
+    (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3), "y0**(1-q)"),
 ])
 def test_underflowed_scale_names_the_factor(fn, args, named):
     with warnings.catch_warnings():

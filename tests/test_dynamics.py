@@ -89,8 +89,7 @@ class TestQLogLine:
 def _stage_rk4(q, x0, y0, d, x_end, step):
     """integrate_ode in its earlier form, each RK4 stage a call of one
     checked stage function, kept as the reference for the written-out loop."""
-    scale = rescale_factor(q, d * x0, y0)
-    scale_pow = scale ** (1.0 - q)
+    b0 = y0 ** (1.0 - q)  # the guard's scale, at the initial condition
 
     def rhs(x, y):
         if y <= 0.0:
@@ -103,7 +102,7 @@ def _stage_rk4(q, x0, y0, d, x_end, step):
     for i in range(n_steps):
         x = x0 + i * h
         x_next = x0 + (i + 1) * h
-        if q != 1.0 and q_exp_bracket(q, d * x_next / scale_pow) < 1e-12:
+        if q != 1.0 and q_exp_bracket(q, d * (x_next - x0) / b0) < 1e-12:
             raise BlowupDetected(x_next, y, "analytic domain boundary reached")
         k1 = rhs(x, y)
         k2 = rhs(x, y + 0.5 * h * k1)
@@ -118,7 +117,7 @@ def _stage_rk4(q, x0, y0, d, x_end, step):
 
 
 # the blowup case whose abscissas end past the largest double: at q = 1 its
-# guard quotient d*x/scale**(1-q) is infinite, and 0 * inf is NaN
+# guard quotient d*(x - x0)/y0**(1-q) is infinite, and 0 * inf is NaN
 _INF_END = (1.0, 8.795874874880185e+307, 1.0, 1, 1.7976931348623157e+308,
             4.817955637403735e+306)
 
@@ -146,6 +145,9 @@ class TestWrittenOutStages:
         ((0.5, 0.0, 1.0, -1, 5.0, 2.5), "analytic domain boundary reached"),
         ((2.0, 0.0, 1.0, 1, 1.0, 1e-3), "analytic domain boundary reached"),
         (_INF_END, "solution left (0, y_max)"),
+        # one step of 3.4e289 at |1-q| ~ 4e16, whose guard scale 1**(1-q) is 1
+        ((-4.3196988666225544e16, -3.4392199811309485e289, 1.0, 1, 0.0, 1e300),
+         "solution left (0, y_max)"),
     ])
     def test_blowup_matches_stage_function_form(self, args, reason):
         with warnings.catch_warnings():
@@ -224,6 +226,18 @@ class TestIntegrateODE:
         with pytest.raises(ValueError,
                            match=r"^step must exceed the spacing of doubles .*x0=10000000000\.0"):
             integrate_ode(1.3, 1e10, 1.0, 1, 1e10 + 1e-5, 1e-6)
+
+    @pytest.mark.parametrize("args", [
+        # starts whose bracket 1 + (1-q)(log_q y0 - d*x0), taken at x = 0, is not positive
+        (1.3, 5.0, 1.0, -1, 6.0, 0.01), (2.0, 2.0, 1.0, -1, 3.0, 1e-3),
+        # and one where exp(-d*x0) passes the largest double
+        (1.0, 1000.0, 1.0, -1, 1001.0, 0.1),
+    ])
+    def test_autonomous_start_matches_closed_form(self, args):
+        q, x0, y0, d, _, _ = args
+        traj = integrate_ode(*args)
+        expected = [analytic_solution(q, y0, d, x - x0) for x in traj.xs]
+        assert np.max(np.abs(traj.ys - expected)) < 1e-6
 
     def test_nonzero_start(self):
         traj = integrate_ode(1.3, 1.0, 0.8, -1, 2.0, 1e-3)

@@ -106,6 +106,59 @@ def test_kernel_detector_flags_every_spelling():
         assert kernel_reads((PACKAGE / name).read_text(encoding="utf-8"))
 
 
+def overflow_handlers(source: str, module: str) -> list:
+    """``module.function`` (dotted through nested scopes) for each ``except``
+    clause in the source whose exception type names ``OverflowError``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
+                    isinstance(n, ast.Name) and n.id == "OverflowError"
+                    for n in ast.walk(child.type)):
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+_HOT = "a scalar primitive: one call frame more is a measurable share of its per-call time"
+# every except clause in the library that names OverflowError, with its reason;
+# any other result past the largest double leaves through core._finite_or_overflow
+OVERFLOW_HANDLERS = {
+    "core._finite_or_overflow": "the one helper that names a result past the largest double",
+    "core.q_log": _HOT,
+    "core.q_exp": _HOT,
+    "core.q_log_of_ratio": _HOT,
+    "algebra._combine": _HOT,
+    "dynamics.analytic_solution": _HOT,
+    "dynamics.shift_expansion": _HOT,
+    "dynamics.integrate_ode": "the RK4 stage loop: a stage's y**q names the step's x and y",
+    "combinatorics._check_count": "a count check: int() of inf or nan, with ValueError",
+    "combinatorics._check_probabilities": "a probability check: the entries' fsum less 1",
+    "combinatorics._log_q_range": "an fsum check that also catches ValueError (inf - inf)",
+    "qgaussian.mlp_stationarity": "an fsum check of two results that also catches ValueError",
+    "cli._cmd_eval": "names the command-line flags that gave a result past the largest double",
+    "cli.main": "turns any input error, an overflow among them, into the one exit-1 line",
+}
+
+
+def test_overflow_handlers_are_the_listed_ones():
+    found = [name for path in MODULES
+             for name in overflow_handlers(path.read_text(encoding="utf-8"), path.stem)]
+    assert sorted(found) == sorted(OVERFLOW_HANDLERS)
+
+
+def test_overflow_handler_detector_names_each_scope():
+    source = ("def f():\n    try:\n        pass\n    except (ValueError, OverflowError):\n"
+              "        pass\n    def g():\n        try:\n            pass\n"
+              "        except OverflowError as err:\n            pass\n"
+              "try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert overflow_handlers(source, "m") == ["m.f", "m.f.g"]
+
+
 def module_level_imports(source: str) -> list:
     """Modules imported when the source runs as a module: every import
     outside a function body, as ``numpy`` or ``.core`` (relative)."""
