@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import _EXPORTS
 from .core import (_check_all, _check_positive, _drop, _finite_or_overflow, _index_error, _lift,
-                   check_index, q_exp_bracket)
+                   check_index)
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = _EXPORTS["algebra"]
@@ -58,10 +58,13 @@ class ObservationSequence:
         xs = np.fromiter(self.shifts, dtype=float)
         if not xs.size:
             raise ValueError("shifts must be non-empty")
-        # the cumulative sum of 0, x_1, ..., x_{n-1}: float64 add.accumulate
-        # (np.cumsum) adds in sequence, so it is the running sum bit for bit
+        # the bracket 1 + (1-q) * (0, x_1, x_1 + x_2, ...) in place: add.accumulate
+        # adds in sequence, so the sums are the running sums (up to a zero's sign)
+        w = np.zeros(xs.size)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = q_exp_bracket(q, np.add.accumulate(np.concatenate(([0.0], xs[:-1]))))
+            np.add.accumulate(xs[:-1], out=w[1:])
+            w *= 1.0 - q
+            w += 1.0
             observed = xs / w
 
         def failure(t):

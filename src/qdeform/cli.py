@@ -22,13 +22,16 @@ A CSV cell that holds a comma, a quote or a line break is quoted, as
 
 Each command imports only the modules its own output needs: ``eval`` the one
 module its function lives in, ``fig`` the one of its figure, and :mod:`json`
-is loaded only to write JSON.
+is loaded only to write JSON.  ``--out`` is checked before any work and
+written last.  In-process callers of ``main`` build the parser only once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from itertools import chain, repeat
 
@@ -338,11 +341,18 @@ _HANDLERS = {
     "canonicalize": _cmd_canonicalize,
 }
 
+_parser = functools.cache(build_parser)  # parse_args keeps no state on the parser
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        if (out := getattr(args, "out", None)) is not None:
+            # before any work, fail where writing --out would; opening it then creates nothing
+            folder = os.path.dirname(out) or os.curdir
+            if os.path.isdir(out) or not (os.access(out, os.W_OK) if os.path.exists(out) else
+                                          os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                _emit("", out)
         return _HANDLERS[args.command](args)
     except (_CliInputError, QDeformError, ValueError, OverflowError) as err:
         sys.stderr.write(f"error: {err}\n")

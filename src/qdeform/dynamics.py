@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _check_positive, _finite_or_overflow, check_index, q_exp, q_log
-from .errors import BlowupDetected, RangeOverflow
+from .core import _check_positive, _finite_or_overflow, _index_error, check_index, q_exp, q_log
+from .errors import BlowupDetected, NonPositiveArgument, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
 __all__ = _EXPORTS["dynamics"]
@@ -46,11 +46,8 @@ FIG2_GRID = (0.0, 5.0, 501)  # rescaled abscissas: min, max, points
 Y_MAX = 1e12  # integrate_ode stops once y reaches this
 
 
-def _check_direction(direction) -> float:
-    d = float(direction)
-    if d not in (1.0, -1.0):
-        raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    return d
+def _direction_error(direction) -> ValueError:
+    return ValueError(f"direction must be +1 or -1, got {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +79,18 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
     solution through (x0, y0) for either direction, since the linear form
     log_q(y) = direction * x + log_q(scale) fixes it.  Raises
     :class:`DomainViolation` when no positive constant satisfies the
-    relation, and :class:`OverflowError` naming q, x0 and y0 when
-    log_q(y0) - x0 passes the largest double.
+    relation, :class:`OverflowError` naming q, x0 and y0 when log_q(y0) - x0
+    passes the largest double, and :class:`NonPositiveArgument` naming them
+    when the constant underflows to 0.
     """
     q = check_index(q)
     y0 = _check_positive("y0", y0)
     arg = q_log(q, y0) - float(x0)
     if math.isinf(arg) and math.isfinite(x0):
         raise RangeOverflow("rescale_factor", q, f"x0={x0!r}, y0={y0!r}")
-    return q_exp(q, arg)
+    if (scale := q_exp(q, arg)) > 0.0:
+        return scale
+    raise NonPositiveArgument(f"rescale_factor at q={q!r} (x0={x0!r}, y0={y0!r})", scale)
 
 
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
@@ -98,12 +98,17 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     scale**(1-q), the argument of exp_q or a result past the largest double
     raises :class:`OverflowError` naming q, scale and x; scale**(1-q)
     underflowed to 0 raises :class:`NonPositiveArgument` naming it."""
-    q = check_index(q)
-    d = _check_direction(direction)
-    s = _check_positive("scale", scale)
+    if not math.isfinite(q := float(q)):
+        raise _index_error(q)
+    if (d := float(direction)) not in (1.0, -1.0):
+        raise _direction_error(direction)
+    if not 0.0 < (s := float(scale)) < math.inf:
+        raise NonPositiveArgument("scale", s)
     x = float(x)
     try:
-        arg = d * x / _check_positive("scale**(1-q)", s ** (1.0 - q))
+        if not (x_scale := s ** (1.0 - q)) > 0.0:
+            raise NonPositiveArgument("scale**(1-q)", x_scale)
+        arg = d * x / x_scale
     except OverflowError:
         arg = math.inf
     # a finite x whose exp_q argument passed the largest double overflows
@@ -135,7 +140,8 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     :class:`NonPositiveArgument` naming ``y0**(1-q)``.
     """
     q = check_index(q)
-    d = _check_direction(direction)
+    if (d := float(direction)) not in (1.0, -1.0):
+        raise _direction_error(direction)
     x0, y0, x_end, step = float(x0), float(y0), float(x_end), float(step)
     for name, value in (("x0", x0), ("x_end", x_end)):
         if not math.isfinite(value):
@@ -199,7 +205,8 @@ def shift_expansion(q: float, shift: float):
     (:class:`NonPositiveArgument` naming ``y_scale`` otherwise).  An
     x_scale past the largest double raises :class:`OverflowError`."""
     q = float(q)  # q_exp checks it
-    y_scale = _check_positive("y_scale", q_exp(q, shift))
+    if not (y_scale := q_exp(q, shift)) > 0.0:
+        raise NonPositiveArgument("y_scale", y_scale)
     try:
         return y_scale, y_scale ** (1.0 - q)
     except OverflowError:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qdeform.cli
 from qdeform import q_log
 from qdeform.cli import build_parser, main
 
@@ -465,6 +467,60 @@ def test_bad_output_or_grid_flag_exits_one_on_one_line(argv, named, tmp_path, sr
     assert result.stdout == ""
     assert result.stderr.startswith("error: " + named)
     assert result.stderr.count("\n") == 1
+
+
+# `--out` is checked before any work: the table builder or suite never
+# runs, and the one error line is the one opening the path would give
+@pytest.mark.parametrize("argv, builder", [
+    (("fig", "fig2", "--grid-points", "100000", "--out", "{tmp}/missing/x.csv"),
+     "qdeform.dynamics.fig2_data"),
+    (("fig", "fig3", "--out", "{tmp}"), "qdeform.qgaussian.fig3_data"),  # a directory
+    (("fig", "fig2", "--out", "{tmp}/file/x.csv"), "qdeform.dynamics.fig2_data"),
+    (("verify", "all", "--out", "{tmp}/missing/v.json"), "qdeform.verify.run_suite"),
+    (("canonicalize", "{tmp}/missing/pts.txt", "--q", "1.3", "--c", "0.2", "--out",
+      "{tmp}/missing/x.csv"), "qdeform.canonical.build_distribution"),
+])
+def test_unwritable_out_is_refused_before_any_work(argv, builder, tmp_path, monkeypatch,
+                                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{builder} ran before --out was checked")
+
+    monkeypatch.setattr(builder, refuse)
+    (tmp_path / "file").write_text("")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with pytest.raises(OSError) as opening:
+        open(argv[-1], "w")
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {argv[-1]!r}: {opening.value}\n")
+
+
+def test_failed_computation_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["fig", "fig2", "--q", "1", "--grid-min=-1000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    runs = [("eval", "qlog", "--q", "1.5", "--y", "2"),
+            ("eval", "nope"),  # a usage error: exit 1 after the usage block
+            ("fig", "fig2", "--grid-points", "3"),
+            ("eval", "qexp", "--q", "0.5", "--x", "6")]
+    fresh = []
+    for argv in runs:
+        qdeform.cli._parser.cache_clear()
+        fresh.append((main(list(argv)), *capsys.readouterr()))
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(qdeform.cli, "_parser", functools.cache(counted))
+    reused = [(main(list(argv)), *capsys.readouterr()) for argv in runs]
+    assert len(built) == 1
+    assert reused == fresh
+    assert [run[0] for run in reused] == [0, 1, 0, 0]
 
 
 def test_nonfinite_data_line_exits_one_naming_the_line(tmp_path, src_env):

@@ -238,6 +238,9 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
      "exp_q(shift1) at q=1.15 (shift1=-1e+122, shift2=-2.18)"),
     # the guard's scale y0**(1-q), at the initial condition, underflowed to 0
     (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3), "y0**(1-q)"),
+    # exp_q(log_q y0 - x0) underflowed to 0
+    (rescale_factor, (1.3, 1e308, 1.0), "rescale_factor at q=1.3 (x0=1e+308, y0=1.0)"),
+    (rescale_factor, (1.0, 1000.0, 1.0), "rescale_factor at q=1.0 (x0=1000.0, y0=1.0)"),
 ])
 def test_underflowed_scale_names_the_factor(fn, args, named):
     with warnings.catch_warnings():
@@ -269,9 +272,10 @@ class TestRatioIdentity:
 
 
 # Each public primitive checks q, then x, then y (q_log_of_ratio: y, then
-# x), converting each argument only when its check comes, so the first bad
-# argument decides the error; the messages are those of the separate
-# check_index/_check_positive calls the checks replaced
+# x; analytic_solution: direction, then scale, then scale**(1-q), then x in
+# its q_exp call), converting each argument only when its check comes, so
+# the first bad argument decides the error; the messages are those of the
+# separate check_index/_check_positive calls the checks replaced
 NAN, INF = math.nan, math.inf
 NOT_NONE = "float() argument must be a string or a real number, not 'NoneType'"
 NOT_A = "could not convert string to float: 'a'"
@@ -318,6 +322,38 @@ NOT_A = "could not convert string to float: 'a'"
      "y must be a positive finite real, got -1.0"),
     (q_log_of_ratio, (None, -1.0, NAN), TypeError, NOT_NONE),
     (q_log_of_ratio, (1.5, 2.0, "a"), ValueError, NOT_A),
+    (analytic_solution, (NAN, -1.0, 1, 0.0), ValueError,
+     "deformation index must be finite, got nan"),
+    (analytic_solution, (1.5, 0.0, 2, 0.0), ValueError, "direction must be +1 or -1, got 2"),
+    (analytic_solution, (1.5, 2.0, None, NAN), TypeError, NOT_NONE),
+    (analytic_solution, (1.5, INF, -1, 0.0), NonPositiveArgument,
+     "scale must be a positive finite real, got inf"),
+    (analytic_solution, (1.5, "a", 1, NAN), ValueError, NOT_A),
+    (analytic_solution, (1.5, 2.0, 1, NAN), ValueError, "argument must be finite, got nan"),
+    (analytic_solution, (1.5, 2.0, -1, INF), ValueError, "argument must be finite, got -inf"),
+    (analytic_solution, (1.5, 2.0, 1, None), TypeError, NOT_NONE),
+    (analytic_solution, (1.5, 1.0, 1, 3.0), DomainViolation,
+     "exp_q argument outside domain: constraint value -0.5 <= 0"),
+    # scale**(1-q) underflowed to 0 is checked before x
+    (analytic_solution, (1001.0, 1e300, 1, NAN), NonPositiveArgument,
+     "scale**(1-q) must be a positive finite real, got 0.0"),
+    # scale**(1-q) past the largest double: a finite x overflows, any other
+    # x reaches q_exp as an infinite argument
+    (analytic_solution, (-1000.0, 1e300, -1, 0.0), RangeOverflow,
+     "analytic_solution at q=-1000.0 overflows a double (scale=1e+300, x=0.0)"),
+    (analytic_solution, (-1000.0, 1e300, 1, NAN), ValueError,
+     "argument must be finite, got inf"),
+    (shift_expansion, (None, 1.0), TypeError, NOT_NONE),
+    (shift_expansion, (NAN, "a"), ValueError, "deformation index must be finite, got nan"),
+    (shift_expansion, (1.5, NAN), ValueError, "argument must be finite, got nan"),
+    (shift_expansion, (1.5, -INF), ValueError, "argument must be finite, got -inf"),
+    (shift_expansion, (1.5, 4.0), DomainViolation,
+     "exp_q argument outside domain: constraint value -1.0 <= 0"),
+    (shift_expansion, (1.0, -1000.0), NonPositiveArgument,
+     "y_scale must be a positive finite real, got 0.0"),
+    (shift_expansion, (-4.3196988666225544e16, 3.4392199811309485e289), RangeOverflow,
+     "shift_expansion at q=-4.3196988666225544e+16 overflows a double"
+     " (shift=3.4392199811309485e+289)"),
 ])
 def test_bad_arguments_keep_their_error(fn, args, error, message):
     with pytest.raises(Exception) as info:

@@ -78,6 +78,20 @@ class TestAnalyticSolution:
                          - analytic_solution(q, scale, direction, x - h)) / (2 * h)
                 assert slope == pytest.approx(direction * y ** q, rel=1e-8)
 
+    def test_is_its_closed_form_bit_for_bit(self):
+        # one scale**(1-q), one division and one q_exp, in that order
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            q = 1.0 if rng.random() < 0.1 else float(rng.uniform(-2.0, 4.0))
+            s = float(10.0 ** rng.uniform(-30.0, 30.0))
+            d = float(rng.choice([1.0, -1.0]))
+            x = float(rng.uniform(-5.0, 5.0)) * s ** (1.0 - q)
+            try:
+                expected = s * q_exp(q, d * x / s ** (1.0 - q))
+            except DomainViolation:
+                continue
+            assert analytic_solution(q, s, d, x).hex() == expected.hex()
+
 
 class TestQLogLine:
     # log_q y = direction * x + log_q(scale): the intercepts of fig. 2
@@ -276,6 +290,18 @@ class TestShiftExpansion:
             lhs = q_exp(q, x + c)
             assert y_scale * q_exp(q, x / x_scale) == pytest.approx(
                 lhs, rel=1e-12)
+
+    def test_is_exp_q_and_its_power_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            q = 1.0 if rng.random() < 0.1 else float(rng.uniform(-2.0, 4.0))
+            c = float(rng.uniform(-5.0, 5.0))
+            try:
+                y_scale = q_exp(q, c)
+            except DomainViolation:
+                continue
+            got = shift_expansion(q, c)
+            assert [v.hex() for v in got] == [y_scale.hex(), (y_scale ** (1.0 - q)).hex()]
 
     def test_underflowed_scale_is_a_domain_error(self):
         # exp_q(-1e300) underflows to 0 at q > 1, and 0**(1-q) divides by 0
