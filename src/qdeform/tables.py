@@ -9,9 +9,10 @@ curve, and builds row tuples only when a caller first reads a row.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -108,6 +109,7 @@ class FigureTable:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_lengths", tuple(lengths))
         object.__setattr__(self, "rows", _Rows(blocks, self._lengths))
+        object.__setattr__(self, "_values", lambda: None)  # see column()
 
     def __eq__(self, other):
         if not isinstance(other, FigureTable):
@@ -118,13 +120,20 @@ class FigureTable:
 
     def column(self, name: str) -> np.ndarray:
         """The named column over all blocks, read-only.  A one-block table
-        returns its stored array, without a copy."""
+        returns its stored array, without a copy; otherwise each column is a
+        row of one array of all columns, written on the first call and held
+        weakly (a strong hold would keep a copy of the table for its life)."""
         i = self.columns.index(name)
         if len(self.blocks) == 1 and isinstance(self.blocks[0][i], np.ndarray):
             return self.blocks[0][i]
-        parts = [v if isinstance(v, np.ndarray) else np.full(n, v, dtype=float)
-                 for v, n in zip((block[i] for block in self.blocks), self._lengths)]
-        return _read_only(np.concatenate(parts) if parts else np.empty(0))
+        if (values := self._values()) is None:
+            values = np.empty((len(self.columns), len(self.rows)))
+            for block, stop, n in zip(self.blocks, accumulate(self._lengths), self._lengths):
+                for j, v in enumerate(block):
+                    values[j, stop - n:stop] = v
+            values.setflags(write=False)
+            object.__setattr__(self, "_values", weakref.ref(values))
+        return values[i]
 
     def curves(self) -> dict:
         """Rows grouped by the ``curve_id`` number of each block,

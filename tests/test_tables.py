@@ -1,5 +1,7 @@
 """FigureTable: curve blocks, columns, rows built on first use, curves."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,17 @@ def test_columns_are_read_only_and_the_grid_is_copied():
 def test_one_block_column_is_the_stored_array():
     table = frequency_rescale(1.7, 1.0, 0.5, np.linspace(-1.0, 1.0, 5))
     assert table.column("f_raw") is table.column("f_raw")
+
+
+def test_columns_are_rows_of_one_array_held_weakly():
+    table = fig2_data(grid=np.linspace(0.0, 1.0, 4))
+    x_raw, qlog_y = table.column("x_raw"), table.column("qlog_y")
+    assert x_raw.base is qlog_y.base and x_raw.base.shape == (7, 12)
+    values = weakref.ref(x_raw.base)
+    expected = x_raw.tolist()
+    del x_raw, qlog_y
+    assert values() is None  # the table does not keep it
+    assert table.column("x_raw").tolist() == expected
 
 
 @pytest.mark.parametrize("blocks", [
