@@ -29,8 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import _EXPORTS
-from .core import _check_positive, _drop, _finite_or_overflow, check_index, q_exp, q_log
-from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
+from .core import (_check_positive, _drop, _finite_or_overflow, check_index, q_exp,
+                   q_exp_bracket, q_log)
+from .errors import DomainViolation, RangeOverflow
 
 __all__ = _EXPORTS["canonical"]
 
@@ -154,13 +155,13 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     """The two rescaled-argument probability vectors of a split shift.
 
     Both pull one sub-shift out of exp_q(-x + c1 + c2) and leave the other
-    inside the rescaled argument; both normalize to the same probabilities
-    as the unsplit form.  A rescaled argument or frequency sum past the
-    largest double raises :class:`OverflowError`, and exp_q of a pulled-out
-    shift underflowed to 0 :class:`NonPositiveArgument`, naming q and both
-    (and the point, for an argument); the first point outside the domain
-    :class:`DomainViolation` naming it.  A non-finite point or shift raises
-    :class:`ValueError` naming it.
+    inside the argument, rescaled by the pulled-out shift's bracket
+    1 + (1-q)*outer; exp_q(outer) itself cancels from the probabilities,
+    which are those of the unsplit form.  A pulled-out shift or the first
+    point outside the domain raises :class:`DomainViolation`, and a rescaled
+    argument or frequency sum past the largest double :class:`OverflowError`
+    naming q and both shifts (and the point, for an argument).  A non-finite
+    point or shift raises :class:`ValueError` naming it.
     """
     q = check_index(q)
     points = _points(xs)
@@ -169,16 +170,12 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     def shifts():
         return f"shift1={shift1!r}, shift2={shift2!r}"
 
-    def pulled_out(outer: float, inner: float, name: str):
-        y_scale = q_exp(q, outer)
-        if y_scale == 0.0:  # underflowed: no scale to pull out
-            raise NonPositiveArgument(f"exp_q({name}) at q={q!r} ({shifts()})", y_scale)
-        # the rounding of y_scale, raised to a huge 1-q, can pass the largest double
-        arg_scale = _finite_or_overflow(f"exp_q({name})**(1-q)", q, shifts,
-                                        lambda: y_scale ** (1.0 - q))
-        return _frequencies(q, points, inner, arg_scale, shifts)[2]
+    def pulled_out(outer: float, inner: float):
+        if not (x_scale := q_exp_bracket(q, outer)) > 0.0:
+            raise DomainViolation("exp_q argument outside domain", x_scale)
+        return _frequencies(q, points, inner, x_scale, shifts)[2]
 
-    return pulled_out(shift1, shift2, "shift1"), pulled_out(shift2, shift1, "shift2")
+    return pulled_out(shift1, shift2), pulled_out(shift2, shift1)
 
 
 def canonical_form(dist: DiscreteQDistribution) -> CanonicalQLogForm:

@@ -22,9 +22,9 @@ down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
 and numpy do.  A scalar result past the largest double leaves through
 :func:`_finite_or_overflow` as a named :class:`RangeOverflow`; ``q_log``,
-``q_exp``, ``q_log_of_ratio``, ``algebra._combine``, ``shift_expansion`` and
-``analytic_solution`` keep its pattern inline, as one call frame more is a
-measurable share of their per-call time.  A public function
+``q_exp``, ``q_log_of_ratio``, ``algebra._combine`` and ``analytic_solution``
+keep its pattern inline, as one call frame more is a measurable share of
+their per-call time.  A public function
 checks each argument once, in its own body; a library caller that already
 holds checked floats calls ``_lift``/``_drop`` rather than checking them again.
 

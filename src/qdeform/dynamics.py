@@ -17,7 +17,7 @@ Two consequences are implemented and checkable here:
   equation, so curves for different scales collapse onto one profile;
 * shift/rescaling equivalence: a shift x -> x + c of the deformed
   exponential's argument is the same operation as rescaling both axes by
-  (exp_q(c), exp_q(c)**(1-q)).
+  (exp_q(c), 1 + (1-q)*c), the second factor being exp_q(c)**(1-q).
 
 ``integrate_ode`` is a deliberately plain fixed-step fourth-order
 Runge-Kutta scheme: it exists to cross-check the closed form, so it must be
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _check_positive, _finite_or_overflow, _index_error, check_index, q_exp, q_log
-from .errors import BlowupDetected, NonPositiveArgument, RangeOverflow
+from .core import (_check_positive, _drop, _finite_or_overflow, _index_error, check_index,
+                   q_exp, q_exp_bracket, q_log)
+from .errors import BlowupDetected, DomainViolation, NonPositiveArgument, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
 __all__ = _EXPORTS["dynamics"]
@@ -94,10 +95,11 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
 
 
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
-    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)).
-    scale**(1-q), the argument of exp_q or a result past the largest double
-    raises :class:`OverflowError` naming q, scale and x; scale**(1-q)
-    underflowed to 0 raises :class:`NonPositiveArgument` naming it."""
+    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)),
+    whose bracket less 1 is formed in logs where scale**(1-q) passes the
+    largest double.  The argument of exp_q or a result past it raises
+    :class:`OverflowError` naming q, scale and x; scale**(1-q) underflowed
+    to 0 raises :class:`NonPositiveArgument` naming it."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
     if (d := float(direction)) not in (1.0, -1.0):
@@ -110,9 +112,16 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
             raise NonPositiveArgument("scale**(1-q)", x_scale)
         arg = d * x / x_scale
     except OverflowError:
-        arg = math.inf
-    # a finite x whose exp_q argument passed the largest double overflows
-    value = math.inf if math.isinf(arg) and math.isfinite(x) else s * q_exp(q, arg)
+        if not math.isfinite(x):
+            raise ValueError(f"argument must be finite, got {x!r}") from None
+        lift = 0.0 if x == 0.0 else math.copysign(math.exp(
+            math.log(abs(1.0 - q)) + math.log(abs(x)) - (1.0 - q) * math.log(s)),
+            (1.0 - q) * d * x)
+        if lift <= -1.0:
+            raise DomainViolation("exp_q argument outside domain", 1.0 + lift) from None
+        value = s * _drop(q, lift)  # 1-q > 1 or 1-q < 0 here: _drop stays finite
+    else:  # a finite x whose exp_q argument passed the largest double overflows
+        value = math.inf if math.isinf(arg) and math.isfinite(x) else s * q_exp(q, arg)
     if value < math.inf:
         return value
     raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
@@ -196,21 +205,16 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
 def shift_expansion(q: float, shift: float):
     """Axis rescaling equivalent to the argument shift x -> x + shift.
 
-    Returns (y_scale, x_scale) = (exp_q(shift), exp_q(shift)**(1-q)) with
+    Returns (y_scale, x_scale) = (exp_q(shift), 1 + (1-q)*shift) with
 
         exp_q(x + shift) = y_scale * exp_q(x / x_scale)
 
-    for every x where both sides are defined.  Requires the shift itself to
-    satisfy 1 + (1-q)*shift > 0, and exp_q(shift) not to underflow to 0
-    (:class:`NonPositiveArgument` naming ``y_scale`` otherwise).  An
-    x_scale past the largest double raises :class:`OverflowError`."""
-    q = float(q)  # q_exp checks it
+    for every x where both sides are defined; x_scale is exp_q(shift)**(1-q).
+    The shift must satisfy 1 + (1-q)*shift > 0, and exp_q(shift) must not
+    underflow to 0 (:class:`NonPositiveArgument` naming ``y_scale``)."""
     if not (y_scale := q_exp(q, shift)) > 0.0:
         raise NonPositiveArgument("y_scale", y_scale)
-    try:
-        return y_scale, y_scale ** (1.0 - q)
-    except OverflowError:
-        raise RangeOverflow("shift_expansion", q, f"shift={shift!r}") from None
+    return y_scale, q_exp_bracket(float(q), float(shift))
 
 
 def compose_shifts(q: float, shift1: float, shift2: float):
@@ -219,8 +223,7 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     The second shift acts in the already-rescaled coordinates, so the
     factors multiply:
 
-        (y_scale, x_scale) = (exp_q(c1) * exp_q(c2),
-                              exp_q(c1)**(1-q) * exp_q(c2)**(1-q)).
+        (y_scale, x_scale) = (exp_q(c1) * exp_q(c2), (1 + (1-q)*c1) * (1 + (1-q)*c2)).
 
     For q != 1 this is *not* the single-shift expansion of c1 + c2: the
     composition equals ``shift_expansion(q, c1 + c2 + (1-q)*c1*c2)``

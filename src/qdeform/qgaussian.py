@@ -255,16 +255,16 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     per-scale rescaling.
 
     ``grid`` is the rescaled abscissa column itself; raw points are
-    e = grid * scale**((1-q)/2) with scale = exp_q(log_offset).  f is
-    computed from its raw form, so its rescaled ordinates f(e)/scale are a
-    measurement to compare with the scale-free reference
-    exp_q(-gamma * grid**2).  The chosen scale is recorded in the table
-    metadata.  A non-finite grid point raises :class:`ValueError` naming it.
+    e = grid * sqrt(1 + (1-q)*log_offset), the square root of the x-scale
+    of scale = exp_q(log_offset).  f is computed from its raw form, so its
+    rescaled ordinates f(e)/scale are a measurement to compare with the
+    scale-free reference exp_q(-gamma * grid**2); both scales are kept in
+    the metadata.  A non-finite grid point raises :class:`ValueError` naming it.
     """
     q = check_index(q)
     gamma = _check_positive("gamma", gamma)
     scale = _check_positive("scale", q_exp(q, float(log_offset)))
-    x_scale = scale ** ((1.0 - q) / 2.0)
+    x_scale = math.sqrt(q_exp_bracket(q, float(log_offset)))
     # a copy: the table marks it read-only
     grid = _check_finite("grid", np.array(grid, dtype=float))
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +95,19 @@ class TestSplitRepresentation:
         for p in split_representation(1.0, xs, 0.25, 0.75):
             assert p == pytest.approx(ref, rel=1e-13)
 
+    def test_huge_index_split_matches_60_digits(self):
+        # exp_q(shift1) is 1 + 6e-16, rounded; its power 1-q ~ 1e18 once
+        # overflowed, where the pulled-out x-scale is the bracket 8.6e301
+        q, c1, c2 = -1.1820939862583954e18, 7.238113294949192e283, -3.2456717940750865e-106
+        xs = [1.0397106742315173e276, -7.995976449044797, -4.395464287919659]
+        with mpmath.workdps(60):
+            one_minus_q = 1 - mpmath.mpf(q)
+            freqs = [(1 + one_minus_q * (-mpmath.mpf(x) + c1 + c2)) ** (1 / one_minus_q)
+                     for x in xs]
+            exact = [f / mpmath.fsum(freqs) for f in freqs]
+        for p in split_representation(q, xs, c1, c2):
+            assert all(abs(got - e) <= 1e-15 * e for got, e in zip(p, exact))
+
 
 # a non-finite point or shift once raised q_exp's anonymous
 # "argument must be finite, got inf"
@@ -157,7 +171,7 @@ class TestFrequencyErrors:
         assert dist.frequencies == tuple(q_exp(q, -x + 0.3) for x in xs)
         for pair, (outer, inner) in zip(split_representation(q, xs, 0.1, 0.2),
                                         ((0.1, 0.2), (0.2, 0.1))):
-            scale = q_exp(q, outer) ** (1.0 - q)
+            scale = q_exp_bracket(q, outer)  # exp_q(outer)**(1-q)
             values = [q_exp(q, (-x + inner) / scale) for x in xs]
             assert pair == tuple(v / math.fsum(values) for v in values)
 

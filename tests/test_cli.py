@@ -227,6 +227,25 @@ class TestFig:
         assert out == (DATA / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+# a malformed value in a list flag, and a grid of one point
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "tsallis", "--q", "2", "--p", "0.5,x"),
+     "--p expects comma-separated reals, got '0.5,x'"),
+    (("fig", "fig2", "--scales", "1,a"), "--scales expects comma-separated reals, got '1,a'"),
+    (("fig", "fig2", "--grid-points", "1"), "--grid-points must be at least 2"),
+])
+def test_malformed_flag_exits_one_on_one_line(argv, message, capsys):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_canonicalize_without_values_exits_one(tmp_path, capsys):
+    # a header line and a comment, but no data value
+    path = tmp_path / "xs.txt"
+    path.write_text("x\n# no values\n\n", encoding="utf-8")
+    assert run_cli(capsys, "canonicalize", str(path), "--q", "1.3", "--c", "0.2") == (
+        1, "", f"error: {path}: no data values found\n")
+
+
 # saved output of the other CSV writers: writing by column must not move a byte
 @pytest.mark.parametrize("name, argv", [
     ("canonicalize_q1.3_c0.2.csv", ("canonicalize", str(DATA / "canonicalize_xs.txt"),
@@ -250,7 +269,10 @@ def test_canonicalize_and_verify_match_saved_text(name, argv, capsys):
 #   draws y = x r over 1e+-30 with the quotient r exact;
 # - scale_drift_product and fold_vs_qlog_sum draw their rows after it, and
 #   the fold case checks the fold against the left fold through q_product
-#   where it checked it against q_exp(q_log_sum)
+#   where it checked it against q_exp(q_log_sum);
+# - sequential_shift_composition, split_probability_invariance and
+#   split_canonical_form read each shift's x-scale as its bracket
+#   1 + (1-q)c, where they read the rounded exp_q(c) to the power 1-q
 _CHANGED_CASES = {
     0: {"identities/classical_limit_continuity":
             ((1e-4, 1.2500119791613322e-05), (1e-7, 1.1979182783247168e-10)),
@@ -265,7 +287,13 @@ _CHANGED_CASES = {
         "identities/scale_drift_product":
             ((1e-10, 3.797811854981423e-15), (1e-10, 9.019856236445276e-15)),
         "identities/fold_vs_qlog_sum":
-            ((1e-12, 1.2417850116741302e-14), (1e-12, 3.6444570997554135e-15))},
+            ((1e-12, 1.2417850116741302e-14), (1e-12, 3.6444570997554135e-15)),
+        "dynamics/sequential_shift_composition":
+            ((1e-12, 3.5155099777104876e-15), (1e-12, 3.5155099777104884e-15)),
+        "canonical/split_probability_invariance":
+            ((1e-12, 6.661338147750939e-16), (1e-12, 8.326672684688674e-16)),
+        "canonical/split_canonical_form":
+            ((1e-12, 1.9410522000471856e-15), (1e-12, 2.1729965060854366e-15))},
 }
 
 

@@ -127,8 +127,9 @@ class TestQExp:
      "q_ratio at q=1.7976931348623157e+308 overflows a double (x=5e-324, y=2.23e-98)"),
     (q_product_bracket, (1e300, 5e-324, 2.0),
      "q_product_bracket at q=1e+300 overflows a double (x=5e-324, y=2.0)"),
-    (analytic_solution, (-1000.0, 1e300, 1, 0.0),
-     "analytic_solution at q=-1000.0 overflows a double (scale=1e+300, x=0.0)"),
+    # scale**(1-q) past the largest double, and the value (2.67e308) with it
+    (analytic_solution, (-0.001, 1.79e308, 1, 1.79e308),
+     "analytic_solution at q=-0.001 overflows a double (scale=1.79e+308, x=1.79e+308)"),
     (analytic_solution, (0.5, 1e300, 1, 1e155),
      "analytic_solution at q=0.5 overflows a double (scale=1e+300, x=1e+155)"),
     (compose_shifts, (0.5, 1e150, 1e150),
@@ -176,10 +177,9 @@ class TestQExp:
      "canonical_form at q=1e+300 overflows a double (total=2.0, shift=-3.87)"),
     (tsallis_correspondence, (-200.0, [1000]),
      "tsallis_correspondence at q=-200.0 overflows a double (n=1000)"),
-    # at |1-q| ~ 1e16 the rounding of exp_q(shift) carries its power past it
-    (shift_expansion, (-4.3196988666225544e16, 3.4392199811309485e289),
-     "shift_expansion at q=-4.3196988666225544e+16 overflows a double"
-     " (shift=3.4392199811309485e+289)"),
+    # each shift's bracket 1e300 is finite, their product is not
+    (compose_shifts, (-1e200, 1e100, 1e100),
+     "compose_shifts at q=-1e+200 overflows a double (shift1=1e+100, shift2=1e+100)"),
     # x_t / w_t after every partial sum and scale factor passed
     (scale_drift_expand, (1.5, [1.999999999, 1e300]),
      "drifted reading at q=1.5 overflows a double (step 1: shifts[1]=1e+300)"),
@@ -199,12 +199,10 @@ class TestQExp:
     (beta_from, (1.5, -1e-300, -1e100),
      "2 * (1 + (1-q)*log_offset) / -ode_coeff at q=1.5 overflows a double"
      " (ode_coeff=-1e-300, log_offset=-1e+100)"),
-    # exp_q(shift1), about 1 + 6e-16, is rounded; its power 1-q, about 1e18, overflows
-    (split_representation, (-1.1820939862583954e18, [1.0397106742315173e276, -7.995976449044797,
-                                                     -4.395464287919659],
-                            7.238113294949192e283, -3.2456717940750865e-106),
-     "exp_q(shift1)**(1-q) at q=-1.1820939862583954e+18 overflows a double"
-     " (shift1=7.238113294949192e+283, shift2=-3.2456717940750865e-106)"),
+    # the pulled-out shift1's bracket 2.2e-16 carries the rescaled argument past it
+    (split_representation, (0.5, [0.0, 1.0], -1.9999999999999996, 1e300),
+     "frequency argument at q=0.5 overflows a double"
+     " (x[0]=0.0, shift1=-1.9999999999999996, shift2=1e+300)"),
     # (x_end - x0) / step past the largest double: no step count
     (integrate_ode, (1.3, 0.0, 1.0, -1, 1.0, 5e-324),
      "integrate_ode step count at q=1.3 overflows a double (x0=0.0, x_end=1.0, step=5e-324)"),
@@ -227,15 +225,15 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
 
 
 # a scale factor that underflows to 0 is no positive scale: analytic_solution
-# and integrate_ode divided by it, frequency_rescale raised it to a negative
-# power, and compose_shifts returned it
+# and integrate_ode divided by it, frequency_rescale divided by it, and
+# compose_shifts returned it; split_representation's frequencies all
+# underflow as those of build_distribution(q, xs, shift1 + shift2) do
 @pytest.mark.parametrize("fn, args, named", [
     (analytic_solution, (1001.0, 1e300, 1, 1.0), "scale**(1-q)"),
     (analytic_solution, (1001.0, 1e300, 1, 0.0), "scale**(1-q)"),
     (frequency_rescale, (1.7, 1.0, -1e300, [0.0]), "scale"),
     (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
-    (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18),
-     "exp_q(shift1) at q=1.15 (shift1=-1e+122, shift2=-2.18)"),
+    (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18), "total"),
     # the guard's scale y0**(1-q), at the initial condition, underflowed to 0
     (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3), "y0**(1-q)"),
     # exp_q(log_q y0 - x0) underflowed to 0
@@ -337,12 +335,12 @@ NOT_A = "could not convert string to float: 'a'"
     # scale**(1-q) underflowed to 0 is checked before x
     (analytic_solution, (1001.0, 1e300, 1, NAN), NonPositiveArgument,
      "scale**(1-q) must be a positive finite real, got 0.0"),
-    # scale**(1-q) past the largest double: a finite x overflows, any other
-    # x reaches q_exp as an infinite argument
-    (analytic_solution, (-1000.0, 1e300, -1, 0.0), RangeOverflow,
-     "analytic_solution at q=-1000.0 overflows a double (scale=1e+300, x=0.0)"),
+    # scale**(1-q) past the largest double: the bracket less 1 is formed in
+    # logs, and a non-finite x is named itself
+    (analytic_solution, (-0.001, 1.79e308, -1, -1.79e308), RangeOverflow,
+     "analytic_solution at q=-0.001 overflows a double (scale=1.79e+308, x=-1.79e+308)"),
     (analytic_solution, (-1000.0, 1e300, 1, NAN), ValueError,
-     "argument must be finite, got inf"),
+     "argument must be finite, got nan"),
     (shift_expansion, (None, 1.0), TypeError, NOT_NONE),
     (shift_expansion, (NAN, "a"), ValueError, "deformation index must be finite, got nan"),
     (shift_expansion, (1.5, NAN), ValueError, "argument must be finite, got nan"),
@@ -351,9 +349,19 @@ NOT_A = "could not convert string to float: 'a'"
      "exp_q argument outside domain: constraint value -1.0 <= 0"),
     (shift_expansion, (1.0, -1000.0), NonPositiveArgument,
      "y_scale must be a positive finite real, got 0.0"),
-    (shift_expansion, (-4.3196988666225544e16, 3.4392199811309485e289), RangeOverflow,
-     "shift_expansion at q=-4.3196988666225544e+16 overflows a double"
-     " (shift=3.4392199811309485e+289)"),
+    # the bracket 1 + (1-q)*d*x/scale**(1-q) is -0.39698386192321751 in 60 digits
+    (analytic_solution, (-9.0, 8e30, -1, 1.5e308), DomainViolation,
+     "exp_q argument outside domain: constraint value -0.3969838619231725 <= 0"),
+    # raises that no other test reaches
+    (integrate_ode, (1.3, 0, 1, 2, 1, 0.1), ValueError, "direction must be +1 or -1, got 2"),
+    (integrate_ode, (1.3, 0, 1, -1, 1, 0.0), ValueError, "step must be positive, got 0.0"),
+    (integrate_ode, (1.3, 1, 1, -1, 0, 0.1), ValueError, "x_end must exceed x0"),
+    (q_product_fold, (1.3, []), ValueError, "factors must be non-empty"),
+    (q_stirling, (NAN, 3), ValueError, "deformation index must be finite, got nan"),
+    # the reference exp_q(-grid**2) leaves the domain at grid point 3
+    (frequency_rescale, (0.5, 1.0, 0.0, [3.0]), DomainViolation,
+     "exp_q argument outside domain (element 0): constraint value -3.5 <= 0"),
+    (tsallis_entropy, (1.0, [1e308, 1e308]), ValueError, "probabilities must sum to 1 (got inf)"),
 ])
 def test_bad_arguments_keep_their_error(fn, args, error, message):
     with pytest.raises(Exception) as info:

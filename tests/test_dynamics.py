@@ -1,8 +1,10 @@
 """Power-law dynamics: closed form, RK4 cross-check, shift/rescale structure."""
 
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from qdeform import (
     DomainViolation,
     NonPositiveArgument,
     analytic_solution,
+    RangeOverflow,
     compose_shifts,
     fig2_data,
+    frequency_rescale,
     integrate_ode,
     q_exp,
     q_exp_bracket,
@@ -20,7 +24,7 @@ from qdeform import (
     rescale_factor,
     shift_expansion,
 )
-from qdeform.dynamics import FIG2_GRID, Y_MAX
+from qdeform.dynamics import FIG2_GRID, Y_MAX, Trajectory
 
 # 40-digit evaluations
 QEXP_13_MINUS1 = 0.4170506723141460936064   # (1 + 0.3)**(-1/0.3)
@@ -92,6 +96,43 @@ class TestAnalyticSolution:
                 continue
             assert analytic_solution(q, s, d, x).hex() == expected.hex()
 
+    def test_scale_power_past_the_largest_double(self):
+        # scale**(1-q) overflows and the bracket less 1 is formed in logs:
+        # at x = 0 the value is the scale, and elsewhere it is the closed form
+        # in 60 digits where the bracket is at least 0.1 (nearer 0 the value's
+        # sensitivity to the bracket's rounding grows as 1/bracket)
+        assert analytic_solution(-1000.0, 1e300, -1, 0.0) == 1e300
+        assert analytic_solution(-1000.0, 1e300, 1, 0.0) == 1e300
+        rng = np.random.default_rng(28)
+        done = 0
+        with mpmath.workdps(60):
+            while done < 300:
+                one_minus_q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.01, 3.0))
+                # scale**(1-q) between e**709.79, past the largest double, and
+                # 1e5 |1-q| times that
+                log_power = 709.79 + rng.uniform(0.0, math.log(abs(one_minus_q)) + 11.5)
+                q, s = 1.0 - one_minus_q, math.exp(log_power / one_minus_q)
+                d = float(rng.choice([1.0, -1.0]))
+                x = float(rng.choice([-1.0, 1.0]) * rng.choice(
+                    [0.0, 1.7976931348623157e308 * rng.uniform(0.5, 1.0),
+                     10.0 ** rng.uniform(-300.0, 308.0)]))
+                if not 0.0 < s < math.inf:
+                    continue
+                bracket = 1 + (1 - mpmath.mpf(q)) * d * x / mpmath.mpf(s) ** (1 - mpmath.mpf(q))
+                if abs(bracket) < 0.1:
+                    continue
+                done += 1
+                if bracket < 0:
+                    with pytest.raises(DomainViolation):
+                        analytic_solution(q, s, d, x)
+                    continue
+                exact = s * bracket ** (1 / (1 - mpmath.mpf(q)))
+                if exact > sys.float_info.max:
+                    with pytest.raises(RangeOverflow):
+                        analytic_solution(q, s, d, x)
+                    continue
+                assert abs(analytic_solution(q, s, d, x) - exact) <= 1e-12 * exact
+
 
 class TestQLogLine:
     # log_q y = direction * x + log_q(scale): the intercepts of fig. 2
@@ -162,6 +203,8 @@ class TestWrittenOutStages:
         # one step of 3.4e289 at |1-q| ~ 4e16, whose guard scale 1**(1-q) is 1
         ((-4.3196988666225544e16, -3.4392199811309485e289, 1.0, 1, 0.0, 1e300),
          "solution left (0, y_max)"),
+        # the first two stages stay positive, the third, y - h*k3 = -0.79, does not
+        ((0.9, 0.0, 1.0, -1, 1.9, 1.9), "intermediate stage left (0, y_max)"),
     ])
     def test_blowup_matches_stage_function_form(self, args, reason):
         with warnings.catch_warnings():
@@ -260,6 +303,17 @@ class TestIntegrateODE:
             analytic_solution(1.3, scale, -1, 2.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("xs, ys, message", [
+    (np.zeros(2), np.ones(3), "xs and ys must be 1-d arrays of equal length"),
+    (np.array([0.0, 0.0]), np.ones(2), "sample abscissas must be strictly increasing"),
+    (np.array([0.0, 1.0]), np.array([1.0, 0.0]), "sample values must be strictly positive"),
+])
+def test_malformed_trajectory_is_rejected(xs, ys, message):
+    with pytest.raises(ValueError) as info:
+        Trajectory(xs, ys, 1.3, -1.0)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestShiftExpansion:
     def test_hand_case(self):
         assert shift_expansion(0.5, 2.0) == pytest.approx((4.0, 2.0), rel=1e-14)
@@ -300,8 +354,49 @@ class TestShiftExpansion:
                 y_scale = q_exp(q, c)
             except DomainViolation:
                 continue
+            # the power exp_q(c)**(1-q) is the bracket itself
             got = shift_expansion(q, c)
-            assert [v.hex() for v in got] == [y_scale.hex(), (y_scale ** (1.0 - q)).hex()]
+            assert [v.hex() for v in got] == [y_scale.hex(), q_exp_bracket(q, c).hex()]
+
+    def test_x_scale_is_the_bracket_in_60_digits(self):
+        # the witnesses of the rounded exp_q(c) raised to the power 1-q
+        # (x_scale 1.0 and 2.27e173 there); the third overflowed there
+        for q, c, x_scale in ((1e20, -1e-10, 1.0000000001e10),
+                              (1.7976805661996908e18, -3.9043646742478167e127, 7.02e145),
+                              (-4.3196988666225544e16, 3.4392199811309485e289, 1.49e306)):
+            with mpmath.workdps(60):
+                bracket = 1 + (1 - mpmath.mpf(q)) * c
+                y_exact = bracket ** (1 / (1 - mpmath.mpf(q)))
+            y_scale, got = shift_expansion(q, c)
+            assert got == pytest.approx(x_scale, rel=1e-2)
+            assert abs(got - bracket) <= 2.0 ** -53 * bracket
+            assert abs(y_scale - y_exact) <= 2.0 ** -52 * y_exact
+
+    def test_x_scale_within_1e15_of_the_bracket(self):
+        # |1-q| over 1e-3..1e300 and c over 1e+-300, in the domain away from
+        # its edge and with exp_q(c) a normal double: shift_expansion's
+        # x_scale and frequency_rescale's square root of it read the
+        # 60-digit bracket 1 + (1-q)c to 1e-15
+        rng = np.random.default_rng(28)
+        kept = 0
+        with mpmath.workdps(60):
+            for _ in range(10_000):
+                one_minus_q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 300.0))
+                q = 1.0 - one_minus_q
+                c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+                bracket = 1 + (1 - mpmath.mpf(q)) * c
+                if bracket < 2.0 ** -10:
+                    continue
+                try:
+                    if not q_exp(q, c) >= sys.float_info.min:
+                        continue
+                except (DomainViolation, RangeOverflow):
+                    continue
+                kept += 1
+                assert abs(shift_expansion(q, c)[1] - bracket) <= 1e-15 * bracket
+                half = frequency_rescale(q, 1.0, c, [0.0]).meta["x_scale"]
+                assert abs(half - mpmath.sqrt(bracket)) <= 1e-15 * mpmath.sqrt(bracket)
+        assert kept > 4000
 
     def test_underflowed_scale_is_a_domain_error(self):
         # exp_q(-1e300) underflows to 0 at q > 1, and 0**(1-q) divides by 0

@@ -134,7 +134,6 @@ OVERFLOW_HANDLERS = {
     "core.q_log_of_ratio": _HOT,
     "algebra._combine": _HOT,
     "dynamics.analytic_solution": _HOT,
-    "dynamics.shift_expansion": _HOT,
     "dynamics.integrate_ode": "the RK4 stage loop: a stage's y**q names the step's x and y",
     "combinatorics._check_count": "a count check: int() of inf or nan, with ValueError",
     "combinatorics._check_probabilities": "a probability check: the entries' fsum less 1",

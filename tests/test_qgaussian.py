@@ -161,6 +161,9 @@ class TestModelAndPdf:
             assert value > 0.0
             assert value == pytest.approx(float(expected), rel=1e-12)
 
+    def test_heavy_tail_support_is_unbounded(self):
+        assert QGaussianModel.from_beta(1.5, 1.0).support_halfwidth() == math.inf
+
     def test_compact_support_cutoff(self):
         model = QGaussianModel.from_beta(0.5, 1.0)
         edge = model.support_halfwidth()

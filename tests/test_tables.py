@@ -78,6 +78,15 @@ def test_columns_are_rows_of_one_array_held_weakly():
     assert table.column("x_raw").tolist() == expected
 
 
+def test_curves_need_one_id_per_block_and_columns_one_dimension():
+    table = FigureTable(("curve_id", "a"), ((np.zeros(2), np.ones(2)),))
+    with pytest.raises(ValueError, match=r"^curves\(\) needs one curve_id number per block$"):
+        table.curves()
+    with pytest.raises(ValueError,
+                       match="^a table column array must be one-dimensional, got 2 dims$"):
+        FigureTable(("a",), ((np.zeros((2, 2)),),))
+
+
 @pytest.mark.parametrize("blocks", [
     ((0, np.zeros(3)),),                   # one value short
     ((0, 1.0, 2.0),),                      # no array: no length
