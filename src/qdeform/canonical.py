@@ -8,7 +8,7 @@ A frequency model n_i = exp_q(-x_i + c) normalizes to
 but for q != 1 that surface form is massively non-unique: every split
 c = c1 + c2 yields another valid parameterization
 
-    p_i = exp_q((-x_i + c2) / exp_q(c1)**(1-q)) / (same sum)
+    p_i = exp_q((-x_i + c2) / (1 + (1-q)*c1)) / (same sum)
 
 (and symmetrically with c1 <-> c2), all secretly equal as probability
 vectors.  Taking the deformed log collapses them to a single affine form
@@ -37,8 +37,7 @@ __all__ = _EXPORTS["canonical"]
 
 
 def _check_finite(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+    if not math.isfinite(value := float(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -154,14 +153,14 @@ def build_distribution(q: float, xs, shift: float) -> DiscreteQDistribution:
 def split_representation(q: float, xs, shift1: float, shift2: float):
     """The two rescaled-argument probability vectors of a split shift.
 
-    Both pull one sub-shift out of exp_q(-x + c1 + c2) and leave the other
-    inside the argument, rescaled by the pulled-out shift's bracket
-    1 + (1-q)*outer; exp_q(outer) itself cancels from the probabilities,
-    which are those of the unsplit form.  A pulled-out shift or the first
-    point outside the domain raises :class:`DomainViolation`, and a rescaled
-    argument or frequency sum past the largest double :class:`OverflowError`
-    naming q and both shifts (and the point, for an argument).  A non-finite
-    point or shift raises :class:`ValueError` naming it.
+    Both pull one sub-shift out of exp_q(-x + c1 + c2) and divide the
+    argument left with the other by the pulled-out shift's bracket
+    1 + (1-q)*outer; exp_q(outer) cancels from the probabilities, which are
+    those of the unsplit form.  A pulled-out shift or the first point
+    outside the domain raises :class:`DomainViolation`; that bracket, a
+    rescaled argument or a frequency sum past the largest double
+    :class:`OverflowError` naming q and both shifts (and the point, for an
+    argument); a non-finite point or shift :class:`ValueError` naming it.
     """
     q = check_index(q)
     points = _points(xs)
@@ -173,6 +172,8 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     def pulled_out(outer: float, inner: float):
         if not (x_scale := q_exp_bracket(q, outer)) > 0.0:
             raise DomainViolation("exp_q argument outside domain", x_scale)
+        if x_scale == math.inf:
+            raise RangeOverflow("pulled-out bracket 1 + (1-q)*shift", q, shifts())
         return _frequencies(q, points, inner, x_scale, shifts)[2]
 
     return pulled_out(shift1, shift2), pulled_out(shift2, shift1)

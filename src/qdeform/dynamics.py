@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import (_check_positive, _drop, _finite_or_overflow, _index_error, check_index,
-                   q_exp, q_exp_bracket, q_log)
+                   q_exp, q_log)
 from .errors import BlowupDetected, DomainViolation, NonPositiveArgument, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
@@ -95,11 +95,11 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
 
 
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
-    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)),
-    whose bracket less 1 is formed in logs where scale**(1-q) passes the
-    largest double.  The argument of exp_q or a result past it raises
-    :class:`OverflowError` naming q, scale and x; scale**(1-q) underflowed
-    to 0 raises :class:`NonPositiveArgument` naming it."""
+    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)); where
+    scale**(1-q) passes the largest double, the bracket less 1 is divided twice
+    by scale**((1-q)/2), or formed in logs where that passes it too.  The exp_q
+    argument or a result past it raises :class:`OverflowError` naming q, scale
+    and x; scale**(1-q) underflowed to 0 :class:`NonPositiveArgument` naming it."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
     if (d := float(direction)) not in (1.0, -1.0):
@@ -114,9 +114,12 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     except OverflowError:
         if not math.isfinite(x):
             raise ValueError(f"argument must be finite, got {x!r}") from None
-        lift = 0.0 if x == 0.0 else math.copysign(math.exp(
-            math.log(abs(1.0 - q)) + math.log(abs(x)) - (1.0 - q) * math.log(s)),
-            (1.0 - q) * d * x)
+        if (1.0 - q) * math.log(s) < 1418.0:  # t = scale**((1-q)/2) in (1e154, e**709)
+            lift = (1.0 - q) / (t := s ** ((1.0 - q) / 2.0)) * (d * x / t)
+        else:  # |lift| / |1-q| < e**-708: the log form's rounding never shows
+            lift = 0.0 if x == 0.0 else math.copysign(math.exp(
+                math.log(abs(1.0 - q)) + math.log(abs(x)) - (1.0 - q) * math.log(s)),
+                (1.0 - q) * d * x)
         if lift <= -1.0:
             raise DomainViolation("exp_q argument outside domain", 1.0 + lift) from None
         value = s * _drop(q, lift)  # 1-q > 1 or 1-q < 0 here: _drop stays finite
@@ -209,12 +212,11 @@ def shift_expansion(q: float, shift: float):
 
         exp_q(x + shift) = y_scale * exp_q(x / x_scale)
 
-    for every x where both sides are defined; x_scale is exp_q(shift)**(1-q).
-    The shift must satisfy 1 + (1-q)*shift > 0, and exp_q(shift) must not
-    underflow to 0 (:class:`NonPositiveArgument` naming ``y_scale``)."""
+    for every x where both sides are defined, given 1 + (1-q)*shift > 0;
+    exp_q(shift) underflowed to 0 raises :class:`NonPositiveArgument` (``y_scale``)."""
     if not (y_scale := q_exp(q, shift)) > 0.0:
         raise NonPositiveArgument("y_scale", y_scale)
-    return y_scale, q_exp_bracket(float(q), float(shift))
+    return y_scale, 1.0 + (1.0 - float(q)) * float(shift)  # q_exp_bracket, inline for speed
 
 
 def compose_shifts(q: float, shift1: float, shift2: float):
@@ -229,10 +231,9 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     composition equals ``shift_expansion(q, c1 + c2 + (1-q)*c1*c2)``
     exactly, because c2 is measured in the scale unit left behind by c1.
     A product past the largest double raises :class:`OverflowError` naming
-    q and both shifts; a y_scale product underflowed to 0 raises
-    :class:`NonPositiveArgument` naming ``y_scale``, as :func:`shift_expansion`
-    does.  (Each x_scale factor is its shift's bracket, at least 2**-53, so
-    their product cannot underflow.)
+    q and both shifts, and a y_scale product underflowed to 0
+    :class:`NonPositiveArgument` naming ``y_scale``; each x_scale factor is
+    its shift's bracket, at least 2**-53, so theirs cannot underflow.
     """
     q = float(q)  # shift_expansion checks it
     y1, x1 = shift_expansion(q, shift1)

@@ -62,8 +62,7 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
     q = check_index(q)
     ode_coeff = -_check_positive("-ode_coeff", -float(ode_coeff))
     log_offset = float(log_offset)
-    w = q_exp_bracket(q, log_offset)
-    if not w > 0.0:  # also a nan log_offset
+    if not (w := q_exp_bracket(q, log_offset)) > 0.0:  # also a nan log_offset
         raise DomainViolation("offset bracket 1 + (1-q)*log_offset", w)
     if 2.0 * w == math.inf:  # the width would read 0
         raise RangeOverflow("2 * (1 + (1-q)*log_offset)", q, f"log_offset={log_offset!r}")
@@ -269,8 +268,7 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     grid = _check_finite("grid", np.array(grid, dtype=float))
 
     def q_exp_of(argument):
-        # the grid is finite, so an argument that is not passed the largest
-        # double; a bracket keeps its error
+        # a non-finite argument of the finite grid passed the largest double
         try:
             return _q_exp_array(q, argument)
         except ValueError:

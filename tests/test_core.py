@@ -213,6 +213,14 @@ class TestQExp:
      "integrate_ode at q=3.0 overflows a double (x=0.0, y=1e+150)"),
     (integrate_ode, (-1.0, 0.0, 1e200, 1, 1.0, 0.1),
      "integrate_ode at q=-1.0 overflows a double (x=0.0, y=1e+200)"),
+    # a pulled-out shift's bracket 1 + (1-q)*shift past the largest double,
+    # over which every rescaled argument would read 0
+    (split_representation, (-1.0, [0.0, 1e308], 1e308, 1e308),
+     "pulled-out bracket 1 + (1-q)*shift at q=-1.0 overflows a double"
+     " (shift1=1e+308, shift2=1e+308)"),
+    (split_representation, (3.0, [0.0, 1e308], -1e308, -1e308),
+     "pulled-out bracket 1 + (1-q)*shift at q=3.0 overflows a double"
+     " (shift1=-1e+308, shift2=-1e+308)"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
@@ -351,7 +359,7 @@ NOT_A = "could not convert string to float: 'a'"
      "y_scale must be a positive finite real, got 0.0"),
     # the bracket 1 + (1-q)*d*x/scale**(1-q) is -0.39698386192321751 in 60 digits
     (analytic_solution, (-9.0, 8e30, -1, 1.5e308), DomainViolation,
-     "exp_q argument outside domain: constraint value -0.3969838619231725 <= 0"),
+     "exp_q argument outside domain: constraint value -0.3969838619232171 <= 0"),
     # raises that no other test reaches
     (integrate_ode, (1.3, 0, 1, 2, 1, 0.1), ValueError, "direction must be +1 or -1, got 2"),
     (integrate_ode, (1.3, 0, 1, -1, 1, 0.0), ValueError, "step must be positive, got 0.0"),

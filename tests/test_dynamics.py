@@ -97,29 +97,51 @@ class TestAnalyticSolution:
             assert analytic_solution(q, s, d, x).hex() == expected.hex()
 
     def test_scale_power_past_the_largest_double(self):
-        # scale**(1-q) overflows and the bracket less 1 is formed in logs:
-        # at x = 0 the value is the scale, and elsewhere it is the closed form
-        # in 60 digits where the bracket is at least 0.1 (nearer 0 the value's
-        # sensitivity to the bracket's rounding grows as 1/bracket)
+        # scale**(1-q) overflows and the bracket less 1 is formed from its
+        # square root, or in logs where that overflows too: at x = 0 the value
+        # is the scale, and elsewhere it is the closed form in 60 digits where
+        # the bracket is at least 2**-10
         assert analytic_solution(-1000.0, 1e300, -1, 0.0) == 1e300
         assert analytic_solution(-1000.0, 1e300, 1, 0.0) == 1e300
+
+        def passes_largest_double(s, power):
+            try:
+                s ** power
+            except OverflowError:
+                return True
+            return False
+
         rng = np.random.default_rng(28)
         done = 0
         with mpmath.workdps(60):
             while done < 300:
-                one_minus_q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.01, 3.0))
+                one_minus_q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(
+                    0.01, rng.choice([3.0, 300.0])))
                 # scale**(1-q) between e**709.79, past the largest double, and
-                # 1e5 |1-q| times that
-                log_power = 709.79 + rng.uniform(0.0, math.log(abs(one_minus_q)) + 11.5)
-                q, s = 1.0 - one_minus_q, math.exp(log_power / one_minus_q)
-                d = float(rng.choice([1.0, -1.0]))
-                x = float(rng.choice([-1.0, 1.0]) * rng.choice(
-                    [0.0, 1.7976931348623157e308 * rng.uniform(0.5, 1.0),
-                     10.0 ** rng.uniform(-300.0, 308.0)]))
-                if not 0.0 < s < math.inf:
+                # 1e5 |1-q| times that, or e**1500 |1-q| times that, where
+                # its square root passes the largest double too
+                log_power = 709.79 + rng.uniform(
+                    0.0, math.log(abs(one_minus_q)) + rng.choice([11.5, 1500.0]))
+                q = 1.0 - one_minus_q
+                try:
+                    s = math.exp(log_power / one_minus_q)
+                except OverflowError:
                     continue
-                bracket = 1 + (1 - mpmath.mpf(q)) * d * x / mpmath.mpf(s) ** (1 - mpmath.mpf(q))
-                if abs(bracket) < 0.1:
+                if not 0.0 < s < math.inf or not passes_largest_double(s, 1.0 - q):
+                    continue
+                d = float(rng.choice([1.0, -1.0]))
+                power = mpmath.mpf(s) ** (1 - mpmath.mpf(q))
+                if rng.random() < 0.5:  # aimed at a bracket in [2**-10, 1]
+                    aim = (2.0 ** rng.uniform(-10.0, 0.0) - 1) * power / ((1 - mpmath.mpf(q)) * d)
+                    if abs(aim) > sys.float_info.max:
+                        continue
+                    x = float(aim)
+                else:
+                    x = float(rng.choice([-1.0, 1.0]) * rng.choice(
+                        [0.0, 1.7976931348623157e308 * rng.uniform(0.5, 1.0),
+                         10.0 ** rng.uniform(-300.0, 308.0)]))
+                bracket = 1 + (1 - mpmath.mpf(q)) * d * x / power
+                if abs(bracket) < 2.0 ** -10:
                     continue
                 done += 1
                 if bracket < 0:
