@@ -282,7 +282,7 @@ def _cmd_fig(args) -> int:
 
 
 def _read_values(path):
-    values = []
+    values, header = [], False
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -296,8 +296,9 @@ def _read_values(path):
         try:
             value = float(token)
         except ValueError:
-            if lineno == 1:
-                continue  # a single header line is tolerated
+            if not values and not header:
+                header = True  # the first line neither blank nor a comment
+                continue
             raise _CliInputError(
                 f"{path}:{lineno}: cannot parse {token!r} as a real") from None
         if not math.isfinite(value):

@@ -9,6 +9,7 @@ curve, and builds row tuples only when a caller first reads a row.
 
 from __future__ import annotations
 
+import gc
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -36,7 +37,10 @@ class _Rows(Sequence):
     """The row tuples of a list of blocks.  ``len`` reads the block lengths;
     the tuples are built on first item access or iteration and kept.  Each
     distinct array is converted once, so rows that share an array share its
-    floats."""
+    floats.  The cyclic collector is paused while the tuples are built, and
+    the caller's setting restored: a tuple of numbers can be in no cycle,
+    yet building 3e5 of them would start several hundred collector passes,
+    about half the build's time."""
 
     def __init__(self, blocks, lengths):
         self._blocks, self._lengths, self._rows = blocks, lengths, None
@@ -52,20 +56,31 @@ class _Rows(Sequence):
 
     def _built(self) -> tuple:
         if self._rows is None:
-            lists = {}  # id(array) -> array.tolist(); the blocks keep each id alive
-
-            def values(value, n):
-                if not isinstance(value, np.ndarray):
-                    return repeat(value, n)
-                if id(value) not in lists:
-                    lists[id(value)] = value.tolist()
-                return lists[id(value)]
-
-            rows = []  # a list: a growing tuple would be re-tracked by the gc at each resize
-            for block, n in zip(self._blocks, self._lengths):
-                rows += zip(*(values(v, n) for v in block))
-            self._rows = tuple(rows)
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                # the staging lists die on return: the next pass meets only the rows
+                self._rows = _row_tuples(self._blocks, self._lengths)
+            finally:
+                if enabled:
+                    gc.enable()
         return self._rows
+
+
+def _row_tuples(blocks, lengths) -> tuple:
+    lists = {}  # id(array) -> array.tolist(); the blocks keep each id alive
+
+    def values(value, n):
+        if not isinstance(value, np.ndarray):
+            return repeat(value, n)
+        if id(value) not in lists:
+            lists[id(value)] = value.tolist()
+        return lists[id(value)]
+
+    rows = []  # a list: a growing tuple would be re-tracked by the gc at each resize
+    for block, n in zip(blocks, lengths):
+        rows += zip(*(values(v, n) for v in block))
+    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +95,8 @@ class FigureTable:
 
     - ``column(name)`` is the column over all blocks, read-only;
     - ``rows`` is the sequence of row tuples, built on first item access or
-      iteration and kept (its ``len`` builds nothing);
+      iteration, with the cyclic collector paused (tuples of numbers form
+      no cycle), and kept (its ``len`` builds nothing);
     - ``curves()`` groups ``rows`` by the ``curve_id`` number of each block.
 
     Two tables are equal when their column names, metadata and every

@@ -403,6 +403,25 @@ class TestCanonicalize:
         assert code == 1
         assert ":2:" in err
 
+    def test_header_after_comments_tolerated(self, capsys, tmp_path):
+        data = tmp_path / "xs.txt"
+        data.write_text("# data\n\nx\n1\n2\n")
+        code, out, _ = run_cli(capsys, "canonicalize", str(data),
+                               "--q", "2", "--c", "0")
+        assert code == 0
+        assert json.loads(out)["xs"] == [1.0, 2.0]
+
+    # only the first line neither blank nor a comment may be a header
+    @pytest.mark.parametrize("text, lineno, token", [
+        ("# data\nx\ny\n1\n", 3, "y"),
+        ("# data\n1\n\nx\n2\n", 4, "x"),
+    ])
+    def test_later_non_number_names_its_line(self, text, lineno, token, capsys, tmp_path):
+        data = tmp_path / "xs.txt"
+        data.write_text(text)
+        assert run_cli(capsys, "canonicalize", str(data), "--q", "2", "--c", "0") == (
+            1, "", f"error: {data}:{lineno}: cannot parse {token!r} as a real\n")
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_nonfinite_value_names_line(self, bad, capsys, tmp_path):
         data = tmp_path / "xs.txt"

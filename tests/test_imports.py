@@ -8,9 +8,10 @@ row of the package's ``_EXPORTS`` table (or, in a test source, a literal).
 The package's public names and the modules' ``__all__`` must name the same
 objects.  Only ``core`` and its numpy twin ``_array`` may read ``expm1`` or
 ``log1p``: the deformed log and exp have one kernel pair, and every other
-module goes through it.  The scalar modules and the CLI import no numpy at module level,
-and the CLI no qdeform module but ``errors``, so the scalar commands start
-without numpy.
+module goes through it.  Only ``tables._Rows._built`` may switch the
+cyclic collector off and on.  The scalar modules and the CLI import no
+numpy at module level, and the CLI no qdeform module but ``errors``, so the
+scalar commands start without numpy.
 """
 
 import ast
@@ -156,6 +157,47 @@ def test_overflow_handler_detector_names_each_scope():
               "        except OverflowError as err:\n            pass\n"
               "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert overflow_handlers(source, "m") == ["m.f", "m.f.g"]
+
+
+COLLECTOR_SWITCHES = {"disable", "enable"}
+
+
+def collector_switches(source: str, module: str) -> list:
+    """``module.function`` (dotted through nested scopes) for each read of
+    ``gc.disable`` or ``gc.enable`` in the source, and each import of them."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in COLLECTOR_SWITCHES
+                    and isinstance(child.value, ast.Name) and child.value.id == "gc") or (
+                    isinstance(child, ast.ImportFrom) and child.module == "gc" and any(
+                        a.name in COLLECTOR_SWITCHES for a in child.names)):
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+# every scope of the library that switches the cyclic collector, with its reason
+COLLECTOR_PAUSES = {
+    "tables._Rows._built": "row tuples of numbers form no cycle, and a 3e5-row build "
+                           "otherwise starts hundreds of collector passes",
+}
+
+
+def test_collector_is_switched_only_where_listed():
+    found = {name for path in MODULES
+             for name in collector_switches(path.read_text(encoding="utf-8"), path.stem)}
+    assert found == set(COLLECTOR_PAUSES)
+
+
+def test_collector_switch_detector_names_each_scope():
+    source = ("import gc\nfrom gc import enable\nclass A:\n    def f(self):\n"
+              "        gc.disable()\n        gc.isenabled()\ngc.collect()\n")
+    assert collector_switches(source, "m") == ["m", "m.A.f"]
 
 
 def module_level_imports(source: str) -> list:

@@ -1,5 +1,6 @@
 """FigureTable: curve blocks, columns, rows built on first use, curves."""
 
+import gc
 import weakref
 
 import numpy as np
@@ -42,6 +43,43 @@ def test_len_of_rows_builds_no_rows(assert_peak_alloc):
     table = fig2_data(grid=GRID_1E5)
     assert_peak_alloc(1 << 20, len, table.rows)
     assert len(table.rows) == 3 * GRID_1E5.size
+
+
+def test_rows_of_1e5_curves_are_the_columns_sharing_floats():
+    table = fig2_data(grid=GRID_1E5)
+    n, columns = GRID_1E5.size, table.columns
+    values = [table.column(c).tolist() for c in columns]
+    values[0] = [int(v) for v in values[0]]
+    rows = tuple(table.rows)
+    assert rows == tuple(zip(*values))
+    assert all(type(row[0]) is int for row in rows)
+    for j in (columns.index("x_rescaled"), columns.index("y_rescaled")):
+        assert all(rows[i][j] is rows[n + i][j] is rows[2 * n + i][j] for i in range(n))
+    flat = [row for curve in table.curves().values() for row in curve]
+    assert len(flat) == 3 * n and all(a is b for a, b in zip(flat, rows))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_building_rows_leaves_the_collector_as_found(enabled):
+    table = fig2_data(grid=GRID_1E5)
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(count)
+    try:
+        table.rows[0]
+        assert gc.isenabled() is enabled
+        # with the collector paused, the build of 3e5 tuples starts no pass
+        # (several hundred run otherwise); at most one follows it
+        assert len(passes) <= 1
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
 
 
 def test_fig2_data_holds_its_curves_as_arrays(assert_peak_alloc):
