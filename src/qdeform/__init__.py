@@ -39,8 +39,8 @@ _EXPORTS = {
     "core": ("q_exp", "q_exp_bracket", "q_log", "q_log_of_ratio"),
     "dynamics": ("Trajectory", "analytic_solution", "compose_shifts", "fig2_data",
                  "integrate_ode", "rescale_factor", "shift_expansion"),
-    "errors": ("BlowupDetected", "DomainViolation", "NonPositiveArgument", "QDeformError",
-               "RangeOverflow", "UnnormalizableModel"),
+    "errors": ("DomainViolation", "NonPositiveArgument", "QDeformError", "RangeOverflow",
+               "UnnormalizableModel"),
     "qgaussian": ("QGaussianModel", "beta_from", "fig3_data", "frequency_rescale",
                   "mlp_stationarity", "normalization", "q_gaussian_pdf", "q_log_likelihood"),
     "tables": ("FigureTable",),

@@ -19,11 +19,10 @@ Two consequences are implemented and checkable here:
   exponential's argument is the same operation as rescaling both axes by
   (exp_q(c), 1 + (1-q)*c), the second factor being exp_q(c)**(1-q).
 
-``integrate_ode`` is a deliberately plain fixed-step fourth-order
-Runge-Kutta scheme: it exists to cross-check the closed form, so it must be
-simple enough to audit independently.  Its loop steps y alone: the
-abscissas and the analytic domain guard do not depend on y, so each is one
-array expression evaluated before the first step.
+``integrate_ode`` samples that solution on a grid, in the q-log form anchored
+at the initial condition: log_q y = log_q y0 + direction * (x - x0) is one
+exp_q of a linear function of x with the fixed scale unit y0**(1-q).  A
+fixed-step RK4 scheme checks it, as a private oracle of :mod:`qdeform.verify`.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import (_check_positive, _drop, _finite_or_overflow, _index_error, check_index,
-                   q_exp, q_log)
-from .errors import BlowupDetected, DomainViolation, NonPositiveArgument, RangeOverflow
+from ._array import _q_exp_array
+from .core import (_check_all, _check_positive, _drop, _finite_or_overflow, _index_error,
+                   check_index, q_exp, q_log)
+from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
 __all__ = _EXPORTS["dynamics"]
@@ -44,7 +44,6 @@ __all__ = _EXPORTS["dynamics"]
 FIG2_SCALES = (1.0, 10.0, 20.0)
 FIG2_INDEX = 1.3
 FIG2_GRID = (0.0, 5.0, 501)  # rescaled abscissas: min, max, points
-Y_MAX = 1e12  # integrate_ode stops once y reaches this
 
 
 def _direction_error(direction) -> ValueError:
@@ -99,7 +98,9 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     scale**(1-q) passes the largest double, the bracket less 1 is divided twice
     by scale**((1-q)/2), or formed in logs where that passes it too.  The exp_q
     argument or a result past it raises :class:`OverflowError` naming q, scale
-    and x; scale**(1-q) underflowed to 0 :class:`NonPositiveArgument` naming it."""
+    and x; scale**(1-q) underflowed to 0 :class:`NonPositiveArgument` naming it.
+    :func:`integrate_ode` is its array form anchored at (x0, y0): the scale y0
+    at x - x0."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
     if (d := float(direction)) not in (1.0, -1.0):
@@ -132,24 +133,18 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
 
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
                   step: float) -> Trajectory:
-    """Fixed-step classical RK4 trajectory of dy/dx = direction * y**q, its
-    four textbook stages written out in a loop that carries y alone.
+    """Trajectory of dy/dx = direction * y**q through (x0, y0) in closed form.
 
-    The step is shrunk uniformly so the grid lands on ``x_end`` exactly; the
-    grid x0 + i*h and the domain guard at each step's end are computed as
-    arrays before the first step, and the direction is folded into the step
-    sizes.  A step below the spacing of doubles, whose abscissas would
-    repeat, raises :class:`ValueError` naming step and x0.
-    The guard is the bracket of the solution through (x0, y0) in q-log form,
-    log_q y = log_q y0 + direction * (x - x0): 1 + (1-q) * direction *
-    (x - x0) / b0 with b0 = y0**(1-q), so any positive y0 at any x0 starts.
-    Integration aborts with :class:`BlowupDetected` when y or a stage leaves
-    (0, ``Y_MAX``) or when that bracket is about to drop below 1e-12, which
-    happens in finite x for the growing branch with q > 1 and the decaying
-    branch with q < 1.  b0, a step count or a stage y**q past the largest
-    double raises :class:`OverflowError` naming q and x0, y0, or x0, x_end,
-    step, or the step's x, y; b0 underflowed to 0 raises
-    :class:`NonPositiveArgument` naming ``y0**(1-q)``.
+    On the grid x0 + i*h, its step shrunk to land on ``x_end``, y = y0 *
+    exp_q(direction * (x - x0) / b0) with b0 = y0**(1-q): the q-log form
+    log_q y = log_q y0 + direction * (x - x0), so any positive y0 at any x0
+    starts.  A step below the spacing of doubles raises :class:`ValueError`
+    naming step and x0; a point at or past the analytic boundary (growth with
+    q > 1, decay with q < 1) exp_q's :class:`DomainViolation`, with its bracket
+    and grid index.  b0, a step count, an exp_q argument or a value past the
+    largest double raises :class:`OverflowError` naming q and x0, y0, or x0,
+    x_end, step, or x (exp_q's own, the grid index); b0 or a value underflowed
+    to 0 :class:`NonPositiveArgument` naming ``y0**(1-q)`` or x.
     """
     q = check_index(q)
     if (d := float(direction)) not in (1.0, -1.0):
@@ -170,39 +165,20 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
         f"x0={x0!r}, x_end={x_end!r}, step={step!r}"), lambda: (x_end - x0) / step)
     n_steps = max(1, math.ceil(span))
     h = (x_end - x0) / n_steps
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         xs = x0 + np.arange(n_steps + 1) * h  # x0 + i * h, as Python floats round it
         xs[0] = x0  # keeps the sign of a -0.0 start
         if not np.all(xs[1:] > xs[:-1]):
             raise ValueError("step must exceed the spacing of doubles between x0 and x_end, "
                              f"got {step!r} with x0={x0!r}")
-        # the analytic domain guard at each step's end, relative to b0; at
-        # q = 1 it is 1 (or NaN past the largest double), so it never fires
-        guard = 1.0 + (1.0 - q) * (d * (xs[1:] - x0) / b0) < 1e-12
-    stop = int(guard.argmax()) if guard.any() else n_steps
-    dh, dhalf, dsixth = d * h, d * (0.5 * h), d * (h / 6.0)  # (d*c)*k == c*(d*k) for d = +-1
-    stage_left = "intermediate stage left (0, y_max)"
-    ys, y = [y0], y0
-    try:
-        for i in range(stop):
-            k1 = y ** q  # y > 0: y0 is checked, and each step's y below
-            if (stage := y + dhalf * k1) <= 0.0:
-                raise BlowupDetected(x0 + i * h, stage, stage_left)
-            k2 = stage ** q
-            if (stage := y + dhalf * k2) <= 0.0:
-                raise BlowupDetected(x0 + i * h, stage, stage_left)
-            k3 = stage ** q
-            if (stage := y + dh * k3) <= 0.0:
-                raise BlowupDetected(x0 + i * h, stage, stage_left)
-            y = y + dsixth * (k1 + 2.0 * k2 + 2.0 * k3 + stage ** q)
-            if not (0.0 < y < Y_MAX):
-                raise BlowupDetected(x0 + (i + 1) * h, y, "solution left (0, y_max)")
-            ys.append(y)
-    except OverflowError:  # a stage's y**q
-        raise RangeOverflow("integrate_ode", q, f"x={x0 + i * h!r}, y={y!r}") from None
-    if stop < n_steps:
-        raise BlowupDetected(float(xs[stop + 1]), y, "analytic domain boundary reached")
-    return Trajectory(xs=xs, ys=np.asarray(ys), q=q, direction=d)
+        args = d * (xs - x0) / b0  # exp_q's bracket 1 + (1-q)*args is the domain guard
+        _check_all(np.isfinite(args), lambda i: RangeOverflow(
+            "integrate_ode", q, f"exp_q argument at x={float(xs[i])!r}"))
+        ys = y0 * _q_exp_array(q, args)
+    _check_all(ys < math.inf, lambda i: RangeOverflow("integrate_ode", q, f"x={float(xs[i])!r}"))
+    _check_all(ys > 0.0, lambda i: NonPositiveArgument(
+        f"integrate_ode at q={q!r} (x={float(xs[i])!r})", 0.0))
+    return Trajectory(xs=xs, ys=ys, q=q, direction=d)
 
 
 def shift_expansion(q: float, shift: float):

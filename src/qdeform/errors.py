@@ -42,16 +42,6 @@ class RangeOverflow(QDeformError, OverflowError):
         super().__init__(f"{name} at q={q!r} overflows a double ({where})")
 
 
-class BlowupDetected(QDeformError, RuntimeError):
-    """Numerical integration left the admissible strip or crossed the
-    analytic domain boundary."""
-
-    def __init__(self, x, y, reason):
-        self.x = x
-        self.y = y
-        super().__init__(f"integration stopped at x={x!r}, y={y!r}: {reason}")
-
-
 class UnnormalizableModel(QDeformError, ValueError):
     """The density has no finite normalization (requires q < 3)."""
 

@@ -208,9 +208,9 @@ class TestQExp:
      "integrate_ode step count at q=1.3 overflows a double (x0=0.0, x_end=1.0, step=5e-324)"),
     (integrate_ode, (1.0, -1e308, 1.0, -1, 1e308, 1.0),
      "integrate_ode step count at q=1.0 overflows a double (x0=-1e+308, x_end=1e+308, step=1.0)"),
-    # a stage's y**q, and the guard's scale y0**(1-q)
-    (integrate_ode, (3.0, 0.0, 1e150, -1, 1.0, 1e-3),
-     "integrate_ode at q=3.0 overflows a double (x=0.0, y=1e+150)"),
+    # a growing value y0 * e**x, and the scale unit y0**(1-q)
+    (integrate_ode, (1.0, 0.0, 1e308, 1, 1.0, 0.5),
+     "integrate_ode at q=1.0 overflows a double (x=1.0)"),
     (integrate_ode, (-1.0, 0.0, 1e200, 1, 1.0, 0.1),
      "integrate_ode at q=-1.0 overflows a double (x=0.0, y=1e+200)"),
     # a pulled-out shift's bracket 1 + (1-q)*shift past the largest double,
@@ -242,7 +242,7 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
     (frequency_rescale, (1.7, 1.0, -1e300, [0.0]), "scale"),
     (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
     (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18), "total"),
-    # the guard's scale y0**(1-q), at the initial condition, underflowed to 0
+    # the scale unit y0**(1-q), at the initial condition, underflowed to 0
     (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3), "y0**(1-q)"),
     # exp_q(log_q y0 - x0) underflowed to 0
     (rescale_factor, (1.3, 1e308, 1.0), "rescale_factor at q=1.3 (x0=1e+308, y0=1.0)"),

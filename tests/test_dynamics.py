@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qdeform import (
-    BlowupDetected,
     DomainViolation,
     NonPositiveArgument,
     analytic_solution,
@@ -24,7 +23,8 @@ from qdeform import (
     rescale_factor,
     shift_expansion,
 )
-from qdeform.dynamics import FIG2_GRID, Y_MAX, Trajectory
+from qdeform.dynamics import FIG2_GRID, Trajectory
+from qdeform.verify import _rk4
 
 # 40-digit evaluations
 QEXP_13_MINUS1 = 0.4170506723141460936064   # (1 + 0.3)**(-1/0.3)
@@ -164,91 +164,114 @@ class TestQLogLine:
 
 
 def _stage_rk4(q, x0, y0, d, x_end, step):
-    """integrate_ode in its earlier form, each RK4 stage a call of one
-    checked stage function, kept as the reference for the written-out loop."""
-    b0 = y0 ** (1.0 - q)  # the guard's scale, at the initial condition
-
-    def rhs(x, y):
-        if y <= 0.0:
-            raise BlowupDetected(x, y, "intermediate stage left (0, y_max)")
+    """verify's RK4 oracle in an earlier form, each stage a call of one stage
+    function, kept as the reference for the written-out loop."""
+    def rhs(y):
         return d * y ** q
 
     n_steps = max(1, math.ceil((x_end - x0) / step))
     h = (x_end - x0) / n_steps
     xs, ys, y = [x0], [y0], y0
     for i in range(n_steps):
-        x = x0 + i * h
-        x_next = x0 + (i + 1) * h
-        if q != 1.0 and q_exp_bracket(q, d * (x_next - x0) / b0) < 1e-12:
-            raise BlowupDetected(x_next, y, "analytic domain boundary reached")
-        k1 = rhs(x, y)
-        k2 = rhs(x, y + 0.5 * h * k1)
-        k3 = rhs(x, y + 0.5 * h * k2)
-        k4 = rhs(x, y + h * k3)
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (0.0 < y < Y_MAX):
-            raise BlowupDetected(x_next, y, "solution left (0, y_max)")
-        xs.append(x_next)
+        xs.append(x0 + (i + 1) * h)
         ys.append(y)
     return np.asarray(xs), np.asarray(ys)
 
 
-# the blowup case whose abscissas end past the largest double: at q = 1 its
-# guard quotient d*(x - x0)/y0**(1-q) is infinite, and 0 * inf is NaN
-_INF_END = (1.0, 8.795874874880185e+307, 1.0, 1, 1.7976931348623157e+308,
-            4.817955637403735e+306)
+# the benchmark's two branches at 5e4 steps
+BENCH_ROWS = [pytest.param((1.35, 0.0, 1.2, -1, 5.0, 1e-4), id="bench-decay"),
+              pytest.param((0.7, 0.0, 0.8, 1, 5.0, 1e-4), id="bench-growth")]
 
 
 class TestWrittenOutStages:
     @pytest.mark.parametrize("args", [
         *(pytest.param((q, 0.3, 1.4, direction, 0.8, 5e-4), id=f"{direction}-{q}")
           for direction in (1, -1) for q in (0.5, 1.0, 1.3, 2.0)),  # 1000 steps
-        # the benchmark's two branches at 5e4 steps
-        pytest.param((1.35, 0.0, 1.2, -1, 5.0, 1e-4), id="bench-decay"),
-        pytest.param((0.7, 0.0, 0.8, 1, 5.0, 1e-4), id="bench-growth"),
+        *BENCH_ROWS,
     ])
     def test_trajectory_bits_match_stage_function_form(self, args):
-        traj = integrate_ode(*args)
-        xs, ys = _stage_rk4(*args)
+        xs, ys = _rk4(*args)
+        ref_xs, ref_ys = _stage_rk4(*args)
         _, x0, _, _, x_end, step = args
-        assert traj.xs.size == math.ceil((x_end - x0) / step) + 1
-        assert traj.xs.tobytes() == xs.tobytes() and traj.ys.tobytes() == ys.tobytes()
-
-    @pytest.mark.parametrize("args, reason", [
-        ((0.5, 0.0, 1.0, -1, 3.0, 1e-3), "analytic domain boundary reached"),
-        ((2.0, 0.0, 1e3, -1, 1.0, 1e-2), "intermediate stage left (0, y_max)"),
-        ((1.0, 0.0, 1.0, 1, 30.0, 1e-2), "solution left (0, y_max)"),
-        # the guard fires at the first step's end, and at the last one (x = 1)
-        ((0.5, 0.0, 1.0, -1, 5.0, 2.5), "analytic domain boundary reached"),
-        ((2.0, 0.0, 1.0, 1, 1.0, 1e-3), "analytic domain boundary reached"),
-        (_INF_END, "solution left (0, y_max)"),
-        # one step of 3.4e289 at |1-q| ~ 4e16, whose guard scale 1**(1-q) is 1
-        ((-4.3196988666225544e16, -3.4392199811309485e289, 1.0, 1, 0.0, 1e300),
-         "solution left (0, y_max)"),
-        # the first two stages stay positive, the third, y - h*k3 = -0.79, does not
-        ((0.9, 0.0, 1.0, -1, 1.9, 1.9), "intermediate stage left (0, y_max)"),
-    ])
-    def test_blowup_matches_stage_function_form(self, args, reason):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BlowupDetected) as new:
-                integrate_ode(*args)
-        with pytest.raises(BlowupDetected) as old:
-            _stage_rk4(*args)
-        assert str(new.value).endswith(reason)
-        assert (new.value.x, new.value.y, str(new.value)) == (old.value.x, old.value.y,
-                                                              str(old.value))
+        assert xs.size == math.ceil((x_end - x0) / step) + 1
+        assert xs.tobytes() == ref_xs.tobytes() and ys.tobytes() == ref_ys.tobytes()
 
     def test_guard_fires_at_first_and_last_step(self):
-        with pytest.raises(BlowupDetected) as first:
+        # integrate_ode's guard is exp_q's bracket: not positive at the first
+        # grid point past x0 (x = 2.5), and 0 at the last one (x = 1)
+        with pytest.raises(DomainViolation) as first:
             integrate_ode(0.5, 0.0, 1.0, -1, 5.0, 2.5)
-        with pytest.raises(BlowupDetected) as last:
+        with pytest.raises(DomainViolation) as last:
             integrate_ode(2.0, 0.0, 1.0, 1, 1.0, 1e-3)
-        assert (first.value.x, first.value.y) == (2.5, 1.0)
-        assert last.value.x == 1.0 and last.value.y > 100.0
+        assert (first.value.index, first.value.constraint) == (1, -0.25)
+        assert (last.value.index, last.value.constraint) == (1000, 0.0)
+
+
+def _exact_trajectory(q, x0, y0, d, xs):
+    """y0 * exp_q(d * (x - x0) / y0**(1-q)) at each double x, in 60 digits."""
+    q, x0, y0 = mpmath.mpf(q), mpmath.mpf(x0), mpmath.mpf(y0)
+    if q == 1:
+        return [y0 * mpmath.exp(d * (mpmath.mpf(x) - x0)) for x in xs]
+    b0 = y0 ** (1 - q)
+    return [y0 * (1 + (1 - q) * d * (mpmath.mpf(x) - x0) / b0) ** (1 / (1 - q)) for x in xs]
+
+
+def _sweep_rows(count, seed):
+    """In-domain calls: q in [-3, 3] (a tenth exactly 1), both directions, y0
+    log-uniform in [1e-3, 1e3], 1-40 steps.  At the end the exp_q argument u
+    is 1e-3 to 1e17 in size, the bracket b at least 0.02, the condition
+    |u| / b at most 50 and |ln(y / y0)| at most 100."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < count:
+        q = 1.0 if rng.random() < 0.1 else float(rng.uniform(-3.0, 3.0))
+        d = float(rng.choice([1.0, -1.0]))
+        y0 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        x0 = float(rng.uniform(-500.0, 500.0))
+        u = d * float(10.0 ** rng.uniform(-3.0, 17.0))
+        bracket = 1.0 + (1.0 - q) * u
+        if bracket < 0.02 or abs(u) > 50.0 * bracket or abs(
+                u if q == 1.0 else math.log(bracket) / (1.0 - q)) > 100.0:
+            continue
+        span, n = abs(u) * y0 ** (1.0 - q), int(rng.integers(1, 41))
+        if span / n > 1e-12 * max(1.0, abs(x0)):  # abscissas that do not repeat
+            rows.append((q, x0, y0, d, x0 + span, span / n))
+    return rows
 
 
 class TestIntegrateODE:
+    @pytest.mark.parametrize("rows", [
+        pytest.param(_sweep_rows(300, 30), id="sweep"),
+        pytest.param([
+            # RK4 stepped far past the local scale y**(1-q) here: 3.9e9 off
+            (-2.300624736947255, -318.1587079634078, 1.9308452987847562e-05, 1,
+             -309.37188990245335, 0.07202309886028238),
+            # rows where an RK4 stage went negative (the first two) or one
+            # step of 3.4e289 left y past 1e12 (|1-q| ~ 4e16)
+            (2.0, 0.0, 1e3, -1, 1.0, 1e-2), (0.9, 0.0, 1.0, -1, 1.9, 1.9),
+            (-4.3196988666225544e16, -3.4392199811309485e289, 1.0, 1, 0.0, 1e300),
+        ], id="witnesses"),
+    ])
+    def test_every_point_within_1e13_of_60_digits(self, rows):
+        for q, x0, y0, d, x_end, step in rows:
+            traj = integrate_ode(q, x0, y0, d, x_end, step)
+            with mpmath.workdps(60):
+                exact = _exact_trajectory(q, x0, y0, d, traj.xs.tolist())
+                worst = max(abs(y - e) / e for y, e in zip(traj.ys.tolist(), exact))
+            assert worst <= 1e-13, (q, x0, y0, d, x_end, step)
+
+    @pytest.mark.parametrize("args", BENCH_ROWS)
+    def test_agrees_with_the_rk4_oracle(self, args):
+        traj = integrate_ode(*args)
+        xs, ys = _rk4(*args)
+        assert traj.xs.tobytes() == xs.tobytes()
+        assert np.max(np.abs(traj.ys - ys) / ys) < 1e-8
+
     def test_classical_exponential(self):
         traj = integrate_ode(1.0, 0.0, 1.0, 1, 1.0, 1e-3)
         assert traj.ys[-1] == pytest.approx(math.e, abs=1e-9)
@@ -263,13 +286,16 @@ class TestIntegrateODE:
         assert traj.ys[-1] == pytest.approx(2.0, abs=1e-6)
 
     def test_blowup_detected_before_singularity(self):
-        with pytest.raises(BlowupDetected):
+        # q=2 growing branch from (0, 1) is singular at x = 1, grid index 1000
+        with pytest.raises(DomainViolation) as info:
             integrate_ode(2.0, 0.0, 1.0, 1, 2.0, 1e-3)
+        assert (info.value.index, info.value.constraint) == (1000, 0.0)
 
     def test_support_edge_detected(self):
-        # q=0.5 decaying branch hits y=0 at x = 2
-        with pytest.raises(BlowupDetected):
+        # q=0.5 decaying branch hits y=0 at x = 2, grid index 2000
+        with pytest.raises(DomainViolation) as info:
             integrate_ode(0.5, 0.0, 1.0, -1, 3.0, 1e-3)
+        assert (info.value.index, info.value.constraint) == (2000, 0.0)
 
     def test_trajectory_structure(self):
         traj = integrate_ode(1.5, 0.0, 2.0, -1, 0.3, 1e-2)
@@ -277,10 +303,28 @@ class TestIntegrateODE:
         assert np.all(traj.ys > 0)
         assert traj.xs[0] == 0.0 and traj.xs[-1] == pytest.approx(0.3)
 
-    def test_stops_past_y_max(self):
-        # e**30 > 1e12
-        with pytest.raises(BlowupDetected, match=r"solution left \(0, y_max\)"):
-            integrate_ode(1.0, 0.0, 1.0, 1, 30.0, 1e-2)
+    def test_returns_past_the_old_cap(self):
+        # e**30 > 1e12: y has no cap
+        traj = integrate_ode(1.0, 0.0, 1.0, 1, 30.0, 1e-2)
+        assert traj.ys[-1] == pytest.approx(math.exp(30.0), rel=1e-13)
+
+    @pytest.mark.parametrize("args, error, message", [
+        # exp(1000) itself, at grid index 2
+        ((1.0, 0.0, 1.0, 1, 1000.0, 500.0), RangeOverflow,
+         "exp_q at q=1.0 overflows a double (element 2)"),
+        # a grid point past the largest double makes the exp_q argument inf
+        ((1.0, 8.795874874880185e+307, 1.0, 1, 1.7976931348623157e+308, 4.817955637403735e+306),
+         RangeOverflow, "integrate_ode at q=1.0 overflows a double (exp_q argument at x=inf)"),
+        # 1e-300 * exp(-60) underflows
+        ((1.0, 0.0, 1e-300, -1, 60.0, 10.0), NonPositiveArgument,
+         "integrate_ode at q=1.0 (x=60.0) must be a positive finite real, got 0.0"),
+    ])
+    def test_out_of_range_values_name_their_point(self, args, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                integrate_ode(*args)
+        assert str(info.value) == message
 
     def test_no_y_max_option(self):
         with pytest.raises(TypeError):
