@@ -11,8 +11,8 @@ positive, is
 
 Both reduce to ``log``/``exp`` as q -> 1.  The classical branch is taken on
 bitwise ``q == 1``; no epsilon band is used because the deformed branch is
-evaluated through one kernel pair (with ``q_log_of_ratio``'s, the
-package's only ``expm1``/``log1p``),
+evaluated through one kernel pair (with ``q_log_of_ratio``'s and
+``_log1p_past``'s, the package's only ``expm1``/``log1p``),
 
     _lift(q, y) = expm1((1-q) * log(y)) = (1-q) * log_q(y),
     _drop(q, d) = exp(log1p(d) / (1-q)) = exp_q(d / (1-q)),
@@ -20,13 +20,16 @@ package's only ``expm1``/``log1p``),
 and its numpy twins ``_lift_array``/``_drop_array``, which stay accurate
 down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
-and numpy do.  A scalar result past the largest double leaves through
-:func:`_finite_or_overflow` as a named :class:`RangeOverflow`; ``q_log``,
-``q_exp``, ``q_log_of_ratio``, ``algebra._combine`` and ``analytic_solution``
-keep its pattern inline, as one call frame more is a measurable share of
-their per-call time.  A public function
-checks each argument once, in its own body; a library caller that already
-holds checked floats calls ``_lift``/``_drop`` rather than checking them again.
+and numpy do.  Where a bracket less 1 passes the largest double,
+:func:`_log1p_past` takes its log1p from its log: in ``q_exp`` where
+(1-q)*x does, and in ``analytic_solution``.  A scalar result past the
+largest double leaves through :func:`_finite_or_overflow` as a named
+:class:`RangeOverflow`; ``q_log``, ``q_exp``, ``q_log_of_ratio``,
+``algebra._combine`` and ``analytic_solution`` keep its pattern inline on
+their fast paths, as one call frame more is a measurable share of their
+per-call time.  A public function checks each argument once, in its own
+body; a library caller that already holds checked floats calls
+``_lift``/``_drop`` rather than checking them again.
 
 This module imports only ``math``, so the scalar primitives (and the CLI
 commands built on them alone) start without numpy.  The numpy twins, with
@@ -98,6 +101,14 @@ def _drop(q: float, d: float) -> float:
     return math.exp(math.log1p(d) / (1.0 - q))
 
 
+def _log1p_past(a: float, ln_a: float) -> float:
+    """log1p(a) for a > -1, also where a passed the largest double: a = inf
+    is given by its log ln_a = ln a, and ln(1 + a) = ln_a + log1p(1/a)."""
+    if a < math.inf:
+        return math.log1p(a)
+    return ln_a + math.log1p(math.exp(-ln_a))
+
+
 def q_log(q: float, y: float) -> float:
     """Deformed logarithm of index ``q``.
 
@@ -127,7 +138,7 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
     the bracket value) otherwise.  With ``cutoff=True`` and q < 1 the
     function is instead extended continuously by 0 beyond the boundary.
     A result past the largest double raises :class:`OverflowError` naming
-    q and x.
+    q and x; a term (1-q)*x past it is no error where the result is not.
     """
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
@@ -140,8 +151,10 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
         raise DomainViolation("exp_q argument outside domain", 1.0 + d)
     try:
         value = math.exp(x) if q == 1.0 else _drop(q, d)
-        if value < math.inf:
+        if 0.0 < value < math.inf or d < math.inf:  # 0.0 where exp_q underflows
             return value
+        # (1-q)*x passed the largest double: log1p of it from ln|1-q| + ln|x|
+        return math.exp(_log1p_past(d, math.log(abs(1.0 - q)) + math.log(abs(x))) / (1.0 - q))
     except OverflowError:
         pass
     raise RangeOverflow("exp_q", q, f"x={x!r}")

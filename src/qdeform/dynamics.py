@@ -20,22 +20,22 @@ Two consequences are implemented and checkable here:
   (exp_q(c), 1 + (1-q)*c), the second factor being exp_q(c)**(1-q).
 
 ``integrate_ode`` samples that solution on a grid, in the q-log form anchored
-at the initial condition: log_q y = log_q y0 + direction * (x - x0) is one
-exp_q of a linear function of x with the fixed scale unit y0**(1-q).  A
-fixed-step RK4 scheme checks it, as a private oracle of :mod:`qdeform.verify`.
+at the initial condition, log_q y = log_q y0 + direction * (x - x0); a point
+outside the normal doubles is ``analytic_solution``'s, the one range policy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
-from ._array import _q_exp_array
-from .core import (_check_all, _check_positive, _drop, _finite_or_overflow, _index_error,
-                   check_index, q_exp, q_log)
+from ._array import _drop_array
+from .core import (_check_positive, _finite_or_overflow, _index_error, _log1p_past, check_index,
+                   q_exp, q_log)
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
@@ -44,6 +44,7 @@ __all__ = _EXPORTS["dynamics"]
 FIG2_SCALES = (1.0, 10.0, 20.0)
 FIG2_INDEX = 1.3
 FIG2_GRID = (0.0, 5.0, 501)  # rescaled abscissas: min, max, points
+_NORMAL = sys.float_info.min  # the smallest normal double
 
 
 def _direction_error(direction) -> ValueError:
@@ -94,13 +95,12 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
 
 
 def analytic_solution(q: float, scale: float, direction, x: float) -> float:
-    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)); where
-    scale**(1-q) passes the largest double, the bracket less 1 is divided twice
-    by scale**((1-q)/2), or formed in logs where that passes it too.  The exp_q
-    argument or a result past it raises :class:`OverflowError` naming q, scale
-    and x; scale**(1-q) underflowed to 0 :class:`NonPositiveArgument` naming it.
-    :func:`integrate_ode` is its array form anchored at (x0, y0): the scale y0
-    at x - x0."""
+    """Closed-form solution scale * exp_q(direction * x / scale**(1-q)), taken as
+    ln y = ln scale + log1p(L)/(1-q), L the bracket less 1, where scale**(1-q),
+    exp_q's factor or y is not a normal double.  A bracket at or below 0 raises
+    :class:`DomainViolation`, and y past the largest double or under the smallest
+    :class:`OverflowError` or :class:`NonPositiveArgument` naming q, scale and x.
+    :func:`integrate_ode` is its array form: the scale y0 at x - x0."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
     if (d := float(direction)) not in (1.0, -1.0):
@@ -109,42 +109,45 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
         raise NonPositiveArgument("scale", s)
     x = float(x)
     try:
-        if not (x_scale := s ** (1.0 - q)) > 0.0:
-            raise NonPositiveArgument("scale**(1-q)", x_scale)
-        arg = d * x / x_scale
-    except OverflowError:
-        if not math.isfinite(x):
-            raise ValueError(f"argument must be finite, got {x!r}") from None
-        if (1.0 - q) * math.log(s) < 1418.0:  # t = scale**((1-q)/2) in (1e154, e**709)
-            lift = (1.0 - q) / (t := s ** ((1.0 - q) / 2.0)) * (d * x / t)
-        else:  # |lift| / |1-q| < e**-708: the log form's rounding never shows
-            lift = 0.0 if x == 0.0 else math.copysign(math.exp(
-                math.log(abs(1.0 - q)) + math.log(abs(x)) - (1.0 - q) * math.log(s)),
-                (1.0 - q) * d * x)
+        if (x_scale := s ** (1.0 - q)) >= _NORMAL and not math.isinf(arg := d * x / x_scale) and (
+                factor := q_exp(q, arg)) >= _NORMAL and 0.0 < (value := s * factor) < math.inf:
+            return value
+    except OverflowError:  # scale**(1-q) or exp_q's factor past the largest double
+        pass
+    if not math.isfinite(x):  # named as exp_q's argument, of the sign of d * x
+        raise ValueError(f"argument must be finite, got {d * x!r}")
+    if q == 1.0:
+        ln_factor = d * x
+    elif x == 0.0 or (1.0 - q) * (ln_s := math.log(s)) > 1418.0:  # y = s: |L/(1-q)| < e**-708
+        return s
+    else:
+        lift = ((1.0 - q) / t * (d * x / t) if (t := s ** ((1.0 - q) / 2.0)) >= _NORMAL
+                else math.copysign(math.inf, (1.0 - q) * d * x))  # |L| > e**672, from its log
         if lift <= -1.0:
-            raise DomainViolation("exp_q argument outside domain", 1.0 + lift) from None
-        value = s * _drop(q, lift)  # 1-q > 1 or 1-q < 0 here: _drop stays finite
-    else:  # a finite x whose exp_q argument passed the largest double overflows
-        value = math.inf if math.isinf(arg) and math.isfinite(x) else s * q_exp(q, arg)
-    if value < math.inf:
+            raise DomainViolation("exp_q argument outside domain", 1.0 + lift)
+        ln_factor = _log1p_past(lift, math.log(abs(1.0 - q)) + math.log(abs(x))
+                                - (1.0 - q) * ln_s) / (1.0 - q)
+    if -708.0 < ln_factor < 709.0 and _NORMAL <= (value := s * math.exp(ln_factor)) < math.inf:
         return value
-    raise RangeOverflow("analytic_solution", q, f"scale={s!r}, x={x!r}")
+    # in logs, where scale and factor apart leave the normal doubles and their product need not
+    if (value := _finite_or_overflow("analytic_solution", q, lambda: f"scale={s!r}, x={x!r}",
+                                     lambda: math.exp(math.log(s) + ln_factor))) > 0.0:
+        return value
+    raise NonPositiveArgument(f"analytic_solution at q={q!r} (scale={s!r}, x={x!r})", value)
 
 
 def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
                   step: float) -> Trajectory:
     """Trajectory of dy/dx = direction * y**q through (x0, y0) in closed form.
 
-    On the grid x0 + i*h, its step shrunk to land on ``x_end``, y = y0 *
-    exp_q(direction * (x - x0) / b0) with b0 = y0**(1-q): the q-log form
+    On the grid x0 + i*h, its step shrunk to land on ``x_end`` and no point
+    past it, y = y0 * exp_q(direction * (x - x0) / y0**(1-q)): the q-log form
     log_q y = log_q y0 + direction * (x - x0), so any positive y0 at any x0
-    starts.  A step below the spacing of doubles raises :class:`ValueError`
-    naming step and x0; a point at or past the analytic boundary (growth with
-    q > 1, decay with q < 1) exp_q's :class:`DomainViolation`, with its bracket
-    and grid index.  b0, a step count, an exp_q argument or a value past the
-    largest double raises :class:`OverflowError` naming q and x0, y0, or x0,
-    x_end, step, or x (exp_q's own, the grid index); b0 or a value underflowed
-    to 0 :class:`NonPositiveArgument` naming ``y0**(1-q)`` or x.
+    starts.  Where y0**(1-q), exp_q's factor or y is not a normal double, y
+    is ``analytic_solution(q, y0, direction, x - x0)``, with its errors and
+    the grid index on its :class:`DomainViolation`.  A step below the spacing
+    of doubles raises :class:`ValueError` naming step and x0, and a grid no
+    array holds :class:`OverflowError` naming q, x0, x_end and step.
     """
     q = check_index(q)
     if (d := float(direction)) not in (1.0, -1.0):
@@ -159,25 +162,29 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
         raise ValueError("x_end must exceed x0")
 
     y0 = _check_positive("y0", y0)
-    b0 = _check_positive("y0**(1-q)", _finite_or_overflow(
-        "integrate_ode", q, lambda: f"x={x0!r}, y={y0!r}", lambda: y0 ** (1.0 - q)))
-    span = _finite_or_overflow("integrate_ode step count", q, lambda: (
-        f"x0={x0!r}, x_end={x_end!r}, step={step!r}"), lambda: (x_end - x0) / step)
-    n_steps = max(1, math.ceil(span))
-    h = (x_end - x0) / n_steps
-    with np.errstate(over="ignore"):
-        xs = x0 + np.arange(n_steps + 1) * h  # x0 + i * h, as Python floats round it
-        xs[0] = x0  # keeps the sign of a -0.0 start
-        if not np.all(xs[1:] > xs[:-1]):
-            raise ValueError("step must exceed the spacing of doubles between x0 and x_end, "
-                             f"got {step!r} with x0={x0!r}")
-        args = d * (xs - x0) / b0  # exp_q's bracket 1 + (1-q)*args is the domain guard
-        _check_all(np.isfinite(args), lambda i: RangeOverflow(
-            "integrate_ode", q, f"exp_q argument at x={float(xs[i])!r}"))
-        ys = y0 * _q_exp_array(q, args)
-    _check_all(ys < math.inf, lambda i: RangeOverflow("integrate_ode", q, f"x={float(xs[i])!r}"))
-    _check_all(ys > 0.0, lambda i: NonPositiveArgument(
-        f"integrate_ode at q={q!r} (x={float(xs[i])!r})", 0.0))
+    try:
+        if not (span := (x_end - x0) / step) < sys.maxsize / 8:  # also inf and nan: no array
+            raise MemoryError  # holds such a grid, and np.arange returns [] for some counts
+        h = (x_end - x0) / (n_steps := max(1, math.ceil(span)))
+        with np.errstate(all="ignore"):
+            xs = x0 + np.arange(n_steps + 1) * h  # x0 + i * h, as Python floats round it
+            xs[0], xs[-1] = x0, min(xs[-1], x_end)  # keeps the sign of a -0.0 start
+            if not np.all(xs[1:] > xs[:-1]):
+                raise ValueError("step must exceed the spacing of doubles between x0 and x_end, "
+                                 f"got {step!r} with x0={x0!r}")
+            b0 = np.float64(y0) ** (1.0 - q)
+            u = d * (xs - x0) / (b0 if _NORMAL <= b0 < math.inf else math.nan)
+            ys = y0 * (factor := np.exp(u) if q == 1.0 else _drop_array(q, (1.0 - q) * u))
+            redo = ~((factor >= _NORMAL) & (ys >= _NORMAL) & (ys < math.inf))
+    except MemoryError:
+        raise RangeOverflow("integrate_ode step count", q,
+                            f"x0={x0!r}, x_end={x_end!r}, step={step!r}") from None
+    for i in np.flatnonzero(redo).tolist():
+        try:
+            ys[i] = analytic_solution(q, y0, d, xs[i] - x0)
+        except DomainViolation as err:
+            raise DomainViolation("exp_q argument outside domain", err.constraint,
+                                  index=i) from None
     return Trajectory(xs=xs, ys=ys, q=q, direction=d)
 
 
@@ -189,10 +196,13 @@ def shift_expansion(q: float, shift: float):
         exp_q(x + shift) = y_scale * exp_q(x / x_scale)
 
     for every x where both sides are defined, given 1 + (1-q)*shift > 0;
-    exp_q(shift) underflowed to 0 raises :class:`NonPositiveArgument` (``y_scale``)."""
+    exp_q(shift) underflowed to 0 raises :class:`NonPositiveArgument` (``y_scale``),
+    and a bracket past the largest double :class:`OverflowError` naming q and shift."""
     if not (y_scale := q_exp(q, shift)) > 0.0:
         raise NonPositiveArgument("y_scale", y_scale)
-    return y_scale, 1.0 + (1.0 - float(q)) * float(shift)  # q_exp_bracket, inline for speed
+    if (x_scale := 1.0 + (1.0 - float(q)) * float(shift)) == math.inf:  # q_exp_bracket, inline
+        raise RangeOverflow("bracket 1 + (1-q)*shift", float(q), f"shift={float(shift)!r}")
+    return y_scale, x_scale
 
 
 def compose_shifts(q: float, shift1: float, shift2: float):

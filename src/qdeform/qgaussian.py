@@ -258,12 +258,16 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     of scale = exp_q(log_offset).  f is computed from its raw form, so its
     rescaled ordinates f(e)/scale are a measurement to compare with the
     scale-free reference exp_q(-gamma * grid**2); both scales are kept in
-    the metadata.  A non-finite grid point raises :class:`ValueError` naming it.
+    the metadata.  A non-finite grid point raises :class:`ValueError` naming it,
+    and a bracket 1 + (1-q)*log_offset past the largest double
+    :class:`OverflowError` naming q and log_offset.
     """
     q = check_index(q)
     gamma = _check_positive("gamma", gamma)
     scale = _check_positive("scale", q_exp(q, float(log_offset)))
-    x_scale = math.sqrt(q_exp_bracket(q, float(log_offset)))
+    if (bracket := q_exp_bracket(q, float(log_offset))) == math.inf:
+        raise RangeOverflow("bracket 1 + (1-q)*log_offset", q, f"log_offset={float(log_offset)!r}")
+    x_scale = math.sqrt(bracket)
     # a copy: the table marks it read-only
     grid = _check_finite("grid", np.array(grid, dtype=float))
 

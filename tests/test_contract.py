@@ -2,7 +2,8 @@
 
 Called with finite floats (and, where it takes one, a list of them or of
 fold factors, a probability vector, a positive count up to 10**300 or a list
-of them, or a model or distribution built from finite floats),
+of them, a model or distribution built from finite floats, or a grid of at
+most 10**4 steps between two of them),
 each export drawn here either returns finite floats (every float of a
 distribution record) or raises a :class:`~qdeform.errors.QDeformError`; a
 bare ``OverflowError``, ``ValueError`` or ``ZeroDivisionError``, an ``inf``
@@ -73,7 +74,25 @@ DISTRIBUTIONS = st.builds(_distribution, FINITE, POINTS, FINITE).filter(
 COUNTS = st.integers(min_value=1, max_value=10**300)
 COUNT_LISTS = st.lists(COUNTS, min_size=1, max_size=8)
 
-# export -> strategies for its positional arguments
+
+def _ode_arguments(q, y0, direction, ends, k):
+    """integrate_ode's arguments on [x0, x_end], the ends in order, in k steps,
+    or None where those steps fall below the spacing of doubles at the ends,
+    which raises ValueError by contract (as ends in the wrong order do)."""
+    x0, x_end = sorted(ends)
+    step = (x_end - x0) / k
+    if not step > 8.0 * math.ulp(max(abs(x0), abs(x_end))):
+        return None
+    return q, x0, y0, direction, x_end, step
+
+
+# whole argument tuples of integrate_ode: at most 10**4 steps, so that no draw
+# asks for a grid that would fit in memory and page
+ODE_ARGUMENTS = st.builds(_ode_arguments, FINITE, FINITE, st.sampled_from([1, -1]),
+                          st.tuples(FINITE, FINITE), st.integers(1, 10**4)).filter(
+    lambda args: args is not None)
+
+# export -> strategies for its positional arguments, or one for the whole tuple
 PROPERTY = {
     "q_log": (FINITE, FINITE),
     "q_exp": (FINITE, FINITE),
@@ -101,6 +120,7 @@ PROPERTY = {
     "scale_drift_expand": (FINITE, POINTS),
     "q_log_likelihood": (MODELS, FINITE, POINTS),
     "mlp_stationarity": (MODELS, POINTS),
+    "integrate_ode": ODE_ARGUMENTS,
 }
 
 # export -> the floats of its result, where that is not a float or a tuple of floats
@@ -109,13 +129,12 @@ FLOATS_OF = {
     "split_representation": lambda pair: (*pair[0], *pair[1]),
     "canonical_form": lambda form: (form.slope, form.intercept),
     "scale_drift_expand": lambda seq: seq.observed,
+    "integrate_ode": lambda traj: (*traj.xs.tolist(), *traj.ys.tolist()),
 }
 
 _RECORD = "a record built by an export drawn or exempted here"
 EXEMPT = {
     "q_exp_bracket": "bare arithmetic 1 + (1-q)*x that also takes arrays",
-    "integrate_ode": "returns one double per grid point: a step of 1e-18 on [0, 1] "
-                     "raises a bare MemoryError from np.arange",
     "frequency_rescale": "returns a FigureTable over an array grid",
     "fig2_data": "returns a FigureTable over an array grid",
     "fig3_data": "returns a FigureTable over an array grid",
@@ -148,8 +167,9 @@ def _finite_floats(value) -> bool:
 @pytest.mark.parametrize("name", sorted(PROPERTY))
 def test_finite_input_gives_finite_output_or_a_named_error(name):
     fn = getattr(qdeform, name)
+    spec = PROPERTY[name]
 
-    @given(st.tuples(*PROPERTY[name]))
+    @given(spec if isinstance(spec, st.SearchStrategy) else st.tuples(*spec))
     @settings(max_examples=100, deadline=None, database=None)
     def check(args):
         with warnings.catch_warnings():

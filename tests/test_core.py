@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,18 @@ class TestQExp:
         assert q_exp_bracket(1.3, 4.0) == pytest.approx(-0.2)
         assert q_exp_bracket(1.0, 123.0) == 1.0
 
+    @pytest.mark.parametrize("q, x", [
+        (5.781601218438114e288, -1.2942218372025844e226),  # 1 - 2e-286
+        (-1e300, 1e10),  # 1 + 7e-298
+        (-3.37e215, 1.26e242),
+        (500.0, -1e306),  # 0.24
+    ])
+    def test_argument_term_past_the_largest_double(self, q, x):
+        # (1-q)*x passes the largest double: log1p of it is ln|1-q| + ln|x| + log1p(1/d)
+        with mpmath.workdps(60):
+            exact = (1 + (1 - mpmath.mpf(q)) * x) ** (1 / (1 - mpmath.mpf(q)))
+        assert abs(q_exp(q, x) - exact) <= 2.0 ** -52 * exact
+
 
 # results past the largest double: math.exp / math.expm1 raise a bare
 # "math range error", a float power a bare "(34, 'Numerical result out of
@@ -112,9 +125,13 @@ class TestQExp:
 # makes nan); an n past the largest double cannot even become a float
 @pytest.mark.parametrize("fn, args, named", [
     (q_exp, (0.5, 1e300), "q=0.5 overflows a double (x=1e+300)"),
-    (analytic_solution, (0.5, 1.0, 1, 1e300), "q=0.5 overflows a double (x=1e+300)"),
+    (analytic_solution, (0.5, 1.0, 1, 1e300),
+     "analytic_solution at q=0.5 overflows a double (scale=1.0, x=1e+300)"),
     (rescale_factor, (0.5, -1e300, 1.0), "q=0.5 overflows a double (x=1e+300)"),
-    (q_exp, (-3.37e215, 1.26e242), "q=-3.37e+215 overflows a double (x=1.26e+242)"),
+    # a grid of 2**63 points, for which np.arange returns an empty array
+    (integrate_ode, (1.3, 0.0, 1.0, -1, 1.0, 2.0 ** -63),
+     "integrate_ode step count at q=1.3 overflows a double"
+     " (x0=0.0, x_end=1.0, step=1.0842021724855044e-19)"),
     (q_log, (1.7976931348623157e308, 1.54e-82),
      "q=1.7976931348623157e+308 overflows a double (y=1.54e-82)"),
     (q_product, (-1e300, 1e300, 1e300),
@@ -164,8 +181,9 @@ class TestQExp:
     # an exp_q argument computed from finite inputs passed the largest double
     (rescale_factor, (1e-300, -1e300, 1.7976931348623157e308),
      "rescale_factor at q=1e-300 overflows a double (x0=-1e+300, y0=1.7976931348623157e+308)"),
-    (analytic_solution, (2.45, 3.48e191, 1, -5.4e62),
-     "analytic_solution at q=2.45 overflows a double (scale=3.48e+191, x=-5.4e+62)"),
+    # the bracket less 1, 0.5 * 1e300 / 1e-150, taken in logs: y is e**1381
+    (analytic_solution, (0.5, 1e-300, 1, 1e300),
+     "analytic_solution at q=0.5 overflows a double (scale=1e-300, x=1e+300)"),
     (build_distribution, (1.5, [-1e308], 1e308),
      "frequency argument at q=1.5 overflows a double (x[0]=-1e+308, shift=1e+308)"),
     (split_representation, (1e-07, [-1e94], -1.0, 1e308),
@@ -208,11 +226,12 @@ class TestQExp:
      "integrate_ode step count at q=1.3 overflows a double (x0=0.0, x_end=1.0, step=5e-324)"),
     (integrate_ode, (1.0, -1e308, 1.0, -1, 1e308, 1.0),
      "integrate_ode step count at q=1.0 overflows a double (x0=-1e+308, x_end=1e+308, step=1.0)"),
-    # a growing value y0 * e**x, and the scale unit y0**(1-q)
+    # a growing value y0 * e**x, named by analytic_solution at x - x0
     (integrate_ode, (1.0, 0.0, 1e308, 1, 1.0, 0.5),
-     "integrate_ode at q=1.0 overflows a double (x=1.0)"),
-    (integrate_ode, (-1.0, 0.0, 1e200, 1, 1.0, 0.1),
-     "integrate_ode at q=-1.0 overflows a double (x=0.0, y=1e+200)"),
+     "analytic_solution at q=1.0 overflows a double (scale=1e+308, x=1.0)"),
+    # a grid of 1e18 points, which no allocation holds (6.9 EiB)
+    (integrate_ode, (1.3, 0.0, 1.0, -1, 1.0, 1e-18),
+     "integrate_ode step count at q=1.3 overflows a double (x0=0.0, x_end=1.0, step=1e-18)"),
     # a pulled-out shift's bracket 1 + (1-q)*shift past the largest double,
     # over which every rescaled argument would read 0
     (split_representation, (-1.0, [0.0, 1e308], 1e308, 1e308),
@@ -232,18 +251,22 @@ def test_scalar_overflow_names_index_and_argument(fn, args, named):
     assert isinstance(info.value, OverflowError)
 
 
-# a scale factor that underflows to 0 is no positive scale: analytic_solution
-# and integrate_ode divided by it, frequency_rescale divided by it, and
-# compose_shifts returned it; split_representation's frequencies all
-# underflow as those of build_distribution(q, xs, shift1 + shift2) do
+# a scale factor that underflows to 0 is no positive scale: frequency_rescale
+# divided by it, and compose_shifts returned it; split_representation's
+# frequencies all underflow as those of build_distribution(q, xs, shift1 + shift2)
+# do; analytic_solution names a value under the smallest double, taken in
+# logs, and integrate_ode its point through it
 @pytest.mark.parametrize("fn, args, named", [
-    (analytic_solution, (1001.0, 1e300, 1, 1.0), "scale**(1-q)"),
-    (analytic_solution, (1001.0, 1e300, 1, 0.0), "scale**(1-q)"),
+    (analytic_solution, (1.0, 1e-300, -1, 60.0),
+     "analytic_solution at q=1.0 (scale=1e-300, x=60.0)"),
+    # y**(1-q) = scale**(1-q) + (1-q)*direction*x is 5e18, and y 1e-374
+    (analytic_solution, (1.05, 1e280, -1, 1e20),
+     "analytic_solution at q=1.05 (scale=1e+280, x=1e+20)"),
     (frequency_rescale, (1.7, 1.0, -1e300, [0.0]), "scale"),
     (compose_shifts, (1.5, -4e81, -4e81), "y_scale"),
     (split_representation, (1.15, [-2.52, 0.0], -1e122, -2.18), "total"),
-    # the scale unit y0**(1-q), at the initial condition, underflowed to 0
-    (integrate_ode, (50.0, 0.0, 1e10, -1, 1.0, 1e-3), "y0**(1-q)"),
+    (integrate_ode, (1.0, 0.0, 1e-300, -1, 100.0, 50.0),
+     "analytic_solution at q=1.0 (scale=1e-300, x=100.0)"),
     # exp_q(log_q y0 - x0) underflowed to 0
     (rescale_factor, (1.3, 1e308, 1.0), "rescale_factor at q=1.3 (x0=1e+308, y0=1.0)"),
     (rescale_factor, (1.0, 1000.0, 1.0), "rescale_factor at q=1.0 (x0=1000.0, y0=1.0)"),
@@ -278,8 +301,8 @@ class TestRatioIdentity:
 
 
 # Each public primitive checks q, then x, then y (q_log_of_ratio: y, then
-# x; analytic_solution: direction, then scale, then scale**(1-q), then x in
-# its q_exp call), converting each argument only when its check comes, so
+# x; analytic_solution: direction, then scale, then x, in its q_exp call or
+# apart), converting each argument only when its check comes, so
 # the first bad argument decides the error; the messages are those of the
 # separate check_index/_check_positive calls the checks replaced
 NAN, INF = math.nan, math.inf
@@ -340,9 +363,8 @@ NOT_A = "could not convert string to float: 'a'"
     (analytic_solution, (1.5, 2.0, 1, None), TypeError, NOT_NONE),
     (analytic_solution, (1.5, 1.0, 1, 3.0), DomainViolation,
      "exp_q argument outside domain: constraint value -0.5 <= 0"),
-    # scale**(1-q) underflowed to 0 is checked before x
-    (analytic_solution, (1001.0, 1e300, 1, NAN), NonPositiveArgument,
-     "scale**(1-q) must be a positive finite real, got 0.0"),
+    # scale**(1-q) underflowed to 0 is no error of its own: x is named
+    (analytic_solution, (1001.0, 1e300, 1, NAN), ValueError, "argument must be finite, got nan"),
     # scale**(1-q) past the largest double: the bracket less 1 is formed in
     # logs, and a non-finite x is named itself
     (analytic_solution, (-0.001, 1.79e308, -1, -1.79e308), RangeOverflow,
@@ -370,6 +392,9 @@ NOT_A = "could not convert string to float: 'a'"
     (frequency_rescale, (0.5, 1.0, 0.0, [3.0]), DomainViolation,
      "exp_q argument outside domain (element 0): constraint value -3.5 <= 0"),
     (tsallis_entropy, (1.0, [1e308, 1e308]), ValueError, "probabilities must sum to 1 (got inf)"),
+    # the bracket 1 + (1-q)*x/scale**(1-q) is below -1e300000: scale**(1-q) underflows
+    (analytic_solution, (1001.0, 1e300, 1, 1.0), DomainViolation,
+     "exp_q argument outside domain: constraint value -inf <= 0"),
 ])
 def test_bad_arguments_keep_their_error(fn, args, error, message):
     with pytest.raises(Exception) as info:

@@ -11,6 +11,7 @@ import pytest
 from qdeform import (
     DomainViolation,
     NonPositiveArgument,
+    QDeformError,
     analytic_solution,
     RangeOverflow,
     compose_shifts,
@@ -311,13 +312,15 @@ class TestIntegrateODE:
     @pytest.mark.parametrize("args, error, message", [
         # exp(1000) itself, at grid index 2
         ((1.0, 0.0, 1.0, 1, 1000.0, 500.0), RangeOverflow,
-         "exp_q at q=1.0 overflows a double (element 2)"),
-        # a grid point past the largest double makes the exp_q argument inf
+         "analytic_solution at q=1.0 overflows a double (scale=1.0, x=1000.0)"),
+        # e**4.6e306 at the first grid point past x0
         ((1.0, 8.795874874880185e+307, 1.0, 1, 1.7976931348623157e+308, 4.817955637403735e+306),
-         RangeOverflow, "integrate_ode at q=1.0 overflows a double (exp_q argument at x=inf)"),
+         RangeOverflow,
+         "analytic_solution at q=1.0 overflows a double (scale=1.0, x=4.590528236871492e+306)"),
         # 1e-300 * exp(-60) underflows
         ((1.0, 0.0, 1e-300, -1, 60.0, 10.0), NonPositiveArgument,
-         "integrate_ode at q=1.0 (x=60.0) must be a positive finite real, got 0.0"),
+         "analytic_solution at q=1.0 (scale=1e-300, x=60.0) must be a positive finite real,"
+         " got 0.0"),
     ])
     def test_out_of_range_values_name_their_point(self, args, error, message):
         with warnings.catch_warnings():
@@ -367,6 +370,119 @@ class TestIntegrateODE:
         scale = q_exp(1.3, q_log(1.3, 0.8) + 1.0)
         assert traj.ys[-1] == pytest.approx(
             analytic_solution(1.3, scale, -1, 2.0), rel=1e-9)
+
+
+def _exact_solution(q, scale, d, x):
+    """(bracket, value) of scale * exp_q(d * x / scale**(1-q)) in 60 digits;
+    value None where the bracket is not positive."""
+    with mpmath.workdps(60):
+        q, scale = mpmath.mpf(q), mpmath.mpf(scale)
+        if q == 1:
+            return mpmath.mpf(1), scale * mpmath.exp(d * mpmath.mpf(x))
+        bracket = 1 + (1 - q) * d * mpmath.mpf(x) / scale ** (1 - q)
+        return bracket, scale * bracket ** (1 / (1 - q)) if bracket > 0 else None
+
+
+def _last_point(q, scale, d, x):
+    """integrate_ode's one-step value at x: its grid runs from 0 to |x|, in
+    the direction of d * x."""
+    return float(integrate_ode(q, 0.0, scale, math.copysign(1.0, x) * d, abs(x), abs(x)).ys[-1])
+
+
+class TestOneSolutionPath:
+    """analytic_solution and integrate_ode, its array form, share one range
+    policy: where scale**(1-q), exp_q's factor or the value is not a normal
+    double, both take the value in logs."""
+
+    @pytest.mark.parametrize("q, scale, d, x", [
+        # exp_q's factor underflowed to 0 before the scale multiplied it (5.9e-68)
+        (1.0542353986820556, 5.120839936013163e279, -1, 81636.3040680824),
+        # (1-q)*x past the largest double, where the value is 1 - 2e-286
+        (5.781601218438114e288, 1.0, -1, 1.2942218372025844e226),
+        # scale**(1-q) = 1e-320 is subnormal, and the exp_q argument past the largest double
+        (-1.0, 1e-160, 1, 0.5),
+        # scale**(1-q) subnormal, where both lost digits (2.1e-12)
+        (-0.43855663555448654, 1.0208993490121697e-217, 1, 3.4713329261966e-05),
+        # scale**(1-q) past the largest double, with the value the scale
+        (-1000.0, 1e300, -1, 0.5),
+        (1001.0, 1e300, 1, 0.0),
+        # the exp_q argument past the largest double, with the value 4.2e-44
+        (2.45, 3.48e191, 1, -5.4e62),
+        # a bracket 0.03 from the domain edge: the bracket less 1 from its logs
+        # alone is 1.8e-12 off
+        (-2.5257993513525823, 2.925739332704037e87, 1, -6.856465812032909e307),
+        # exp_q's factor past the largest double, the value 1.9e13
+        (0.693872461816806, 7.684402451542686e-297, 1, 37649.12913434948),
+    ])
+    def test_range_edge_values_within_1e12_of_60_digits(self, q, scale, d, x):
+        _, exact = _exact_solution(q, scale, d, x)
+        values = [analytic_solution(q, scale, d, x)] + (
+            [_last_point(q, scale, d, x)] if x != 0.0 else [])
+        for value in values:
+            assert abs(value - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("args", [
+        # y0**(1-q) underflows to 0, and the growth never meets the boundary
+        (-2606139289332.709, 6.967475553449666, 0.5950284869351065, 1, 11.476160577792989,
+         0.002594180106066354),
+        (50.0, 0.0, 1e10, -1, 1.0, 1e-3),
+        # y0**(1-q) = 1e-320 is subnormal
+        (-1.0, 0.0, 1e-160, 1, 1.0, 0.5),
+        # y0**(1-q) past the largest double
+        (-1000.0, 0.0, 1e300, -1, 0.5, 0.5),
+        (-1.0, 0.0, 1e200, 1, 1.0, 0.1),
+        # x0 + n*h rounds past the largest double: the last point is x_end,
+        # where y (1.1e-308) is subnormal
+        (2.0, 8.795874874880185e307, 1.0, -1, 1.7976931348623157e308, 4.817955637403735e306),
+    ])
+    def test_range_edge_trajectories_within_1e12_of_60_digits(self, args):
+        q, x0, y0, d, x_end, _ = args
+        traj = integrate_ode(*args)
+        assert traj.xs[-1] == x_end
+        exact = _exact_trajectory(q, x0, y0, d, traj.xs.tolist())
+        for y, e in zip(traj.ys.tolist(), exact):
+            assert y > 0.0
+            if e >= sys.float_info.min:
+                assert abs(y - e) <= 1e-12 * e
+
+    def test_underflowed_scale_unit_meets_the_boundary_in_the_first_step(self):
+        # y0**(1-q) underflows to 0 and (1-q)*direction < 0
+        with pytest.raises(DomainViolation) as info:
+            integrate_ode(-2606139289332.709, 6.967475553449666, 0.5950284869351065, -1,
+                          11.476160577792989, 0.002594180106066354)
+        assert info.value.index == 1
+
+    def test_both_forms_agree_over_the_double_range(self):
+        # q in [-3, 3] or [-1000, 1000], the scale log-uniform over 1e+-300,
+        # both directions, x log-uniform in [1e-5, 1e5]: both return or both
+        # raise the same error, never 0.0, and each value is within 1e-12 of
+        # 60 digits where the bracket is at least 2**-10 and the value normal
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(500):
+            q = float(rng.uniform(-3.0, 3.0) if rng.random() < 0.5
+                      else rng.uniform(-1000.0, 1000.0))
+            scale = float(10.0 ** rng.uniform(-300.0, 300.0))
+            d = float(rng.choice([1.0, -1.0]))
+            x = float(10.0 ** rng.uniform(-5.0, 5.0))
+            outcomes = []
+            for call in (analytic_solution, _last_point):
+                try:
+                    outcomes.append(call(q, scale, d, x))
+                except QDeformError as err:
+                    outcomes.append(type(err))
+            got, ode = outcomes
+            assert type(got) is type(ode) and (isinstance(got, float) or got is ode), (
+                q, scale, d, x, got, ode)
+            if not isinstance(got, float):
+                continue
+            assert got > 0.0 and ode > 0.0
+            bracket, exact = _exact_solution(q, scale, d, x)
+            if bracket >= 2.0 ** -10 and sys.float_info.min <= exact <= sys.float_info.max:
+                checked += 1
+                for value in (got, ode):
+                    assert abs(value - exact) <= 1e-12 * exact, (q, scale, d, x)
+        assert checked > 300
 
 
 @pytest.mark.parametrize("xs, ys, message", [
@@ -442,9 +558,10 @@ class TestShiftExpansion:
         # |1-q| over 1e-3..1e300 and c over 1e+-300, in the domain away from
         # its edge and with exp_q(c) a normal double: shift_expansion's
         # x_scale and frequency_rescale's square root of it read the
-        # 60-digit bracket 1 + (1-q)c to 1e-15
+        # 60-digit bracket 1 + (1-q)c to 1e-15; a bracket past the largest
+        # double raises in both
         rng = np.random.default_rng(28)
-        kept = 0
+        kept = past = 0
         with mpmath.workdps(60):
             for _ in range(10_000):
                 one_minus_q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 300.0))
@@ -452,6 +569,13 @@ class TestShiftExpansion:
                 c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
                 bracket = 1 + (1 - mpmath.mpf(q)) * c
                 if bracket < 2.0 ** -10:
+                    continue
+                if bracket > sys.float_info.max:
+                    past += 1
+                    with pytest.raises(RangeOverflow):
+                        shift_expansion(q, c)
+                    with pytest.raises(RangeOverflow):
+                        frequency_rescale(q, 1.0, c, [0.0])
                     continue
                 try:
                     if not q_exp(q, c) >= sys.float_info.min:
@@ -462,7 +586,7 @@ class TestShiftExpansion:
                 assert abs(shift_expansion(q, c)[1] - bracket) <= 1e-15 * bracket
                 half = frequency_rescale(q, 1.0, c, [0.0]).meta["x_scale"]
                 assert abs(half - mpmath.sqrt(bracket)) <= 1e-15 * mpmath.sqrt(bracket)
-        assert kept > 4000
+        assert kept > 4000 and past > 1000
 
     def test_underflowed_scale_is_a_domain_error(self):
         # exp_q(-1e300) underflows to 0 at q > 1, and 0**(1-q) divides by 0
