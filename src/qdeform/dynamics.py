@@ -109,11 +109,11 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
         raise NonPositiveArgument("scale", s)
     x = float(x)
     try:
-        if (x_scale := s ** (1.0 - q)) >= _NORMAL and not math.isinf(arg := d * x / x_scale) and (
-                factor := q_exp(q, arg)) >= _NORMAL and 0.0 < (value := s * factor) < math.inf:
+        if (x_scale := s ** (1.0 - q)) >= _NORMAL and (factor := q_exp(
+                q, d * x / x_scale)) >= _NORMAL and 0.0 < (value := s * factor) < math.inf:
             return value
-    except OverflowError:  # scale**(1-q) or exp_q's factor past the largest double
-        pass
+    except (OverflowError, ValueError):  # scale**(1-q) or exp_q's factor past the largest
+        pass  # double, or exp_q's argument not finite or out of its domain: the logs decide
     if not math.isfinite(x):  # named as exp_q's argument, of the sign of d * x
         raise ValueError(f"argument must be finite, got {d * x!r}")
     if q == 1.0:
@@ -130,8 +130,9 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     if -708.0 < ln_factor < 709.0 and _NORMAL <= (value := s * math.exp(ln_factor)) < math.inf:
         return value
     # in logs, where scale and factor apart leave the normal doubles and their product need not
-    if (value := _finite_or_overflow("analytic_solution", q, lambda: f"scale={s!r}, x={x!r}",
-                                     lambda: math.exp(math.log(s) + ln_factor))) > 0.0:
+    # (default arguments, not closure cells, which would slow every call of the fast path)
+    if (value := _finite_or_overflow("analytic_solution", q, lambda s=s, x=x: (
+            f"scale={s!r}, x={x!r}"), lambda ln_y=math.log(s) + ln_factor: math.exp(ln_y))) > 0.0:
         return value
     raise NonPositiveArgument(f"analytic_solution at q={q!r} (scale={s!r}, x={x!r})", value)
 

@@ -395,21 +395,21 @@ class TestOneSolutionPath:
     double, both take the value in logs."""
 
     @pytest.mark.parametrize("q, scale, d, x", [
-        # exp_q's factor underflowed to 0 before the scale multiplied it (5.9e-68)
+        # exp_q's factor (1.2e-347) underflows where the value, 5.9e-68, does not
         (1.0542353986820556, 5.120839936013163e279, -1, 81636.3040680824),
         # (1-q)*x past the largest double, where the value is 1 - 2e-286
         (5.781601218438114e288, 1.0, -1, 1.2942218372025844e226),
         # scale**(1-q) = 1e-320 is subnormal, and the exp_q argument past the largest double
         (-1.0, 1e-160, 1, 0.5),
-        # scale**(1-q) subnormal, where both lost digits (2.1e-12)
+        # scale**(1-q) subnormal, with too few digits for 1e-12
         (-0.43855663555448654, 1.0208993490121697e-217, 1, 3.4713329261966e-05),
         # scale**(1-q) past the largest double, with the value the scale
         (-1000.0, 1e300, -1, 0.5),
         (1001.0, 1e300, 1, 0.0),
         # the exp_q argument past the largest double, with the value 4.2e-44
         (2.45, 3.48e191, 1, -5.4e62),
-        # a bracket 0.03 from the domain edge: the bracket less 1 from its logs
-        # alone is 1.8e-12 off
+        # a bracket 0.03 from the domain edge, where the bracket less 1 taken
+        # from its logs alone would be 1.8e-12 off
         (-2.5257993513525823, 2.925739332704037e87, 1, -6.856465812032909e307),
         # exp_q's factor past the largest double, the value 1.9e13
         (0.693872461816806, 7.684402451542686e-297, 1, 37649.12913434948),
