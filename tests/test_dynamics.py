@@ -215,11 +215,12 @@ class TestWrittenOutStages:
 
 def _exact_trajectory(q, x0, y0, d, xs):
     """y0 * exp_q(d * (x - x0) / y0**(1-q)) at each double x, in 60 digits."""
-    q, x0, y0 = mpmath.mpf(q), mpmath.mpf(x0), mpmath.mpf(y0)
-    if q == 1:
-        return [y0 * mpmath.exp(d * (mpmath.mpf(x) - x0)) for x in xs]
-    b0 = y0 ** (1 - q)
-    return [y0 * (1 + (1 - q) * d * (mpmath.mpf(x) - x0) / b0) ** (1 / (1 - q)) for x in xs]
+    with mpmath.workdps(60):
+        q, x0, y0 = mpmath.mpf(q), mpmath.mpf(x0), mpmath.mpf(y0)
+        if q == 1:
+            return [y0 * mpmath.exp(d * (mpmath.mpf(x) - x0)) for x in xs]
+        b0 = y0 ** (1 - q)
+        return [y0 * (1 + (1 - q) * d * (mpmath.mpf(x) - x0) / b0) ** (1 / (1 - q)) for x in xs]
 
 
 def _sweep_rows(count, seed):
@@ -372,17 +373,6 @@ class TestIntegrateODE:
             analytic_solution(1.3, scale, -1, 2.0), rel=1e-9)
 
 
-def _exact_solution(q, scale, d, x):
-    """(bracket, value) of scale * exp_q(d * x / scale**(1-q)) in 60 digits;
-    value None where the bracket is not positive."""
-    with mpmath.workdps(60):
-        q, scale = mpmath.mpf(q), mpmath.mpf(scale)
-        if q == 1:
-            return mpmath.mpf(1), scale * mpmath.exp(d * mpmath.mpf(x))
-        bracket = 1 + (1 - q) * d * mpmath.mpf(x) / scale ** (1 - q)
-        return bracket, scale * bracket ** (1 / (1 - q)) if bracket > 0 else None
-
-
 def _last_point(q, scale, d, x):
     """integrate_ode's one-step value at x: its grid runs from 0 to |x|, in
     the direction of d * x."""
@@ -415,7 +405,7 @@ class TestOneSolutionPath:
         (0.693872461816806, 7.684402451542686e-297, 1, 37649.12913434948),
     ])
     def test_range_edge_values_within_1e12_of_60_digits(self, q, scale, d, x):
-        _, exact = _exact_solution(q, scale, d, x)
+        exact = _exact_trajectory(q, 0.0, scale, d, [x])[0]
         values = [analytic_solution(q, scale, d, x)] + (
             [_last_point(q, scale, d, x)] if x != 0.0 else [])
         for value in values:
@@ -477,8 +467,13 @@ class TestOneSolutionPath:
             if not isinstance(got, float):
                 continue
             assert got > 0.0 and ode > 0.0
-            bracket, exact = _exact_solution(q, scale, d, x)
-            if bracket >= 2.0 ** -10 and sys.float_info.min <= exact <= sys.float_info.max:
+            with mpmath.workdps(60):
+                mq = mpmath.mpf(q)
+                bracket = 1 + (1 - mq) * d * x / mpmath.mpf(scale) ** (1 - mq)
+            if bracket < 2.0 ** -10:
+                continue
+            exact = _exact_trajectory(q, 0.0, scale, d, [x])[0]
+            if sys.float_info.min <= exact <= sys.float_info.max:
                 checked += 1
                 for value in (got, ode):
                     assert abs(value - exact) <= 1e-12 * exact, (q, scale, d, x)
