@@ -98,8 +98,8 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     """Closed-form solution scale * exp_q(direction * x / scale**(1-q)), taken as
     ln y = ln scale + log1p(L)/(1-q), L the bracket less 1, where scale**(1-q),
     exp_q's factor or y is not a normal double.  A bracket at or below 0 raises
-    :class:`DomainViolation`, and y past the largest double or under the smallest
-    :class:`OverflowError` or :class:`NonPositiveArgument` naming q, scale and x.
+    :class:`DomainViolation`, y past the largest double :class:`OverflowError`,
+    and y that rounds to 0 :class:`NonPositiveArgument`, naming q, scale and x.
     :func:`integrate_ode` is its array form: the scale y0 at x - x0."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
