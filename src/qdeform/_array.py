@@ -1,16 +1,16 @@
 """numpy twins of the :mod:`qdeform.core` kernel pair and primitives.
 
 They live apart from ``core`` so that the scalar primitives, and the CLI
-commands built only on them, never import numpy.  Each twin computes what
-its scalar counterpart does, elementwise, with the same ``expm1``/``log1p``
-form and the same bitwise ``q == 1`` dispatch.
+commands built only on them, never import numpy.  Each twin is its scalar
+counterpart elementwise, in the same ``expm1``/``log1p`` form and bitwise
+``q == 1`` dispatch; ``_q_exp_array`` hands ``q_exp`` what it cannot represent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_all
+from .core import _check_all, q_exp
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 
@@ -54,15 +54,23 @@ def _q_log_array(q: float, y) -> np.ndarray:
 
 def _q_exp_array(q: float, x) -> np.ndarray:
     """Elementwise :func:`~qdeform.core.q_exp` without cutoff, for a checked
-    index.  Errors name the first failing element; a result past the largest
-    double raises :class:`OverflowError`, as :func:`~qdeform.core.q_exp` does."""
+    index: one array expression, and ``q_exp`` for each element where d =
+    (1-q)*x is not in (-1, inf) or the value is inf.  The first element to
+    fail raises ``q_exp``'s error; a domain or overflow error names it."""
     x = np.asarray(x, dtype=float)
-    _check_all(np.isfinite(x), lambda i: ValueError(
-        f"argument must be finite, got {float(x.flat[i])!r} (element {i})"))
-    with np.errstate(over="ignore"):
-        if q == 1.0:
-            return _finite(q, "exp_q", np.exp(x))
-        d = (1.0 - q) * x
-        _check_all(d > -1.0, lambda i: DomainViolation(
-            "exp_q argument outside domain", float(1.0 + d.flat[i]), index=i))
-        return _finite(q, "exp_q", _drop_array(q, d))
+    with np.errstate(all="ignore"):
+        if q == 1.0:  # d = 0 for a finite x, and no array of it is formed
+            values, fast = np.asarray(np.exp(x)), x > -np.inf
+        else:
+            values = np.asarray(_drop_array(q, d := (1.0 - q) * x))
+            fast = (d > -1.0) & (d < np.inf)
+        fast &= values < np.inf
+    for i in [] if fast.all() else np.flatnonzero(~fast).tolist():
+        try:
+            values.flat[i] = q_exp(q, x.flat[i])
+        except DomainViolation as err:
+            raise DomainViolation("exp_q argument outside domain", err.constraint,
+                                  index=i) from None
+        except RangeOverflow:
+            raise RangeOverflow("exp_q", q, f"element {i}") from None
+    return values[()]  # a number for a 0-d x, as numpy gives it

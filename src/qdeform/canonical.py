@@ -59,37 +59,31 @@ def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts):
     inner shift and a positive scale (1.0 for the unsplit form).
 
     One loop through ``_drop`` (``math.exp`` at q = 1), with no check per
-    point.  A frequency that is not a finite double still shows: the loop
-    raises for a bracket 1 + (1-q)*argument <= 0 or a finite overflow, an
-    inf reaches the total, and an argument past -inf (which gives 0) is the
-    largest point's first, the argument falling as x grows.  Only then are
-    the points scanned through :func:`q_exp` for the first that fails; when
-    none does, the total passed the largest double.  An error names the
-    failing point and its index, and ``shifts()`` the shift(s) in an overflow.
+    point.  Where the loop raises, its total is inf or a frequency reads 0.0,
+    every frequency is taken again from :func:`q_exp`, which decides the
+    values the loop cannot represent.  An error names the first failing
+    point and its index, and ``shifts()`` the shift(s) in an overflow.
     """
     c = 1.0 - q
     try:
-        if (-max(points) + inner) / scale == -math.inf:
-            raise ArithmeticError  # the smallest argument passed -inf
         if q == 1.0:
             values = [math.exp((-x + inner) / scale) for x in points]
         else:
             values = [_drop(q, c * ((-x + inner) / scale)) for x in points]
         total = math.fsum(values)  # raises past the largest double, unless a value is inf
-        if total == math.inf:
-            raise ArithmeticError
     except (ValueError, ArithmeticError):
+        total = math.inf
+    if total == math.inf or 0.0 in values:
+        values = []
         for i, x in enumerate(points):
-            argument = (-x + inner) / scale
-            if not math.isfinite(argument):
-                raise RangeOverflow("frequency argument", q,
-                                    f"x[{i}]={x!r}, {shifts()}") from None
+            if not math.isfinite(argument := (-x + inner) / scale):
+                raise RangeOverflow("frequency argument", q, f"x[{i}]={x!r}, {shifts()}")
             try:
-                q_exp(q, argument)
+                values.append(q_exp(q, argument))
             except DomainViolation as err:
                 raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
                                       err.constraint, index=i) from err
-        raise RangeOverflow("frequency total", q, shifts()) from None
+        total = _finite_or_overflow("frequency total", q, shifts, lambda: math.fsum(values))
     total = _check_positive("total", total)  # the frequencies may all underflow to 0
     return tuple(values), total, tuple([v / total for v in values])
 

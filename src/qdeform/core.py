@@ -20,10 +20,11 @@ evaluated through one kernel pair (with ``q_log_of_ratio``'s and
 and its numpy twins ``_lift_array``/``_drop_array``, which stay accurate
 down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
-and numpy do.  Where a bracket less 1 passes the largest double,
-:func:`_log1p_past` takes its log1p from its log: in ``q_exp`` where
-(1-q)*x does, and in ``analytic_solution``.  A scalar result past the
-largest double leaves through :func:`_finite_or_overflow` as a named
+and numpy do.  ``q_exp`` is exp_q's one range policy: ``_q_exp_array`` and
+``canonical._frequencies`` hand it each value they cannot represent.  Where
+(1-q)*x, or ``analytic_solution``'s bracket less 1, passes the largest
+double, :func:`_log1p_past` takes its log1p from its log.  A scalar result
+past the largest double leaves through :func:`_finite_or_overflow` as a named
 :class:`RangeOverflow`; ``q_log``, ``q_exp``, ``q_log_of_ratio``,
 ``algebra._combine`` and ``analytic_solution`` keep its pattern inline on
 their fast paths, as one call frame more is a measurable share of their

@@ -273,13 +273,10 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
 
     def q_exp_of(argument):
         # a non-finite argument of the finite grid passed the largest double
-        try:
-            return _q_exp_array(q, argument)
-        except ValueError:
-            _check_all(np.isfinite(argument), lambda i: RangeOverflow(
-                "frequency argument", q, f"grid[{i}]={float(grid[i])!r}, gamma={gamma!r}, "
-                f"log_offset={float(log_offset)!r}"))
-            raise
+        _check_all(np.isfinite(argument), lambda i: RangeOverflow(
+            "frequency argument", q, f"grid[{i}]={float(grid[i])!r}, gamma={gamma!r}, "
+            f"log_offset={float(log_offset)!r}"))
+        return _q_exp_array(q, argument)
 
     with np.errstate(over="ignore"):
         e_raw = grid * x_scale

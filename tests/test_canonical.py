@@ -9,6 +9,7 @@ import pytest
 from qdeform import (
     DiscreteQDistribution,
     DomainViolation,
+    NonPositiveArgument,
     RangeOverflow,
     build_distribution,
     canonical_form,
@@ -62,6 +63,15 @@ class TestBuildDistribution:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DiscreteQDistribution(1.5, [], 0.0)
+
+    @pytest.mark.parametrize("q, x", [(1e10, 1e300), (-1e10, -1e300)])
+    def test_argument_term_past_the_largest_double(self, q, x):
+        # (1-q)*(-x) passes the largest double where exp_q(-x) is 1 -+ 7e-8
+        with mpmath.workdps(60):
+            f = (1 + (1 - mpmath.mpf(q)) * -mpmath.mpf(x)) ** (1 / (1 - mpmath.mpf(q)))
+            exact = (f / (f + 1), 1 / (f + 1))
+        got = build_distribution(q, [x, 0.0], 0.0).probabilities
+        assert all(abs(p - e) <= 1e-12 * e for p, e in zip(got, exact))
 
     def test_frequencies_always_positive(self):
         rng = np.random.default_rng(31)
@@ -174,6 +184,53 @@ class TestFrequencyErrors:
             scale = q_exp_bracket(q, outer)  # exp_q(outer)**(1-q)
             values = [q_exp(q, (-x + inner) / scale) for x in xs]
             assert pair == tuple(v / math.fsum(values) for v in values)
+
+
+def _q_exp_forms(q, xs, pulled_out):
+    """For each (outer, inner) shift pair, exp_q((-x + inner) / bracket)
+    through q_exp over their fsum, the bracket 1 + (1-q)*outer; or the
+    error class of the first that fails, as a loop over the points gives."""
+    forms = []
+    for outer, inner in pulled_out:
+        if not 0.0 < (bracket := q_exp_bracket(q, outer)) < math.inf:
+            return DomainViolation if bracket <= 0.0 else RangeOverflow
+        values = []
+        for x in xs:
+            if not math.isfinite(argument := (-x + inner) / bracket):
+                return RangeOverflow
+            try:
+                values.append(q_exp(q, argument))
+            except (DomainViolation, RangeOverflow) as err:
+                return type(err)
+        try:
+            total = math.fsum(values)
+        except OverflowError:
+            return RangeOverflow
+        if not total > 0.0:
+            return NonPositiveArgument
+        forms.append([v / total for v in values])
+    return forms
+
+
+def _agrees(call, expected) -> bool:
+    """call() gives the probability vectors ``expected`` within 1e-12
+    relative, or raises its error class."""
+    try:
+        got = call()
+    except (DomainViolation, NonPositiveArgument, RangeOverflow) as err:
+        return type(err) is expected
+    return not isinstance(expected, type) and all(
+        abs(g - e) <= 1e-12 * e for p, r in zip(got, expected) for g, e in zip(p, r))
+
+
+def test_two_points_normalize_q_exp_over_the_double_range(wide_draws):
+    # where (1-q)*x passes the largest double, q_exp still decides exp_q(-x)
+    failed = [(q, x, c) for q, x, c in wide_draws if not _agrees(
+        lambda: [build_distribution(q, [x, 0.0], 0.0).probabilities],
+        _q_exp_forms(q, [x, 0.0], [(0.0, 0.0)])) or not _agrees(
+        lambda: split_representation(q, [x, 0.0], c, 0.0),
+        _q_exp_forms(q, [x, 0.0], [(c, 0.0), (0.0, c)]))]
+    assert (len(failed), failed[:3]) == (0, [])
 
 
 class TestCanonicalForm:

@@ -110,12 +110,19 @@ class TestQExp:
         (-1e300, 1e10),  # 1 + 7e-298
         (-3.37e215, 1.26e242),
         (500.0, -1e306),  # 0.24
+        (-1e10, 1e300),  # 1.0000000713801405
     ])
     def test_argument_term_past_the_largest_double(self, q, x):
         # (1-q)*x passes the largest double: log1p of it is ln|1-q| + ln|x| + log1p(1/d)
         with mpmath.workdps(60):
             exact = (1 + (1 - mpmath.mpf(q)) * x) ** (1 / (1 - mpmath.mpf(q)))
         assert abs(q_exp(q, x) - exact) <= 2.0 ** -52 * exact
+        assert _q_exp_array(q, [x]).tolist() == [q_exp(q, x)] == [_q_exp_array(q, x)]
+
+    def test_frequency_column_past_the_largest_double(self):
+        # f_raw = exp_q(-1e226), which is 1 - 2e-286
+        table = frequency_rescale(5.781601218438114e288, 1.0, 0.0, [1e113])
+        assert table.column("f_raw").tolist() == [1.0]
 
 
 # results past the largest double: math.exp / math.expm1 raise a bare
@@ -539,3 +546,53 @@ class TestArrayKernels:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="element 1"):
                 kernel(q, values)
+
+
+def _elementwise(fn, q, values):
+    """fn(q, v) for each value, or (error class, index) of the first that raises."""
+    results = []
+    for i, v in enumerate(values):
+        try:
+            results.append(fn(q, v))
+        except (DomainViolation, NonPositiveArgument, RangeOverflow) as err:
+            return type(err), i
+    return results
+
+
+def _twin_agrees(twin, q, values, expected) -> bool:
+    """The array twin returns ``expected`` (values, within 1e-14 times
+    max(1, |ln v|) relative: numpy's exp and log differ from libm's by an ulp
+    or so, which the exponent ln v amplifies) or raises its error class,
+    naming its index."""
+    try:
+        got = twin(q, values).tolist()
+    except (DomainViolation, NonPositiveArgument, RangeOverflow) as err:
+        if not isinstance(expected, tuple):
+            return False
+        cls, i = expected
+        return type(err) is cls and (f"(element {i})" in str(err)
+                                     or str(err).startswith(f"y[{i}]"))
+    return not isinstance(expected, tuple) and all(
+        g == e or abs(g - e) <= 1e-14 * max(1.0, abs(math.log(abs(e)))) * abs(e)
+        for g, e in zip(got, expected))
+
+
+class TestWideArrayParity:
+    """Each array twin gives its scalar's value or error on draws at both ends
+    of the double range: ``q_exp`` and ``q_log`` hold the one range policy."""
+
+    def test_q_exp_array_is_q_exp_elementwise(self, wide_draws):
+        failed = [(q, a, b) for q, a, b in wide_draws if not _twin_agrees(
+            _q_exp_array, q, [a, b], _elementwise(q_exp, q, (a, b)))]
+        assert (len(failed), failed[:3]) == (0, [])
+
+    def test_q_log_array_is_q_log_elementwise(self, wide_draws):
+        failed = []
+        for q, a, b in wide_draws:
+            # every element's sign is checked before any value is formed
+            bad = [i for i, y in enumerate((a, b)) if y <= 0.0]
+            expected = ((NonPositiveArgument, bad[0]) if bad
+                        else _elementwise(q_log, q, (a, b)))
+            if not _twin_agrees(_q_log_array, q, [a, b], expected):
+                failed.append((q, a, b))
+        assert (len(failed), failed[:3]) == (0, [])

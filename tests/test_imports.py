@@ -8,10 +8,11 @@ row of the package's ``_EXPORTS`` table (or, in a test source, a literal).
 The package's public names and the modules' ``__all__`` must name the same
 objects.  Only ``core`` and its numpy twin ``_array`` may read ``expm1`` or
 ``log1p``: the deformed log and exp have one kernel pair, and every other
-module goes through it.  Only ``tables._Rows._built`` may switch the
-cyclic collector off and on.  The scalar modules and the CLI import no
-numpy at module level, and the CLI no qdeform module but ``errors``, so the
-scalar commands start without numpy.
+module goes through it; each function outside ``core`` that calls the drop
+kernel is listed with what decides the values it cannot represent.  Only
+``tables._Rows._built`` may switch the cyclic collector off and on.  The
+scalar modules and the CLI import no numpy at module level, and the CLI no
+qdeform module but ``errors``, so the scalar commands start without numpy.
 """
 
 import ast
@@ -156,6 +157,55 @@ def test_overflow_handler_detector_names_each_scope():
               "        except OverflowError as err:\n            pass\n"
               "try:\n    pass\nexcept ValueError:\n    pass\n")
     assert overflow_handlers(source, "m") == ["m.f", "m.f.g"]
+
+
+DROP_KERNELS = {"_drop", "_drop_array"}
+
+
+def drop_calls(source: str, module: str) -> list:
+    """``module.function`` (dotted through nested scopes) for each call of
+    ``_drop`` or ``_drop_array`` in the source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) in DROP_KERNELS
+                    or getattr(child.func, "attr", None) in DROP_KERNELS):
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+_Q_EXP = "falls back to core.q_exp for each value its own expression cannot represent"
+# every function outside core that evaluates exp_q through the kernel's drop,
+# with what decides a value past its fast path; core.q_exp is exp_q's one range policy
+DROP_CALLERS = {
+    "_array._q_exp_array": _Q_EXP,
+    "canonical._frequencies": _Q_EXP,
+    "dynamics.integrate_ode": "falls back to analytic_solution for each point its "
+                              "expression cannot represent",
+    "algebra._combine": "the q-product and q-ratio: a lift past the largest double "
+                        "raises RangeOverflow, a range policy of their own",
+    "algebra.q_product_fold.fold": "the q-product fold: a lift past the largest double "
+                                   "raises RangeOverflow, as in _combine",
+}
+
+
+def test_drop_is_called_outside_core_only_where_listed():
+    found = {name for path in MODULES if path.name != "core.py"
+             for name in drop_calls(path.read_text(encoding="utf-8"), path.stem)}
+    assert found == set(DROP_CALLERS)
+
+
+def test_drop_call_detector_names_each_scope():
+    source = ("from .core import _drop\nimport qdeform._array as a\n"
+              "def f(q, d):\n    def g():\n        return a._drop_array(q, d)\n"
+              "    return _drop(q, d)\nh = _drop\nk = _drop(2.0, 0.5)\n")
+    assert sorted(drop_calls(source, "m")) == ["m", "m.f", "m.f.g"]
 
 
 COLLECTOR_SWITCHES = {"disable", "enable"}
