@@ -3,14 +3,15 @@
 They live apart from ``core`` so that the scalar primitives, and the CLI
 commands built only on them, never import numpy.  Each twin is its scalar
 counterpart elementwise, in the same ``expm1``/``log1p`` form and bitwise
-``q == 1`` dispatch; ``_q_exp_array`` hands ``q_exp`` what it cannot represent.
+``q == 1`` dispatch.  ``_q_exp_array`` and ``_q_log_array`` hand ``q_exp`` and
+``q_log``, exp_q's and log_q's one range policies, what they cannot represent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_all, q_exp
+from .core import _check_all, q_exp, q_log
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 
@@ -40,16 +41,21 @@ def _drop_array(q: float, d) -> np.ndarray:
 
 
 def _q_log_array(q: float, y) -> np.ndarray:
-    """Elementwise :func:`~qdeform.core.q_log` for a checked index.  Errors
-    name the first failing element; a result past the largest double raises
-    :class:`OverflowError`, as :func:`~qdeform.core.q_log` does."""
+    """Elementwise :func:`~qdeform.core.q_log`, log_q's one range policy, for a
+    checked index: one array expression, and ``q_log`` for each element where y
+    is not in (0, inf) or the value is not finite, its first error naming i."""
     y = np.asarray(y, dtype=float)
-    _check_all((y > 0.0) & np.isfinite(y),
-               lambda i: NonPositiveArgument(f"y[{i}]", float(y.flat[i])))
-    if q == 1.0:
-        return np.log(y)
-    with np.errstate(over="ignore"):
-        return _finite(q, "log_q", _lift_array(q, y) / (1.0 - q))
+    with np.errstate(all="ignore"):
+        values = np.asarray(np.log(y) if q == 1.0 else _lift_array(q, y) / (1.0 - q))
+        fast = (y > 0.0) & (y < np.inf) & np.isfinite(values)
+    for i in [] if fast.all() else np.flatnonzero(~fast).tolist():
+        try:
+            values.flat[i] = q_log(q, y.flat[i])
+        except NonPositiveArgument:
+            raise NonPositiveArgument(f"y[{i}]", float(y.flat[i])) from None
+        except RangeOverflow:
+            raise RangeOverflow("log_q", q, f"element {i}") from None
+    return values[()]  # a number for a 0-d y, as numpy gives it
 
 
 def _q_exp_array(q: float, x) -> np.ndarray:

@@ -59,10 +59,10 @@ def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts):
     inner shift and a positive scale (1.0 for the unsplit form).
 
     One loop through ``_drop`` (``math.exp`` at q = 1), with no check per
-    point.  Where the loop raises, its total is inf or a frequency reads 0.0,
-    every frequency is taken again from :func:`q_exp`, which decides the
-    values the loop cannot represent.  An error names the first failing
-    point and its index, and ``shifts()`` the shift(s) in an overflow.
+    point.  :func:`q_exp` takes each frequency the loop reads as 0.0, or every
+    one where it raises or its total is inf; a positive finite loop value is
+    ``q_exp``'s.  An error names the first failing point and its index, and
+    ``shifts()`` the shift(s) in an overflow.
     """
     c = 1.0 - q
     try:
@@ -73,13 +73,14 @@ def _frequencies(q: float, points: tuple, inner: float, scale: float, shifts):
         total = math.fsum(values)  # raises past the largest double, unless a value is inf
     except (ValueError, ArithmeticError):
         total = math.inf
-    if total == math.inf or 0.0 in values:
-        values = []
-        for i, x in enumerate(points):
+    if total == math.inf:
+        values = [0.0] * len(points)
+    if 0.0 in values:
+        for i, x in [(i, x) for i, (x, v) in enumerate(zip(points, values)) if v == 0.0]:
             if not math.isfinite(argument := (-x + inner) / scale):
                 raise RangeOverflow("frequency argument", q, f"x[{i}]={x!r}, {shifts()}")
             try:
-                values.append(q_exp(q, argument))
+                values[i] = q_exp(q, argument)
             except DomainViolation as err:
                 raise DomainViolation(f"frequency argument for x[{i}]={x!r}",
                                       err.constraint, index=i) from err

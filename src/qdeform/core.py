@@ -21,16 +21,16 @@ and its numpy twins ``_lift_array``/``_drop_array``, which stay accurate
 down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
 and numpy do.  ``q_exp`` is exp_q's one range policy: ``_q_exp_array`` and
-``canonical._frequencies`` hand it each value they cannot represent.  Where
-(1-q)*x, or ``analytic_solution``'s bracket less 1, passes the largest
-double, :func:`_log1p_past` takes its log1p from its log.  A scalar result
-past the largest double leaves through :func:`_finite_or_overflow` as a named
-:class:`RangeOverflow`; ``q_log``, ``q_exp``, ``q_log_of_ratio``,
-``algebra._combine`` and ``analytic_solution`` keep its pattern inline on
-their fast paths, as one call frame more is a measurable share of their
-per-call time.  A public function checks each argument once, in its own
-body; a library caller that already holds checked floats calls
-``_lift``/``_drop`` rather than checking them again.
+``canonical._frequencies`` hand it each value they cannot represent; ``q_log``
+is log_q's, for ``_q_log_array``.  Where (1-q)*x, or ``analytic_solution``'s
+bracket less 1, passes the largest double, :func:`_log1p_past` takes its log1p
+from its log.  A scalar result past the largest double leaves through
+:func:`_finite_or_overflow` as a named :class:`RangeOverflow`; ``q_log``,
+``q_exp``, ``q_log_of_ratio``, ``algebra._combine`` and ``analytic_solution``
+keep its pattern inline on their fast paths, as one call frame more is a
+measurable share of their per-call time.  A public function checks each
+argument once, in its own body; a library caller that already holds checked
+floats calls ``_lift``/``_drop`` rather than checking them again.
 
 This module imports only ``math``, so the scalar primitives (and the CLI
 commands built on them alone) start without numpy.  The numpy twins, with
@@ -115,7 +115,8 @@ def q_log(q: float, y: float) -> float:
 
     Strictly increasing in ``y`` for every fixed index; log_q(1) = 0.
     Raises :class:`NonPositiveArgument` for y <= 0, and an
-    :class:`OverflowError` naming q and y for a result past the largest double.
+    :class:`OverflowError` naming q and y for a result past the largest double;
+    a lift y**(1-q) past it is no error where the result is not.
     """
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
@@ -129,7 +130,9 @@ def q_log(q: float, y: float) -> float:
             return value
     except OverflowError:
         pass
-    raise RangeOverflow("log_q", q, f"y={y!r}")
+    # y**(1-q) passed the largest double, log_q need not: the lift from its log (1-q) ln y
+    return _finite_or_overflow("log_q", q, lambda y=y: f"y={y!r}", lambda q=q, y=y: math.copysign(
+        math.exp((1.0 - q) * math.log(y) - math.log(abs(1.0 - q))), 1.0 - q) - 1.0 / (1.0 - q))
 
 
 def q_exp(q: float, x: float, cutoff: bool = False) -> float:

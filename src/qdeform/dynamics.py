@@ -125,8 +125,10 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
                 else math.copysign(math.inf, (1.0 - q) * d * x))  # |L| > e**672, from its log
         if lift <= -1.0:
             raise DomainViolation("exp_q argument outside domain", 1.0 + lift)
-        ln_factor = _log1p_past(lift, math.log(abs(1.0 - q)) + math.log(abs(x))
-                                - (1.0 - q) * ln_s) / (1.0 - q)
+        ln_lift = math.log(abs(1.0 - q)) + math.log(abs(x))  # ln|L| + (1-q) ln s
+        if (1.0 - q) * ln_s == -math.inf:  # L = inf, log1p(1/L) = 0: ln s cancels out of ln y
+            return math.exp(ln_lift / (1.0 - q))
+        ln_factor = _log1p_past(lift, ln_lift - (1.0 - q) * ln_s) / (1.0 - q)
     if -708.0 < ln_factor < 709.0 and _NORMAL <= (value := s * math.exp(ln_factor)) < math.inf:
         return value
     # in logs, where scale and factor apart leave the normal doubles and their product need not

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qdeform import (
     q_ratio,
     scale_drift_expand,
 )
+from qdeform.core import _lift
 
 Q_GRID = (0.3, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5)
 
@@ -246,6 +248,15 @@ class TestFold:
         # smallest double is 0.0, whatever the step
         assert q_product_fold(1.0, [1e-300, 1e-300]) == 0.0
         assert q_product_fold(1.0, [1e-300, 1e-300, 2.0]) == 0.0
+
+    def test_fold_total_alone_can_fail_at_the_last_index(self):
+        # every running sum of the lifts stays above -1, but their fsum is -1
+        factors = [0.8978211100832465, 0.06036010268437628, 0.6508985548855215]
+        running = list(accumulate(_lift(0.5, f) for f in factors))  # the fold's own sums
+        assert min(running) > -1.0
+        with pytest.raises(DomainViolation) as err:
+            q_product_fold(0.5, factors)
+        assert err.value.index == 2 and err.value.constraint == 0.0
 
     # the closed form forms no intermediate product
     @pytest.mark.parametrize("factors, product", [

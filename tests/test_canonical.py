@@ -136,6 +136,16 @@ def test_nonfinite_point_or_shift_is_named(build, args, named):
 
 
 # finite points whose sum passes the largest double are still points
+@pytest.mark.parametrize("q, xs", [
+    (1.0, [0.0, 800.0, -3.0, 2.5]),  # e**-800 underflows
+    (1.5, [0.0, 1e300, 4.0]),  # (1-q)*(-x) = 5e299: exp_1.5 underflows
+    (1e10, [1e300, 0.0, 0.5]),  # (1-q)*(-x) passes the largest double: exp_q is 1 - 7e-8
+])
+def test_frequencies_read_as_zero_are_q_exp(q, xs):
+    # only the points whose loop value reads 0.0 are taken from q_exp again
+    assert build_distribution(q, xs, 0.0).frequencies == tuple(q_exp(q, -x) for x in xs)
+
+
 def test_points_summing_past_the_largest_double_are_finite():
     dist = build_distribution(1.0, [1e308, 1e308, 0.0], 0.0)
     assert dist.probabilities == (0.0, 0.0, 1.0)

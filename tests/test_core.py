@@ -1,6 +1,7 @@
 """Unit and property tests for the deformed log/exp pair."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -72,6 +73,33 @@ class TestQLog:
         for q in (0.3, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
             values = [q_log(q, y) for y in ys]
             assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_lift_past_the_largest_double(self):
+        # y**(1-q) passes the largest double in a window of width ln|1-q| in
+        # t = (1-q) ln y before log_q does; there the lift is taken from t
+        with mpmath.workdps(60):
+            exact = (mpmath.mpf(1.5e77) ** 4 - 1) / 4  # 1.2656e308
+        assert abs(q_log(-3.0, 1.5e77) - exact) <= 1e-12 * exact
+        assert _q_log_array(-3.0, [1.5e77]).tolist() == [q_log(-3.0, 1.5e77)]
+        rng = np.random.default_rng(33)
+        q = np.where(rng.random(500) < 0.5, rng.uniform(-10.0, 10.0, 500), 1.0 - rng.choice(
+            [-1.0, 1.0], 500) * 10.0 ** rng.uniform(0.0, 5.0, 500))
+        t = rng.uniform(709.0, 710.0 + np.log(np.abs(1.0 - q)).clip(0.0))
+        with np.errstate(over="ignore"):
+            ys = np.exp(t / (1.0 - q))
+        returned = 0
+        for qi, yi in zip(q.tolist(), ys.tolist()):
+            if not 0.0 < yi < math.inf:
+                continue
+            with mpmath.workdps(60):
+                exact = (mpmath.mpf(yi) ** (1 - mpmath.mpf(qi)) - 1) / (1 - mpmath.mpf(qi))
+            if abs(exact) > sys.float_info.max:
+                with pytest.raises(RangeOverflow):
+                    q_log(qi, yi)
+            elif abs(exact) < sys.float_info.max * (1.0 - 1e-12):
+                assert abs(q_log(qi, yi) - exact) <= 1e-12 * abs(exact)
+                returned += 1
+        assert returned > 100
 
     def test_stable_near_classical_index(self):
         # the deformed branch must track log y to first order in (1-q)
@@ -587,12 +615,6 @@ class TestWideArrayParity:
         assert (len(failed), failed[:3]) == (0, [])
 
     def test_q_log_array_is_q_log_elementwise(self, wide_draws):
-        failed = []
-        for q, a, b in wide_draws:
-            # every element's sign is checked before any value is formed
-            bad = [i for i, y in enumerate((a, b)) if y <= 0.0]
-            expected = ((NonPositiveArgument, bad[0]) if bad
-                        else _elementwise(q_log, q, (a, b)))
-            if not _twin_agrees(_q_log_array, q, [a, b], expected):
-                failed.append((q, a, b))
+        failed = [(q, a, b) for q, a, b in wide_draws if not _twin_agrees(
+            _q_log_array, q, [a, b], _elementwise(q_log, q, (a, b)))]
         assert (len(failed), failed[:3]) == (0, [])

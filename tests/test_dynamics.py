@@ -403,6 +403,8 @@ class TestOneSolutionPath:
         (-2.5257993513525823, 2.925739332704037e87, 1, -6.856465812032909e307),
         # exp_q's factor past the largest double, the value 1.9e13
         (0.693872461816806, 7.684402451542686e-297, 1, 37649.12913434948),
+        # (1-q) ln scale past the largest double, where ln scale cancels out of ln y: 1.0
+        (-1.7e308, 0.1, 1, 1.0),
     ])
     def test_range_edge_values_within_1e12_of_60_digits(self, q, scale, d, x):
         exact = _exact_trajectory(q, 0.0, scale, d, [x])[0]

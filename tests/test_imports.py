@@ -9,10 +9,11 @@ The package's public names and the modules' ``__all__`` must name the same
 objects.  Only ``core`` and its numpy twin ``_array`` may read ``expm1`` or
 ``log1p``: the deformed log and exp have one kernel pair, and every other
 module goes through it; each function outside ``core`` that calls the drop
-kernel is listed with what decides the values it cannot represent.  Only
-``tables._Rows._built`` may switch the cyclic collector off and on.  The
-scalar modules and the CLI import no numpy at module level, and the CLI no
-qdeform module but ``errors``, so the scalar commands start without numpy.
+or the lift kernel is listed with what decides the values it cannot
+represent.  Only ``tables._Rows._built`` may switch the cyclic collector off
+and on.  The scalar modules and the CLI import no numpy at module level, and
+the CLI no qdeform module but ``errors``, so the scalar commands start
+without numpy.
 """
 
 import ast
@@ -108,22 +109,39 @@ def test_kernel_detector_flags_every_spelling():
         assert kernel_reads((PACKAGE / name).read_text(encoding="utf-8"))
 
 
-def overflow_handlers(source: str, module: str) -> list:
-    """``module.function`` (dotted through nested scopes) for each ``except``
-    clause in the source whose exception type names ``OverflowError``."""
+def scopes(source: str, module: str, matches) -> list:
+    """``module.function`` (dotted through nested scopes) for each node of the
+    source that ``matches(node)`` is true of."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
-                    isinstance(n, ast.Name) and n.id == "OverflowError"
-                    for n in ast.walk(child.type)):
+            if matches(child):
                 found.append(scope)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
     visit(ast.parse(source), module)
     return found
+
+
+def library_scopes(matches) -> list:
+    """:func:`scopes` over every library module."""
+    return [name for path in MODULES
+            for name in scopes(path.read_text(encoding="utf-8"), path.stem, matches)]
+
+
+def handles_overflow(node) -> bool:
+    """An ``except`` clause whose exception type names ``OverflowError``."""
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+        isinstance(n, ast.Name) and n.id == "OverflowError" for n in ast.walk(node.type))
+
+
+def calls(names):
+    """A predicate: a call of a function named in ``names``, bare or as an
+    attribute."""
+    return lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
 
 
 _HOT = "a scalar primitive: one call frame more is a measurable share of its per-call time"
@@ -146,9 +164,7 @@ OVERFLOW_HANDLERS = {
 
 
 def test_overflow_handlers_are_the_listed_ones():
-    found = [name for path in MODULES
-             for name in overflow_handlers(path.read_text(encoding="utf-8"), path.stem)]
-    assert sorted(found) == sorted(OVERFLOW_HANDLERS)
+    assert sorted(library_scopes(handles_overflow)) == sorted(OVERFLOW_HANDLERS)
 
 
 def test_overflow_handler_detector_names_each_scope():
@@ -156,28 +172,7 @@ def test_overflow_handler_detector_names_each_scope():
               "        pass\n    def g():\n        try:\n            pass\n"
               "        except OverflowError as err:\n            pass\n"
               "try:\n    pass\nexcept ValueError:\n    pass\n")
-    assert overflow_handlers(source, "m") == ["m.f", "m.f.g"]
-
-
-DROP_KERNELS = {"_drop", "_drop_array"}
-
-
-def drop_calls(source: str, module: str) -> list:
-    """``module.function`` (dotted through nested scopes) for each call of
-    ``_drop`` or ``_drop_array`` in the source."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) in DROP_KERNELS
-                    or getattr(child.func, "attr", None) in DROP_KERNELS):
-                found.append(scope)
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, f"{scope}.{child.name}" if named else scope)
-
-    visit(ast.parse(source), module)
-    return found
+    assert scopes(source, "m", handles_overflow) == ["m.f", "m.f.g"]
 
 
 _Q_EXP = "falls back to core.q_exp for each value its own expression cannot represent"
@@ -196,38 +191,47 @@ DROP_CALLERS = {
 
 
 def test_drop_is_called_outside_core_only_where_listed():
-    found = {name for path in MODULES if path.name != "core.py"
-             for name in drop_calls(path.read_text(encoding="utf-8"), path.stem)}
-    assert found == set(DROP_CALLERS)
+    assert {name for name in library_scopes(calls({"_drop", "_drop_array"}))
+            if name.partition(".")[0] != "core"} == set(DROP_CALLERS)
 
 
 def test_drop_call_detector_names_each_scope():
     source = ("from .core import _drop\nimport qdeform._array as a\n"
               "def f(q, d):\n    def g():\n        return a._drop_array(q, d)\n"
               "    return _drop(q, d)\nh = _drop\nk = _drop(2.0, 0.5)\n")
-    assert sorted(drop_calls(source, "m")) == ["m", "m.f", "m.f.g"]
+    assert sorted(scopes(source, "m", calls({"_drop", "_drop_array"}))) == [
+        "m", "m.f", "m.f.g"]
 
 
-COLLECTOR_SWITCHES = {"disable", "enable"}
+_Q_PRODUCT = "the q-product's own policy: a lift past the largest double raises RangeOverflow"
+# every function outside core that forms log_q's lift y**(1-q) - 1 through the kernel,
+# with what decides a lift past its fast path; core.q_log is log_q's one range policy
+LIFT_CALLERS = {
+    "_array._q_log_array": "falls back to core.q_log for each value its own expression "
+                           "cannot represent",
+    "algebra._combine": _Q_PRODUCT,
+    "algebra.q_product_bracket": _Q_PRODUCT,
+    "algebra._fold_lifts": _Q_PRODUCT,
+    "combinatorics.tsallis_entropy.entropy": "entries in (0, 1] at an index <= 1 keep "
+                                             "the lift in (-1, 0]",
+    "verify._identities.associativity.products_in_margin": "a sampler's acceptance mask "
+                                                           "on the brackets, not values",
+    "verify._identities.folds.fold_in_margin": "a sampler's acceptance mask on the running "
+                                               "brackets, not values",
+}
 
 
-def collector_switches(source: str, module: str) -> list:
-    """``module.function`` (dotted through nested scopes) for each read of
-    ``gc.disable`` or ``gc.enable`` in the source, and each import of them."""
-    found = []
+def test_lift_is_called_outside_core_only_where_listed():
+    assert {name for name in library_scopes(calls({"_lift", "_lift_array"}))
+            if name.partition(".")[0] != "core"} == set(LIFT_CALLERS)
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr in COLLECTOR_SWITCHES
-                    and isinstance(child.value, ast.Name) and child.value.id == "gc") or (
-                    isinstance(child, ast.ImportFrom) and child.module == "gc" and any(
-                        a.name in COLLECTOR_SWITCHES for a in child.names)):
-                found.append(scope)
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, f"{scope}.{child.name}" if named else scope)
 
-    visit(ast.parse(source), module)
-    return found
+def switches_collector(node) -> bool:
+    """A read of ``gc.disable`` or ``gc.enable``, or an import of them."""
+    return (isinstance(node, ast.Attribute) and node.attr in {"disable", "enable"}
+            and isinstance(node.value, ast.Name) and node.value.id == "gc") or (
+        isinstance(node, ast.ImportFrom) and node.module == "gc" and any(
+            a.name in {"disable", "enable"} for a in node.names))
 
 
 # every scope of the library that switches the cyclic collector, with its reason
@@ -238,15 +242,13 @@ COLLECTOR_PAUSES = {
 
 
 def test_collector_is_switched_only_where_listed():
-    found = {name for path in MODULES
-             for name in collector_switches(path.read_text(encoding="utf-8"), path.stem)}
-    assert found == set(COLLECTOR_PAUSES)
+    assert set(library_scopes(switches_collector)) == set(COLLECTOR_PAUSES)
 
 
 def test_collector_switch_detector_names_each_scope():
     source = ("import gc\nfrom gc import enable\nclass A:\n    def f(self):\n"
               "        gc.disable()\n        gc.isenabled()\ngc.collect()\n")
-    assert collector_switches(source, "m") == ["m", "m.A.f"]
+    assert scopes(source, "m", switches_collector) == ["m", "m.A.f"]
 
 
 def module_level_imports(source: str) -> list:

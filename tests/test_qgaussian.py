@@ -416,6 +416,15 @@ class TestFig3Data:
         with pytest.raises(ValueError, match="grid must be non-empty"):
             fig3_data([1.0], 1.7, np.array([]))
 
+    def test_qlog_column_past_the_lift_range(self):
+        # y_raw**(1-q) = 1.5e77**4 passes the largest double, log_q(y_raw) does not
+        table = fig3_data([1.5e77], -3.0, [0.0, 0.1])
+        y_raw = table.column("y_raw").tolist()
+        assert table.column("qlog_y").tolist() == [q_log(-3.0, y) for y in y_raw]
+        with mpmath.workdps(60):
+            exact = (mpmath.mpf(1.5e77) ** 4 - 1) / 4
+        assert abs(table.meta["qlog_intercepts"][0] - exact) <= 1e-12 * exact
+
     def test_qlog_column_is_parabola(self):
         table = fig3_data()
         for row in table.rows:
