@@ -28,10 +28,10 @@ for q in (0.5, 1.0, 1.7, 2.5):
     worst = max(abs(q_log(q, q_exp(q, x)) - x) for x in xs)
     print(f"  q = {q}: worst residual over {len(xs)} points = {worst:.2e}")
 
-print("\nThe ratio identity log_q(y/x) = x^(q-1) * (log_q y - log_q x)")
+print("\nlog_q(y/x) from ln(y/x) as expm1((1-q) ln(y/x)) / (1-q), against q_log(y/x)")
 for q, y, x in ((2.0, 4.0, 2.0), (1.0, 6.0, 2.0), (1.5, 9.0, 9.0)):
-    print(f"  q={q}: identity form {q_log_of_ratio(q, y, x):+.12f}   "
-          f"direct {q_log(q, y / x):+.12f}")
+    print(f"  q={q}: q_log_of_ratio {q_log_of_ratio(q, y, x):+.12f}   "
+          f"q_log of the quotient {q_log(q, y / x):+.12f}")
 
 print("\nDomain boundary: exp_1.3 needs 1 - 0.3*x > 0")
 try:

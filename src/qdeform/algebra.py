@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import _EXPORTS
 from .core import (_check_all, _check_positive, _drop, _finite_or_overflow, _index_error, _lift,
-                   check_index)
+                   check_index, q_log)
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 
 __all__ = _EXPORTS["algebra"]
@@ -155,25 +155,6 @@ def scale_drift_expand(q: float, shifts) -> ObservationSequence:
     return ObservationSequence(q, shifts)
 
 
-def _fold_lifts(q: float, factors) -> tuple:
-    """The lifts of the fold's factors, each checked positive in loop order,
-    and their summed binary exponent: _lift(q, f), or ln m for f = m 2**e
-    at q = 1; a step i >= 1 whose running bracket 1 + S_i <= 0 raises."""
-    lifts, s, exponent = [], 0.0, 0
-    for i, f in enumerate(factors):
-        if not 0.0 < (f := float(f)) < math.inf:
-            raise NonPositiveArgument(f"factors[{i}]", f)
-        if q == 1.0:
-            m, e = math.frexp(f)
-            lifts.append(math.log(m))
-            exponent += e
-            continue
-        lifts.append(d := _lift(q, f))
-        if (s := s + d) <= -1.0 and i:
-            raise DomainViolation("q_product fold bracket", 1.0 + s, index=i)
-    return lifts, exponent
-
-
 def q_product_fold(q: float, factors) -> float:
     """Left fold of :func:`q_product` in closed form: exp_q of the ``fsum``
     of the lifts f**(1-q) - 1 (2**e exp of the mantissas' log sum at q = 1).
@@ -195,7 +176,18 @@ def q_product_fold(q: float, factors) -> float:
         return _check_positive("factors[0]", factors[0])
 
     def fold():
-        lifts, exponent = _fold_lifts(q, factors)
+        lifts, s, exponent = [], 0.0, 0
+        for i, f in enumerate(factors):
+            if not 0.0 < (f := float(f)) < math.inf:
+                raise NonPositiveArgument(f"factors[{i}]", f)
+            if q == 1.0:  # ln m for f = m 2**e, and the summed binary exponent
+                m, e = math.frexp(f)
+                lifts.append(math.log(m))
+                exponent += e
+                continue
+            lifts.append(d := _lift(q, f))
+            if (s := s + d) <= -1.0 and i:
+                raise DomainViolation("q_product fold bracket", 1.0 + s, index=i)
         total = math.fsum(lifts)
         if q == 1.0:  # the sum of logs moved within ln(2)/2 of 0 first
             k = round(total / _LN2)
@@ -208,16 +200,18 @@ def q_product_fold(q: float, factors) -> float:
 
 
 def q_log_sum(q: float, factors) -> float:
-    """Sum of the factors' deformed logarithms: the fold's lift sum over 1-q,
-    with its checks and their order, to about 2**-53 sum_i f_i**(1-q) |ln f_i|
-    absolute.  A lift or sum past the largest double raises
-    :class:`OverflowError`."""
+    """The ``fsum`` of the factors' :func:`~qdeform.core.q_log` values, each on its range
+    policy; no bracket is formed, so none fails.  A factor that is not positive raises
+    :class:`NonPositiveArgument` as ``factors[i]``, a term past the largest double
+    :class:`OverflowError` naming ``factors[i]``, and a sum past it the factor count."""
     q = check_index(q)
-    factors = list(factors)
-
-    def log_sum():
-        lifts, exponent = _fold_lifts(q, factors)
-        return (math.fsum(lifts) + exponent * _LN2 if q == 1.0
-                else math.fsum(lifts) / (1.0 - q))
-
-    return _finite_or_overflow("q_log_sum", q, lambda: f"{len(factors)} factors", log_sum)
+    terms = []
+    for i, f in enumerate(factors):
+        try:
+            terms.append(q_log(q, f))
+        except NonPositiveArgument as err:
+            raise NonPositiveArgument(f"factors[{i}]", err.value) from None
+        except RangeOverflow:
+            raise RangeOverflow("q_log_sum", q, f"factors[{i}]") from None
+    return _finite_or_overflow("q_log_sum", q, lambda: f"{len(terms)} factors",
+                               lambda: math.fsum(terms))

@@ -22,8 +22,9 @@ down to |1-q| ~ 1e-8 and far beyond.  The q-product exp_q(log_q x + log_q y)
 is _drop(q, _lift(q, x) + _lift(q, y)).  The kernels overflow as ``math``
 and numpy do.  ``q_exp`` is exp_q's one range policy: ``_q_exp_array`` and
 ``canonical._frequencies`` hand it each value they cannot represent; ``q_log``
-is log_q's, for ``_q_log_array``.  Where (1-q)*x, or ``analytic_solution``'s
-bracket less 1, passes the largest double, :func:`_log1p_past` takes its log1p
+is log_q's, for ``_q_log_array``, ``algebra.q_log_sum`` and ``q_log_of_ratio``.
+Past the largest double, a lift gives log_q through :func:`_log_q_past`, and (1-q)*x
+or ``analytic_solution``'s bracket less 1 its log1p through :func:`_log1p_past`, each
 from its log.  A scalar result past the largest double leaves through
 :func:`_finite_or_overflow` as a named :class:`RangeOverflow`; ``q_log``,
 ``q_exp``, ``q_log_of_ratio``, ``algebra._combine`` and ``analytic_solution``
@@ -110,6 +111,11 @@ def _log1p_past(a: float, ln_a: float) -> float:
     return ln_a + math.log1p(math.exp(-ln_a))
 
 
+def _log_q_past(q: float, t: float) -> float:
+    """log_q y from t = (1-q) ln y, for a lift y**(1-q) - 1 past the largest double."""
+    return math.copysign(math.exp(t - math.log(abs(1.0 - q))), 1.0 - q) - 1.0 / (1.0 - q)
+
+
 def q_log(q: float, y: float) -> float:
     """Deformed logarithm of index ``q``.
 
@@ -130,9 +136,8 @@ def q_log(q: float, y: float) -> float:
             return value
     except OverflowError:
         pass
-    # y**(1-q) passed the largest double, log_q need not: the lift from its log (1-q) ln y
-    return _finite_or_overflow("log_q", q, lambda y=y: f"y={y!r}", lambda q=q, y=y: math.copysign(
-        math.exp((1.0 - q) * math.log(y) - math.log(abs(1.0 - q))), 1.0 - q) - 1.0 / (1.0 - q))
+    return _finite_or_overflow("log_q", q, lambda y=y: f"y={y!r}",
+                               lambda q=q, y=y: _log_q_past(q, (1.0 - q) * math.log(y)))
 
 
 def q_exp(q: float, x: float, cutoff: bool = False) -> float:
@@ -175,9 +180,9 @@ def q_log_of_ratio(q: float, y: float, x: float) -> float:
     """log_q(y/x) = expm1((1-q) L) / (1-q), _lift's form on L = ln(y/x) (L
     at q = 1), with L = log1p((y-x)/x) for y/x in [1/2, 2] (y - x exact),
     log(y/x) for a normal quotient, and log(y) - log(x) beyond: within about
-    1e-13 relative.  A result past the largest double raises
-    :class:`OverflowError` naming q, y and x.
-    """
+    1e-13 relative.  As in :func:`q_log`, a lift past the largest double is no
+    error where the result is not; a result past it raises
+    :class:`OverflowError` naming q, y and x."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
     if not 0.0 < (y := float(y)) < math.inf:
@@ -199,4 +204,5 @@ def q_log_of_ratio(q: float, y: float, x: float) -> float:
             return value
     except OverflowError:
         pass
-    raise RangeOverflow("log_q ratio", q, f"y={y!r}, x={x!r}")
+    return _finite_or_overflow("log_q ratio", q, lambda y=y, x=x: f"y={y!r}, x={x!r}",
+                               lambda q=q, t=(1.0 - q) * ln_ratio: _log_q_past(q, t))

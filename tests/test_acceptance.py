@@ -66,8 +66,9 @@ def test_03_figure_reproduction():
         assert_cases("dynamics", 303030, {"fig2_qlog_affine": 1e-9})
         assert_cases("mlp", 303030, {"fig3_qlog_parabola": 1e-9})
         for table in (fig2_data(), fig3_data()):
-            curves = [[row[4:6] for row in curve]
-                      for curve in table.curves().values()]
+            ids = table.column("curve_id")
+            curves = [[table.column(c)[ids == i].tolist() for c in ("x_rescaled", "y_rescaled")]
+                      for i in np.unique(ids)]
             assert all(curve == curves[0] for curve in curves[1:])
 
 

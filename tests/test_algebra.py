@@ -1,9 +1,11 @@
 """Deformed product/ratio algebra and scale-drift expansion."""
 
 import math
+import sys
 import warnings
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from qdeform import (
     scale_drift_expand,
 )
 from qdeform.core import _lift
+
+import mp60
 
 Q_GRID = (0.3, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5)
 
@@ -310,3 +314,31 @@ class TestFold:
             assert err.value.index == i
             assert err.value.constraint == pytest.approx(brackets[-1], abs=1e-12)
             assert self._left_fold(q, factors)[:2] == ("bracket", i)
+
+
+class TestQLogSum:
+    def test_sum_has_no_bracket(self):
+        # log_0.5(0.01) = -1.8; the fold's bracket 1 + 2 (0.01**0.5 - 1) = -0.8
+        # fails at step 1, but a sum of logs forms no bracket
+        assert q_log_sum(0.5, [0.01, 0.01]) == -3.6
+
+    def test_seeded_sweep_against_60_digits(self):
+        # q uniform in [-3, 3] or 1 -+ 10**U(-9, 1); 1-5 factors log-uniform
+        # over 1e+-3 or 1e+-300, so terms and sums may pass the largest double
+        rng = np.random.default_rng(34)
+        returned = 0
+        for _ in range(500):
+            q = float(rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else
+                      1.0 - rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 1.0))
+            span = 3.0 if rng.random() < 0.5 else 300.0
+            factors = (10.0 ** rng.uniform(-span, span, int(rng.integers(1, 6)))).tolist()
+            terms = [mp60.log_q(q, f) for f in factors]
+            with mpmath.workdps(60):
+                exact, size = mpmath.fsum(terms), mpmath.fsum(abs(v) for v in terms)
+            if abs(exact) > sys.float_info.max * (1.0 + 1e-12):
+                with pytest.raises(RangeOverflow):
+                    q_log_sum(q, factors)
+            elif abs(exact) < sys.float_info.max * (1.0 - 1e-12):
+                assert abs(q_log_sum(q, factors) - exact) <= 1e-12 * size
+                returned += 1
+        assert returned > 400

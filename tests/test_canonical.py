@@ -19,6 +19,8 @@ from qdeform import (
     split_representation,
 )
 
+import mp60
+
 
 class TestBuildDistribution:
     def test_two_point_hand_case(self):
@@ -68,7 +70,7 @@ class TestBuildDistribution:
     def test_argument_term_past_the_largest_double(self, q, x):
         # (1-q)*(-x) passes the largest double where exp_q(-x) is 1 -+ 7e-8
         with mpmath.workdps(60):
-            f = (1 + (1 - mpmath.mpf(q)) * -mpmath.mpf(x)) ** (1 / (1 - mpmath.mpf(q)))
+            f = mp60.exp_q(q, -x)
             exact = (f / (f + 1), 1 / (f + 1))
         got = build_distribution(q, [x, 0.0], 0.0).probabilities
         assert all(abs(p - e) <= 1e-12 * e for p, e in zip(got, exact))
@@ -111,9 +113,7 @@ class TestSplitRepresentation:
         q, c1, c2 = -1.1820939862583954e18, 7.238113294949192e283, -3.2456717940750865e-106
         xs = [1.0397106742315173e276, -7.995976449044797, -4.395464287919659]
         with mpmath.workdps(60):
-            one_minus_q = 1 - mpmath.mpf(q)
-            freqs = [(1 + one_minus_q * (-mpmath.mpf(x) + c1 + c2)) ** (1 / one_minus_q)
-                     for x in xs]
+            freqs = [mp60.exp_q(q, -mpmath.mpf(x) + c1 + c2) for x in xs]
             exact = [f / mpmath.fsum(freqs) for f in freqs]
         for p in split_representation(q, xs, c1, c2):
             assert all(abs(got - e) <= 1e-15 * e for got, e in zip(p, exact))

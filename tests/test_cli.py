@@ -333,7 +333,7 @@ def test_csv_text_writes_what_csv_writer_writes():
 
 
 def test_json_table_text_writes_what_json_dumps_writes():
-    # the writer of rows it replaced: json.dumps of each row of table.rows as floats
+    # the writer of rows it replaced: json.dumps of each row, zipped from the columns
     from qdeform import fig2_data, fig3_data
     from qdeform.cli import _json_table_text
 
@@ -345,7 +345,8 @@ def test_json_table_text_writes_what_json_dumps_writes():
         scales = rng.uniform(0.5, 50.0, rng.integers(1, 5)).tolist()
         table = (fig2_data, fig3_data)[trial % 2](scales, rng.uniform(0.6, 1.4), grid)
         old = json.dumps({"columns": list(table.columns),
-                          "rows": [[float(v) for v in row] for row in table.rows],
+                          "rows": [list(row) for row in zip(
+                              *(table.column(c).tolist() for c in table.columns))],
                           "meta": table.meta}, indent=2, sort_keys=True) + "\n"
         assert _json_table_text(table.columns, table.blocks, table.meta) == old
 

@@ -42,6 +42,8 @@ from qdeform import (
 )
 from qdeform._array import _q_exp_array, _q_log_array
 
+import mp60
+
 # 40-digit evaluation of (1 + 0.3)**(-1/0.3)
 QEXP_13_MINUS1 = 0.4170506723141460936064
 
@@ -77,8 +79,7 @@ class TestQLog:
     def test_lift_past_the_largest_double(self):
         # y**(1-q) passes the largest double in a window of width ln|1-q| in
         # t = (1-q) ln y before log_q does; there the lift is taken from t
-        with mpmath.workdps(60):
-            exact = (mpmath.mpf(1.5e77) ** 4 - 1) / 4  # 1.2656e308
+        exact = mp60.log_q(-3.0, 1.5e77)  # 1.2656e308
         assert abs(q_log(-3.0, 1.5e77) - exact) <= 1e-12 * exact
         assert _q_log_array(-3.0, [1.5e77]).tolist() == [q_log(-3.0, 1.5e77)]
         rng = np.random.default_rng(33)
@@ -91,8 +92,7 @@ class TestQLog:
         for qi, yi in zip(q.tolist(), ys.tolist()):
             if not 0.0 < yi < math.inf:
                 continue
-            with mpmath.workdps(60):
-                exact = (mpmath.mpf(yi) ** (1 - mpmath.mpf(qi)) - 1) / (1 - mpmath.mpf(qi))
+            exact = mp60.log_q(qi, yi)
             if abs(exact) > sys.float_info.max:
                 with pytest.raises(RangeOverflow):
                     q_log(qi, yi)
@@ -100,6 +100,13 @@ class TestQLog:
                 assert abs(q_log(qi, yi) - exact) <= 1e-12 * abs(exact)
                 returned += 1
         assert returned > 100
+
+    def test_one_factor_sum_and_ratio_to_one_past_the_lift_range(self):
+        # a one-factor sum and the ratio to 1 are log_q y, also where the
+        # lift y**(1-q) = 1.5e77**4 passes the largest double
+        assert q_log(-3.0, 1.5e77) == 1.2656249999999911e308
+        assert q_log_sum(-3.0, [1.5e77]) == q_log(-3.0, 1.5e77)
+        assert q_log_of_ratio(-3.0, 1.5e77, 1.0) == q_log(-3.0, 1.5e77)
 
     def test_stable_near_classical_index(self):
         # the deformed branch must track log y to first order in (1-q)
@@ -142,8 +149,7 @@ class TestQExp:
     ])
     def test_argument_term_past_the_largest_double(self, q, x):
         # (1-q)*x passes the largest double: log1p of it is ln|1-q| + ln|x| + log1p(1/d)
-        with mpmath.workdps(60):
-            exact = (1 + (1 - mpmath.mpf(q)) * x) ** (1 / (1 - mpmath.mpf(q)))
+        exact = mp60.exp_q(q, x)
         assert abs(q_exp(q, x) - exact) <= 2.0 ** -52 * exact
         assert _q_exp_array(q, [x]).tolist() == [q_exp(q, x)] == [_q_exp_array(q, x)]
 
@@ -275,6 +281,8 @@ class TestQExp:
     (split_representation, (3.0, [0.0, 1e308], -1e308, -1e308),
      "pulled-out bracket 1 + (1-q)*shift at q=3.0 overflows a double"
      " (shift1=-1e+308, shift2=-1e+308)"),
+    # a term past the largest double names its factor
+    (q_log_sum, (-3.0, [2.0, 1e200]), "q_log_sum at q=-3.0 overflows a double (factors[1])"),
 ])
 def test_scalar_overflow_names_index_and_argument(fn, args, named):
     with warnings.catch_warnings():
@@ -333,6 +341,29 @@ class TestRatioIdentity:
             q_log_of_ratio(1.5, -1.0, 2.0)
         with pytest.raises(NonPositiveArgument):
             q_log_of_ratio(1.5, 1.0, 0.0)
+
+    def test_lift_past_the_largest_double(self):
+        # t = (1-q) ln(y/x) drawn in [700, 720 + ln|1-q|]: past t = 709.78 the
+        # lift expm1(t) overflows, and log_q(y/x) only ln|1-q| later
+        rng = np.random.default_rng(34)
+        q = np.where(rng.random(500) < 0.5, rng.uniform(-10.0, 10.0, 500), 1.0 - rng.choice(
+            [-1.0, 1.0], 500) * 10.0 ** rng.uniform(0.0, 5.0, 500))
+        t = rng.uniform(700.0, 720.0 + np.log(np.abs(1.0 - q)))
+        ln_x = rng.uniform(-700.0, 700.0, 500)
+        ln_y = ln_x + t / (1.0 - q)
+        kept = (ln_y > -700.0) & (ln_y < 709.0)
+        returned = 0
+        for qi, yi, xi in zip(q[kept].tolist(), np.exp(ln_y[kept]).tolist(),
+                              np.exp(ln_x[kept]).tolist()):
+            with mpmath.workdps(60):
+                exact = mp60.log_q(qi, mpmath.mpf(yi) / xi)
+            if abs(exact) > sys.float_info.max * (1.0 + 1e-12):
+                with pytest.raises(RangeOverflow):
+                    q_log_of_ratio(qi, yi, xi)
+            elif abs(exact) < sys.float_info.max * (1.0 - 1e-12):
+                assert abs(q_log_of_ratio(qi, yi, xi) - exact) <= 1e-12 * abs(exact)
+                returned += 1
+        assert returned > 100
 
 
 # Each public primitive checks q, then x, then y (q_log_of_ratio: y, then
@@ -430,6 +461,8 @@ NOT_A = "could not convert string to float: 'a'"
     # the bracket 1 + (1-q)*x/scale**(1-q) is below -1e300000: scale**(1-q) underflows
     (analytic_solution, (1001.0, 1e300, 1, 1.0), DomainViolation,
      "exp_q argument outside domain: constraint value -inf <= 0"),
+    (q_log_sum, (1.5, [2.0, -1.0, 0.0]), NonPositiveArgument,
+     "factors[1] must be a positive finite real, got -1.0"),
 ])
 def test_bad_arguments_keep_their_error(fn, args, error, message):
     with pytest.raises(Exception) as info:

@@ -660,24 +660,26 @@ class TestFig2Data:
 
     def test_base_point(self):
         table = fig2_data()
-        first = table.rows[0]
-        assert first[2] == 0.0 and first[3] == 1.0
+        assert table.column("x_raw")[0] == 0.0 and table.column("y_raw")[0] == 1.0
 
     def test_rescaled_curves_coincide(self):
-        curves = list(fig2_data().curves().values())
-        for other in curves[1:]:
-            assert [r[5] for r in other] == [r[5] for r in curves[0]]
+        table = fig2_data()
+        ids, ys = table.column("curve_id"), table.column("y_rescaled")
+        curves = [ys[ids == c].tolist() for c in np.unique(ids)]
+        assert all(curve == curves[0] for curve in curves[1:])
 
     def test_rescaled_abscissas_shared(self):
         grid = np.linspace(*FIG2_GRID).tolist()
-        for curve in fig2_data().curves().values():
-            assert [r[4] for r in curve] == grid
+        table = fig2_data()
+        ids, xs = table.column("curve_id"), table.column("x_rescaled")
+        for c in np.unique(ids):
+            assert xs[ids == c].tolist() == grid
 
     def test_qlog_column_is_affine(self):
         table = fig2_data()
-        for row in table.rows:
-            expected = -row[2] + q_log(1.3, row[1])
-            assert row[6] == pytest.approx(expected, abs=1e-9)
+        for scale, x_raw, qlog_y in zip(*(table.column(c).tolist()
+                                          for c in ("scale", "x_raw", "qlog_y"))):
+            assert qlog_y == pytest.approx(-x_raw + q_log(1.3, scale), abs=1e-9)
 
     def test_empty_scales_or_grid_is_rejected(self):
         # both once returned a table with no rows
@@ -688,5 +690,5 @@ class TestFig2Data:
 
     def test_classical_override_collapses_x_scaling(self):
         table = fig2_data(q=1.0)
-        for row in table.rows:
-            assert row[2] == row[4]  # x_raw == x_rescaled when scale**0 == 1
+        # x_raw == x_rescaled when scale**0 == 1
+        assert table.column("x_raw").tolist() == table.column("x_rescaled").tolist()

@@ -211,7 +211,7 @@ LIFT_CALLERS = {
                            "cannot represent",
     "algebra._combine": _Q_PRODUCT,
     "algebra.q_product_bracket": _Q_PRODUCT,
-    "algebra._fold_lifts": _Q_PRODUCT,
+    "algebra.q_product_fold.fold": _Q_PRODUCT,
     "combinatorics.tsallis_entropy.entropy": "entries in (0, 1] at an index <= 1 keep "
                                              "the lift in (-1, 0]",
     "verify._identities.associativity.products_in_margin": "a sampler's acceptance mask "

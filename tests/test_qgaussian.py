@@ -30,6 +30,8 @@ from qdeform import (
 from qdeform.qgaussian import FIG3_GRID
 from qdeform.verify import _defining_ode_residual, _likelihood_terms
 
+import mp60
+
 SQRT_PI = 1.772453850905516027298
 INV_SQRT_PI = 0.5641895835477562869481
 QLOG_17_100 = 1.371698975635214678461  # (100**-0.7 - 1)/(-0.7)
@@ -400,15 +402,17 @@ class TestFig3Data:
         assert table.meta["scales"] == [1.0, 10.0, 100.0]
         assert table.meta["qlog_intercepts"][2] == pytest.approx(
             QLOG_17_100, rel=1e-13)
-        mid = [r for r in table.rows if r[0] == 0 and r[2] == 0.0]
-        assert mid and mid[0][3] == 1.0
+        mid = (table.column("curve_id") == 0) & (table.column("x_raw") == 0.0)
+        assert mid.any() and table.column("y_raw")[mid][0] == 1.0
 
     def test_rescaled_curves_coincide(self):
         grid = np.linspace(*FIG3_GRID).tolist()
-        curves = list(fig3_data().curves().values())
-        for curve in curves:
-            assert [r[4] for r in curve] == grid
-            assert [r[5] for r in curve] == [r[5] for r in curves[0]]
+        table = fig3_data()
+        ids, xs, ys = (table.column(c) for c in ("curve_id", "x_rescaled", "y_rescaled"))
+        curves = [(xs[ids == c].tolist(), ys[ids == c].tolist()) for c in np.unique(ids)]
+        for x_curve, y_curve in curves:
+            assert x_curve == grid
+            assert y_curve == curves[0][1]
 
     def test_empty_scales_or_grid_is_rejected(self):
         with pytest.raises(ValueError, match="scales must be non-empty"):
@@ -421,12 +425,11 @@ class TestFig3Data:
         table = fig3_data([1.5e77], -3.0, [0.0, 0.1])
         y_raw = table.column("y_raw").tolist()
         assert table.column("qlog_y").tolist() == [q_log(-3.0, y) for y in y_raw]
-        with mpmath.workdps(60):
-            exact = (mpmath.mpf(1.5e77) ** 4 - 1) / 4
+        exact = mp60.log_q(-3.0, 1.5e77)
         assert abs(table.meta["qlog_intercepts"][0] - exact) <= 1e-12 * exact
 
     def test_qlog_column_is_parabola(self):
         table = fig3_data()
-        for row in table.rows:
-            expected = -row[2] ** 2 + q_log(1.7, row[1])
-            assert row[6] == pytest.approx(expected, abs=1e-9)
+        for scale, x_raw, qlog_y in zip(*(table.column(c).tolist()
+                                          for c in ("scale", "x_raw", "qlog_y"))):
+            assert qlog_y == pytest.approx(-x_raw ** 2 + q_log(1.7, scale), abs=1e-9)
