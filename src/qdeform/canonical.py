@@ -29,17 +29,11 @@ import math
 from dataclasses import dataclass, field
 
 from . import _EXPORTS
-from .core import (_check_positive, _drop, _finite_or_overflow, check_index, q_exp,
-                   q_exp_bracket, q_log)
+from .core import (_check_finite_scalar, _check_positive, _drop, _finite_or_overflow,
+                   check_index, q_exp, q_exp_bracket, q_log)
 from .errors import DomainViolation, RangeOverflow
 
 __all__ = _EXPORTS["canonical"]
-
-
-def _check_finite(name: str, value) -> float:
-    if not math.isfinite(value := float(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _points(xs) -> tuple:
@@ -49,7 +43,7 @@ def _points(xs) -> tuple:
         raise ValueError("xs must be non-empty")
     if not math.isfinite(sum(points)):  # a non-finite point, or a sum past the largest double
         for i, x in enumerate(points):
-            _check_finite(f"x[{i}]", x)
+            _check_finite_scalar(f"x[{i}]", x)
     return points
 
 
@@ -109,7 +103,7 @@ class DiscreteQDistribution:
 
     def __post_init__(self):
         q = check_index(self.q)
-        shift = _check_finite("shift", self.shift)
+        shift = _check_finite_scalar("shift", self.shift)
         points = _points(self.xs)
         freqs, total, probs = _frequencies(q, points, shift, 1.0, lambda: f"shift={shift!r}")
         object.__setattr__(self, "q", q)
@@ -159,7 +153,7 @@ def split_representation(q: float, xs, shift1: float, shift2: float):
     """
     q = check_index(q)
     points = _points(xs)
-    shift1, shift2 = _check_finite("shift1", shift1), _check_finite("shift2", shift2)
+    shift1, shift2 = _check_finite_scalar("shift1", shift1), _check_finite_scalar("shift2", shift2)
 
     def shifts():
         return f"shift1={shift1!r}, shift2={shift2!r}"

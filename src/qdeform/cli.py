@@ -65,13 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliInputError(f"{self.prog}: {message}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        # float() first: numpy scalars subclass float but repr differently
-        return repr(float(value))
-    return str(value)
-
-
 def _parse_floats(raw: str, flag: str):
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
@@ -94,18 +87,20 @@ def _cell(value) -> str:
     """One CSV cell, quoted where it holds a comma, a quote or a line break."""
     if type(value) is float:  # a float's repr holds none of them
         return repr(value)
-    text = _fmt(value)
+    # float() first: numpy scalars subclass float but repr differently
+    text = repr(float(value)) if isinstance(value, float) else str(value)
     if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def _is_column(value) -> bool:
-    return hasattr(value, "__len__") and not isinstance(value, str)
+    return isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0  # not a numpy scalar
 
 
-def _row_cells(blocks, fmt):
-    """The rows of blocks, each a tuple of ``fmt`` cells.
+def _row_cells(blocks, fmt=None):
+    """The rows of blocks, each a tuple of ``fmt`` cells, or of the values
+    themselves where ``fmt`` is None (``FigureTable.rows``).
 
     Each block holds one value per column: a sequence (list, tuple or numpy
     array) with one entry per row, or a single value for every row of the
@@ -116,12 +111,13 @@ def _row_cells(blocks, fmt):
     def cells(values):
         if id(values) not in formatted:
             entries = values.tolist() if hasattr(values, "tolist") else values
-            formatted[id(values)] = list(map(fmt, entries))
+            formatted[id(values)] = list(map(fmt, entries)) if fmt else entries
         return formatted[id(values)]
 
     def block_rows(block):
-        rows = len(next(v for v in block if _is_column(v)))
-        return zip(*(cells(v) if _is_column(v) else repeat(fmt(v), rows) for v in block))
+        n = len(next(v for v in block if _is_column(v)))
+        return zip(*(cells(v) if _is_column(v) else repeat(fmt(v) if fmt else v, n)
+                     for v in block))
 
     return chain.from_iterable(map(block_rows, blocks))
 
@@ -221,7 +217,7 @@ def _cmd_eval(args) -> int:
                          if getattr(args, flag) is not None)
         raise _CliInputError(
             f"eval {args.fn} {given}: result is not a finite double") from None
-    sys.stdout.write(_fmt(value) + "\n")
+    sys.stdout.write(repr(value) + "\n")
     return EXIT_OK
 
 
@@ -244,6 +240,8 @@ def _cmd_verify(args) -> int:
 def _cmd_fig(args) -> int:
     import numpy as np
 
+    from .core import _check_finite_scalar
+
     # table builder and its default index, scales and (min, max, points) grid
     if args.which == "fig2":
         from .dynamics import FIG2_GRID as grid, FIG2_INDEX as q, FIG2_SCALES as scales
@@ -264,9 +262,7 @@ def _cmd_fig(args) -> int:
         if args.grid_points < 2:
             raise _CliInputError("--grid-points must be at least 2")
         points = args.grid_points
-    for flag, value in (("--grid-min", lo), ("--grid-max", hi)):
-        if not math.isfinite(value):
-            raise _CliInputError(f"{flag} must be finite, got {value!r}")
+    lo, hi = _check_finite_scalar("--grid-min", lo), _check_finite_scalar("--grid-max", hi)
     if not lo < hi:
         raise _CliInputError("--grid-min must be below --grid-max")
     if not math.isfinite(hi - lo):

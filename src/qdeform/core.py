@@ -30,7 +30,8 @@ from its log.  A scalar result past the largest double leaves through
 ``q_exp``, ``q_log_of_ratio``, ``algebra._combine`` and ``analytic_solution``
 keep its pattern inline on their fast paths, as one call frame more is a
 measurable share of their per-call time.  A public function checks each
-argument once, in its own body; a library caller that already holds checked
+argument once, in its own body (a scalar that must be finite through
+:func:`_check_finite_scalar`); a library caller that already holds checked
 floats calls ``_lift``/``_drop`` rather than checking them again.
 
 This module imports only ``math``, so the scalar primitives (and the CLI
@@ -76,6 +77,12 @@ def q_exp_bracket(q: float, x: float) -> float:
 def _check_positive(name: str, value) -> float:
     if not 0.0 < (value := float(value)) < math.inf:
         raise NonPositiveArgument(name, value)
+    return value
+
+
+def _check_finite_scalar(name: str, value) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

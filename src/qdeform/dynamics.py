@@ -34,8 +34,8 @@ import numpy as np
 
 from . import _EXPORTS
 from ._array import _drop_array
-from .core import (_check_positive, _finite_or_overflow, _index_error, _log1p_past, check_index,
-                   q_exp, q_log)
+from .core import (_check_finite_scalar, _check_positive, _finite_or_overflow, _index_error,
+                   _log1p_past, check_index, q_exp, q_log)
 from .errors import DomainViolation, NonPositiveArgument, RangeOverflow
 from .tables import FigureTable, _scaled_family
 
@@ -79,15 +79,15 @@ def rescale_factor(q: float, x0: float, y0: float) -> float:
     ``rescale_factor(q, direction * x0, y0)`` is the scale unit of the
     solution through (x0, y0) for either direction, since the linear form
     log_q(y) = direction * x + log_q(scale) fixes it.  Raises
-    :class:`DomainViolation` when no positive constant satisfies the
-    relation, :class:`OverflowError` naming q, x0 and y0 when log_q(y0) - x0
-    passes the largest double, and :class:`NonPositiveArgument` naming them
-    when the constant underflows to 0.
+    :class:`ValueError` naming a non-finite x0, :class:`DomainViolation` when
+    no positive constant satisfies the relation, :class:`OverflowError`
+    naming q, x0 and y0 when log_q(y0) - x0 passes the largest double, and
+    :class:`NonPositiveArgument` naming them when the constant underflows to 0.
     """
     q = check_index(q)
     y0 = _check_positive("y0", y0)
-    arg = q_log(q, y0) - float(x0)
-    if math.isinf(arg) and math.isfinite(x0):
+    x0 = _check_finite_scalar("x0", x0)
+    if math.isinf(arg := q_log(q, y0) - x0):
         raise RangeOverflow("rescale_factor", q, f"x0={x0!r}, y0={y0!r}")
     if (scale := q_exp(q, arg)) > 0.0:
         return scale
@@ -156,9 +156,7 @@ def integrate_ode(q: float, x0: float, y0: float, direction, x_end: float,
     if (d := float(direction)) not in (1.0, -1.0):
         raise _direction_error(direction)
     x0, y0, x_end, step = float(x0), float(y0), float(x_end), float(step)
-    for name, value in (("x0", x0), ("x_end", x_end)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    x0, x_end = _check_finite_scalar("x0", x0), _check_finite_scalar("x_end", x_end)
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
     if x_end <= x0:
@@ -199,12 +197,16 @@ def shift_expansion(q: float, shift: float):
         exp_q(x + shift) = y_scale * exp_q(x / x_scale)
 
     for every x where both sides are defined, given 1 + (1-q)*shift > 0;
-    exp_q(shift) underflowed to 0 raises :class:`NonPositiveArgument` (``y_scale``),
-    and a bracket past the largest double :class:`OverflowError` naming q and shift."""
+    a non-finite shift raises :class:`ValueError` naming it, exp_q(shift)
+    underflowed to 0 :class:`NonPositiveArgument` (``y_scale``), and a bracket
+    past the largest double :class:`OverflowError` naming q and shift."""
+    q = check_index(q)
+    if not math.isfinite(shift := float(shift)):  # _check_finite_scalar, inline
+        raise ValueError(f"shift must be finite, got {shift!r}")
     if not (y_scale := q_exp(q, shift)) > 0.0:
         raise NonPositiveArgument("y_scale", y_scale)
-    if (x_scale := 1.0 + (1.0 - float(q)) * float(shift)) == math.inf:  # q_exp_bracket, inline
-        raise RangeOverflow("bracket 1 + (1-q)*shift", float(q), f"shift={float(shift)!r}")
+    if (x_scale := 1.0 + (1.0 - q) * shift) == math.inf:  # q_exp_bracket, inline
+        raise RangeOverflow("bracket 1 + (1-q)*shift", q, f"shift={shift!r}")
     return y_scale, x_scale
 
 
@@ -222,11 +224,12 @@ def compose_shifts(q: float, shift1: float, shift2: float):
     A product past the largest double raises :class:`OverflowError` naming
     q and both shifts, and a y_scale product underflowed to 0
     :class:`NonPositiveArgument` naming ``y_scale``; each x_scale factor is
-    its shift's bracket, at least 2**-53, so theirs cannot underflow.
+    its shift's bracket, at least 2**-53, so theirs cannot underflow.  A
+    non-finite shift raises :class:`ValueError` naming it.
     """
-    q = float(q)  # shift_expansion checks it
-    y1, x1 = shift_expansion(q, shift1)
-    y2, x2 = shift_expansion(q, shift2)
+    q = check_index(q)
+    shift1, shift2 = _check_finite_scalar("shift1", shift1), _check_finite_scalar("shift2", shift2)
+    (y1, x1), (y2, x2) = shift_expansion(q, shift1), shift_expansion(q, shift2)
     y_scale, x_scale = y1 * y2, x1 * x2
     if max(y_scale, x_scale) == math.inf:
         raise RangeOverflow("compose_shifts", q, f"shift1={shift1!r}, shift2={shift2!r}")

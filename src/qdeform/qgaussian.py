@@ -36,8 +36,8 @@ import numpy as np
 
 from . import _EXPORTS
 from ._array import _check_finite, _q_exp_array
-from .core import (_check_all, _check_positive, _finite_or_overflow, check_index, q_exp,
-                   q_exp_bracket, q_log)
+from .core import (_check_all, _check_finite_scalar, _check_positive, _finite_or_overflow,
+                   check_index, q_exp, q_exp_bracket, q_log)
 from .errors import DomainViolation, RangeOverflow, UnnormalizableModel
 from .tables import FigureTable, _scaled_family
 
@@ -53,16 +53,17 @@ def beta_from(q: float, ode_coeff: float, log_offset: float) -> float:
 
     Positive whenever ode_coeff < 0 and the offset bracket is positive;
     raises :class:`NonPositiveArgument` naming -ode_coeff when ode_coeff is
-    not a negative finite real, :class:`DomainViolation` when the bracket
-    fails, and :class:`~qdeform.errors.RangeOverflow` when a bracket near 0
-    carries the width past the largest double, or when twice the bracket,
-    or the reciprocal width 2 * bracket / -ode_coeff, passes it, where the
-    width would read 0.
+    not a negative finite real, :class:`ValueError` naming a non-finite
+    log_offset, :class:`DomainViolation` when the bracket fails, and
+    :class:`~qdeform.errors.RangeOverflow` when a bracket near 0 carries the
+    width past the largest double, or when twice the bracket, or the
+    reciprocal width 2 * bracket / -ode_coeff, passes it, where the width
+    would read 0.
     """
     q = check_index(q)
     ode_coeff = -_check_positive("-ode_coeff", -float(ode_coeff))
-    log_offset = float(log_offset)
-    if not (w := q_exp_bracket(q, log_offset)) > 0.0:  # also a nan log_offset
+    log_offset = _check_finite_scalar("log_offset", log_offset)
+    if not (w := q_exp_bracket(q, log_offset)) > 0.0:
         raise DomainViolation("offset bracket 1 + (1-q)*log_offset", w)
     if 2.0 * w == math.inf:  # the width would read 0
         raise RangeOverflow("2 * (1 + (1-q)*log_offset)", q, f"log_offset={log_offset!r}")
@@ -171,14 +172,13 @@ def q_gaussian_pdf(model: QGaussianModel, e: float) -> float:
     (past the cutoff, or below the smallest double); above q = 1 it is the
     power-law tail ((q-1) beta e**2)**(-1/(q-1)) / norm, taken in logs, as
     the 1 of the bracket is below rounding there.  It is still a nonzero
-    double from about q = 1.96 on.
+    double from about q = 1.96 on.  A non-finite e raises :class:`ValueError`.
     """
     e = float(e)
     try:
         return q_exp(model.q, -model.beta * e * e, cutoff=True) / model.norm
-    except ValueError:  # -beta * e**2 = -inf, or e itself not finite
-        if not math.isfinite(e):
-            raise
+    except ValueError:  # -beta * e**2 = -inf, or e itself not finite (named here)
+        _check_finite_scalar("e", e)
     q = model.q
     if q <= 1.0:
         return 0.0
@@ -197,9 +197,7 @@ def _deviations(model: QGaussianModel, samples, theta):
     if theta is None:  # finite samples whose sum may pass the largest double
         theta = _finite_or_overflow("sample mean", model.q, lambda: f"{xs.size} samples",
                                     lambda: math.fsum(xs.tolist()) / xs.size)
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    theta = _check_finite_scalar("theta", theta)
     # a deviation past the largest double lies outside any compact support,
     # and from q = 1 on it overflows the sum of squares, which names it
     with np.errstate(over="ignore"):
@@ -258,15 +256,16 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
     of scale = exp_q(log_offset).  f is computed from its raw form, so its
     rescaled ordinates f(e)/scale are a measurement to compare with the
     scale-free reference exp_q(-gamma * grid**2); both scales are kept in
-    the metadata.  A non-finite grid point raises :class:`ValueError` naming it,
-    and a bracket 1 + (1-q)*log_offset past the largest double
-    :class:`OverflowError` naming q and log_offset.
+    the metadata.  A non-finite log_offset or grid point raises
+    :class:`ValueError` naming it, and a bracket 1 + (1-q)*log_offset past
+    the largest double :class:`OverflowError` naming q and log_offset.
     """
     q = check_index(q)
     gamma = _check_positive("gamma", gamma)
-    scale = _check_positive("scale", q_exp(q, float(log_offset)))
-    if (bracket := q_exp_bracket(q, float(log_offset))) == math.inf:
-        raise RangeOverflow("bracket 1 + (1-q)*log_offset", q, f"log_offset={float(log_offset)!r}")
+    log_offset = _check_finite_scalar("log_offset", log_offset)
+    scale = _check_positive("scale", q_exp(q, log_offset))
+    if (bracket := q_exp_bracket(q, log_offset)) == math.inf:
+        raise RangeOverflow("bracket 1 + (1-q)*log_offset", q, f"log_offset={log_offset!r}")
     x_scale = math.sqrt(bracket)
     # a copy: the table marks it read-only
     grid = _check_finite("grid", np.array(grid, dtype=float))
@@ -275,14 +274,14 @@ def frequency_rescale(q: float, gamma: float, log_offset: float, grid) -> Figure
         # a non-finite argument of the finite grid passed the largest double
         _check_all(np.isfinite(argument), lambda i: RangeOverflow(
             "frequency argument", q, f"grid[{i}]={float(grid[i])!r}, gamma={gamma!r}, "
-            f"log_offset={float(log_offset)!r}"))
+            f"log_offset={log_offset!r}"))
         return _q_exp_array(q, argument)
 
     with np.errstate(over="ignore"):
         e_raw = grid * x_scale
         f_raw = q_exp_of(-gamma * e_raw * e_raw + log_offset)
         reference = q_exp_of(-gamma * grid * grid)
-    meta = {"q": q, "gamma": gamma, "log_offset": float(log_offset),
+    meta = {"q": q, "gamma": gamma, "log_offset": log_offset,
             "scale": scale, "x_scale": x_scale}
     return FigureTable(("e_raw", "f_raw", "e_rescaled", "f_rescaled", "reference"),
                        ((e_raw, f_raw, grid, f_raw / scale, reference),), meta)

@@ -13,7 +13,7 @@ import gc
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,12 +35,12 @@ def _read_only(values) -> np.ndarray:
 
 class _Rows(Sequence):
     """The row tuples of a list of blocks.  ``len`` reads the block lengths;
-    the tuples are built on first item access or iteration and kept.  Each
-    distinct array is converted once, so rows that share an array share its
-    floats.  The cyclic collector is paused while the tuples are built, and
-    the caller's setting restored: a tuple of numbers can be in no cycle,
-    yet building 3e5 of them would start several hundred collector passes,
-    about half the build's time."""
+    the tuples are built on first item access or iteration, by
+    ``cli._row_cells`` unformatted, and kept.  Each distinct array is converted
+    once, so rows that share an array share its floats.  The cyclic collector
+    is paused while the tuples are built, and the caller's setting restored: a
+    tuple of numbers can be in no cycle, yet building 3e5 of them would start
+    several hundred collector passes, about half the build's time."""
 
     def __init__(self, blocks, lengths):
         self._blocks, self._lengths, self._rows = blocks, lengths, None
@@ -59,28 +59,14 @@ class _Rows(Sequence):
             enabled = gc.isenabled()
             gc.disable()
             try:
-                # the staging lists die on return: the next pass meets only the rows
-                self._rows = _row_tuples(self._blocks, self._lengths)
+                from .cli import _row_cells  # here: loading tables loads no CLI
+                # a list first (a growing tuple would be re-tracked by the gc at each
+                # resize), and it dies on return: the next pass meets only the rows
+                self._rows = tuple(list(_row_cells(self._blocks)))
             finally:
                 if enabled:
                     gc.enable()
         return self._rows
-
-
-def _row_tuples(blocks, lengths) -> tuple:
-    lists = {}  # id(array) -> array.tolist(); the blocks keep each id alive
-
-    def values(value, n):
-        if not isinstance(value, np.ndarray):
-            return repeat(value, n)
-        if id(value) not in lists:
-            lists[id(value)] = value.tolist()
-        return lists[id(value)]
-
-    rows = []  # a list: a growing tuple would be re-tracked by the gc at each resize
-    for block, n in zip(blocks, lengths):
-        rows += zip(*(values(v, n) for v in block))
-    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +80,9 @@ class FigureTable:
     does not copy them.
 
     - ``column(name)`` is the column over all blocks, read-only;
-    - ``rows`` is the sequence of row tuples, built on first item access or
-      iteration, with the cyclic collector paused (tuples of numbers form
-      no cycle), and kept (its ``len`` builds nothing);
+    - ``rows`` is the sequence of row tuples, built by the CLI writer's block
+      pass on first item access or iteration, with the cyclic collector paused
+      (tuples of numbers form no cycle), and kept (its ``len`` builds nothing);
     - ``curves()`` groups ``rows`` by the ``curve_id`` number of each block.
 
     Two tables are equal when their column names, metadata and every

@@ -1,8 +1,9 @@
 """60-digit references for the deformed logarithm and exponential.
 
 Each function takes doubles or mpmath numbers and returns an mpmath number
-computed at 60 significant digits from the defining formula; arithmetic on
-the result keeps those digits only inside ``mpmath.workdps(60)``.
+(``trajectory`` a list of them) computed at 60 significant digits from the
+defining formula; arithmetic on the result keeps those digits only inside
+``mpmath.workdps(60)``.
 """
 
 import mpmath
@@ -22,3 +23,12 @@ def exp_q(q, x):
     with mpmath.workdps(DIGITS):
         q, x = mpmath.mpf(q), mpmath.mpf(x)
         return mpmath.exp(x) if q == 1 else (1 + (1 - q) * x) ** (1 / (1 - q))
+
+
+def trajectory(q, x0, y0, d, xs):
+    """y0 * exp_q(d * (x - x0) / y0**(1-q)) at each double x of xs: the solution
+    of dy/dx = d * y**q through (x0, y0)."""
+    with mpmath.workdps(DIGITS):
+        q, x0, y0 = mpmath.mpf(q), mpmath.mpf(x0), mpmath.mpf(y0)
+        b0 = y0 ** (1 - q)
+        return [y0 * exp_q(q, d * (mpmath.mpf(x) - x0) / b0) for x in xs]

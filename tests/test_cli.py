@@ -317,19 +317,33 @@ def test_verify_all_matches_saved_report(seed, capsys):
 
 
 def test_csv_text_writes_what_csv_writer_writes():
-    # the writer of rows it replaced: csv.writer over the _fmt cells of each row
-    from qdeform.cli import _csv_text, _fmt
+    # the writer of rows it replaced: csv.writer over the formatted cells of each row
+    from qdeform.cli import _csv_text, _row_cells
+
+    def fmt(v):
+        return repr(float(v)) if isinstance(v, float) else str(v)
 
     shared = (0.1, 2.5e-308, -3.0)
     blocks = [(0, "a,b", shared, [1, True, 'say "hi"'], 1.5),
               (1, "plain", shared, ("x", None, 7.0), float("1e300"))]
+    rows = [row for block in blocks
+            for row in zip(*(v if isinstance(v, (tuple, list)) else [v] * 3 for v in block))]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "label", "value", "mixed", "scale"])
-    for block in blocks:
-        for row in zip(*(v if isinstance(v, (tuple, list)) else [v] * 3 for v in block)):
-            writer.writerow([_fmt(v) for v in row])
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
     assert _csv_text(("id", "label", "value", "mixed", "scale"), blocks) == buffer.getvalue()
+    # with no formatter, the pass yields the values themselves
+    unformatted = list(_row_cells(blocks))
+    assert unformatted == rows
+    assert all(a[2] is b[2] is v for a, b, v in zip(unformatted[:3], unformatted[3:], shared))
+    # an array shared by two blocks is converted once: both give the same floats
+    array = np.array(shared)
+    unformatted = list(_row_cells([(0, array), (1, array)]))
+    assert unformatted == [(0, 0.1), (0, 2.5e-308), (0, -3.0), (1, 0.1), (1, 2.5e-308), (1, -3.0)]
+    assert all(type(v) is float for _, v in unformatted)
+    assert all(a[1] is b[1] for a, b in zip(unformatted[:3], unformatted[3:]))
 
 
 def test_json_table_text_writes_what_json_dumps_writes():

@@ -22,6 +22,7 @@ from qdeform import (
     integrate_ode,
     q_exp,
     q_exp_bracket,
+    q_gaussian_pdf,
     q_log,
     q_log_factorial,
     q_log_multinomial,
@@ -439,8 +440,8 @@ NOT_A = "could not convert string to float: 'a'"
      "argument must be finite, got nan"),
     (shift_expansion, (None, 1.0), TypeError, NOT_NONE),
     (shift_expansion, (NAN, "a"), ValueError, "deformation index must be finite, got nan"),
-    (shift_expansion, (1.5, NAN), ValueError, "argument must be finite, got nan"),
-    (shift_expansion, (1.5, -INF), ValueError, "argument must be finite, got -inf"),
+    (shift_expansion, (1.5, NAN), ValueError, "shift must be finite, got nan"),
+    (shift_expansion, (1.5, -INF), ValueError, "shift must be finite, got -inf"),
     (shift_expansion, (1.5, 4.0), DomainViolation,
      "exp_q argument outside domain: constraint value -1.0 <= 0"),
     (shift_expansion, (1.0, -1000.0), NonPositiveArgument,
@@ -469,6 +470,30 @@ def test_bad_arguments_keep_their_error(fn, args, error, message):
         fn(*args)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    # each was reported as exp_q's argument (for rescale_factor as -inf, a
+    # value never passed), as the offset bracket or as twice it
+    (rescale_factor, (1.3, INF, 1.0), "x0 must be finite, got inf"),
+    (shift_expansion, (1.3, NAN), "shift must be finite, got nan"),
+    (compose_shifts, (1.3, NAN, 0.1), "shift1 must be finite, got nan"),
+    (compose_shifts, (1.3, 0.1, NAN), "shift2 must be finite, got nan"),
+    (frequency_rescale, (1.3, 1.0, NAN, [0.0, 1.0]), "log_offset must be finite, got nan"),
+    # a DomainViolation of the offset bracket, and a RangeOverflow of twice it
+    (beta_from, (1.3, -1.0, NAN), "log_offset must be finite, got nan"),
+    (QGaussianModel, (1.3, -1.0, NAN), "log_offset must be finite, got nan"),
+    (beta_from, (0.5, -1.0, INF), "log_offset must be finite, got inf"),
+    (lambda q, e: q_gaussian_pdf(QGaussianModel(q, -1.0, 0.0), e), (1.3, INF),
+     "e must be finite, got inf"),
+])
+def test_non_finite_argument_is_named(fn, args, message):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match="^deformation index must be finite, got nan$"):
+        fn(NAN, *args[1:])  # q is checked first
 
 
 @pytest.mark.parametrize("fn, args", [

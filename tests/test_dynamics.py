@@ -27,6 +27,8 @@ from qdeform import (
 from qdeform.dynamics import FIG2_GRID, Trajectory
 from qdeform.verify import _rk4
 
+import mp60
+
 # 40-digit evaluations
 QEXP_13_MINUS1 = 0.4170506723141460936064   # (1 + 0.3)**(-1/0.3)
 QLOG_13_10 = 1.662709221242425716661        # (10**-0.3 - 1)/(-0.3)
@@ -213,16 +215,6 @@ class TestWrittenOutStages:
         assert (last.value.index, last.value.constraint) == (1000, 0.0)
 
 
-def _exact_trajectory(q, x0, y0, d, xs):
-    """y0 * exp_q(d * (x - x0) / y0**(1-q)) at each double x, in 60 digits."""
-    with mpmath.workdps(60):
-        q, x0, y0 = mpmath.mpf(q), mpmath.mpf(x0), mpmath.mpf(y0)
-        if q == 1:
-            return [y0 * mpmath.exp(d * (mpmath.mpf(x) - x0)) for x in xs]
-        b0 = y0 ** (1 - q)
-        return [y0 * (1 + (1 - q) * d * (mpmath.mpf(x) - x0) / b0) ** (1 / (1 - q)) for x in xs]
-
-
 def _sweep_rows(count, seed):
     """In-domain calls: q in [-3, 3] (a tenth exactly 1), both directions, y0
     log-uniform in [1e-3, 1e3], 1-40 steps.  At the end the exp_q argument u
@@ -263,7 +255,7 @@ class TestIntegrateODE:
         for q, x0, y0, d, x_end, step in rows:
             traj = integrate_ode(q, x0, y0, d, x_end, step)
             with mpmath.workdps(60):
-                exact = _exact_trajectory(q, x0, y0, d, traj.xs.tolist())
+                exact = mp60.trajectory(q, x0, y0, d, traj.xs.tolist())
                 worst = max(abs(y - e) / e for y, e in zip(traj.ys.tolist(), exact))
             assert worst <= 1e-13, (q, x0, y0, d, x_end, step)
 
@@ -407,7 +399,7 @@ class TestOneSolutionPath:
         (-1.7e308, 0.1, 1, 1.0),
     ])
     def test_range_edge_values_within_1e12_of_60_digits(self, q, scale, d, x):
-        exact = _exact_trajectory(q, 0.0, scale, d, [x])[0]
+        exact = mp60.trajectory(q, 0.0, scale, d, [x])[0]
         values = [analytic_solution(q, scale, d, x)] + (
             [_last_point(q, scale, d, x)] if x != 0.0 else [])
         for value in values:
@@ -431,7 +423,7 @@ class TestOneSolutionPath:
         q, x0, y0, d, x_end, _ = args
         traj = integrate_ode(*args)
         assert traj.xs[-1] == x_end
-        exact = _exact_trajectory(q, x0, y0, d, traj.xs.tolist())
+        exact = mp60.trajectory(q, x0, y0, d, traj.xs.tolist())
         for y, e in zip(traj.ys.tolist(), exact):
             assert y > 0.0
             if e >= sys.float_info.min:
@@ -474,7 +466,7 @@ class TestOneSolutionPath:
                 bracket = 1 + (1 - mq) * d * x / mpmath.mpf(scale) ** (1 - mq)
             if bracket < 2.0 ** -10:
                 continue
-            exact = _exact_trajectory(q, 0.0, scale, d, [x])[0]
+            exact = mp60.trajectory(q, 0.0, scale, d, [x])[0]
             if sys.float_info.min <= exact <= sys.float_info.max:
                 checked += 1
                 for value in (got, ode):

@@ -99,11 +99,6 @@ class TestBetaFrom:
         with pytest.raises(DomainViolation):
             beta_from(1.7, -2.0, 3.0)  # 1 - 0.7*3 < 0
 
-    def test_nan_offset_is_a_bracket_violation(self):
-        # a nan bracket is not positive
-        with pytest.raises(DomainViolation):
-            beta_from(1.7, -2.0, math.nan)
-
     def test_sign_requirement(self):
         with pytest.raises(ValueError):
             beta_from(1.5, 2.0, 0.0)
