@@ -33,7 +33,7 @@ import functools
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 
 from .errors import QDeformError
 
@@ -104,8 +104,9 @@ def _row_cells(blocks, fmt=None):
 
     Each block holds one value per column: a sequence (list, tuple or numpy
     array) with one entry per row, or a single value for every row of the
-    block; it needs at least one sequence.  Each distinct sequence is
-    formatted once and each single value once per block."""
+    block; a block with no sequence raises :class:`ValueError` naming it.
+    Each distinct sequence is formatted once and each single value once per
+    block."""
     formatted = {}  # id(sequence) -> its cells; the blocks keep each id alive
 
     def cells(values):
@@ -114,12 +115,14 @@ def _row_cells(blocks, fmt=None):
             formatted[id(values)] = list(map(fmt, entries)) if fmt else entries
         return formatted[id(values)]
 
-    def block_rows(block):
-        n = len(next(v for v in block if _is_column(v)))
+    def block_rows(b, block):
+        # a StopIteration here would end the chain: the block and all after it dropped
+        if (n := next((len(v) for v in block if _is_column(v)), None)) is None:
+            raise ValueError(f"block {b} needs at least one sequence")
         return zip(*(cells(v) if _is_column(v) else repeat(fmt(v) if fmt else v, n)
                      for v in block))
 
-    return chain.from_iterable(map(block_rows, blocks))
+    return chain.from_iterable(starmap(block_rows, enumerate(blocks)))
 
 
 def _csv_text(columns, blocks) -> str:

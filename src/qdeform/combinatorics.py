@@ -5,8 +5,11 @@ The deformed log-factorial is the sum log_q(n!_q) = sum_k log_q(k).  It is
 computed in constant time and memory as an exact head plus an
 Euler-Maclaurin tail (Abramowitz & Stegun 23.1.30):
 
-* head: ``math.fsum`` of log_q(k) for k <= M = 1024, so n <= M gives the
-  exact compensated sum, faithful to the last bit;
+* head: ``math.fsum`` of log_q(k) for k <= M = 64, so n <= M gives the
+  exact compensated sum, faithful to the last bit.  Below q = -M/3 the
+  head is 3|q| terms long: there the B8 truncation of the tail just past
+  M = 64 reads 2.9e-10 at q = -50, and 3|q| terms keep it below the tail's
+  conditioning (2.2e-12 at q = -50, 6.0e-12 at q = -70, up to n = 3000);
 * tail from M to n: the integral, written in the q-log form
 
       int_a^b log_q x dx = (b - a) log_q b + a**(2-q) (log_q t - log_{q-1} t),
@@ -17,17 +20,32 @@ Euler-Maclaurin tail (Abramowitz & Stegun 23.1.30):
   B2..B8 terms with f^(2j-1)(x) = prod_{i<2j-2} (-(q+i)) * x**(-q-2j+2).
   The tail's terms are added to the head in one ``fsum``.
 
-Against 40-digit closed forms of the sum, over 169 indices in [-3, 6]
-(q = 1 +/- 1e-9 and 2 +/- 1e-9 included) and 25 n from 1025 to 1e7, the
-worst relative error measured is 6.4e-14, at q = -2.78 and n = 2.2e6 where
-n**(2-q) is ill-conditioned; below 1e-15 near q = 1 and q = 2.  A result
-past the largest double raises the named overflow.
+Against 60-digit references (``tests/mp60.py``: the exact sum to 2000 and a
+12-term Euler-Maclaurin tail past it), over 213 indices in [-3, 6] (169 on
+a grid, 40 drawn, and q = 1 +/- 1e-9 and 2 +/- 1e-9), the worst relative
+error measured is 2.6e-14 for n in (64, 1024] (138 n, steps of 7; at
+q = -2.95, n = 898) and 6.0e-14 for 25 n from 1025 to 1e7 (at q = -2.73,
+n = 2.2e6), where n**(2-q) is ill-conditioned.  The bound of 6.4e-14 stops
+at n = 1e7: from 1e7 to 1e12 the worst measured is 1.0e-13 (at q = -2.95,
+n = 1e9), growing with ln n at q < -2.  Near q = 1 and q = 2, and at both,
+it is below 4.5e-16 up to n = 1e12.  A result past the largest double
+raises the named overflow.
 
 The sum's large-n behaviour is captured by the two-branch asymptotic formula
-(``q_stirling``).  The deformed log-multinomial is the same head and tail
-summed from the largest count + 1 to the total, less the other counts'
-factorials.  For large counts the log-multinomial is equivalent to
-Tsallis entropy of the count fractions:
+(``q_stirling``).  The deformed log-multinomial subtracts no factorial.  With
+the counts in descending order, each count c_i after the first adds the block
+
+    sum_{j<=c_i} log_q(A_i + j) - log_q(j) = sum_{j<=c_i} j**(1-q) log_q(1 + A_i/j),
+
+A_i the sum of the counts before it: the q-log of a ratio, a positive term
+that does not saturate as log_q k does for q > 1.  Each block is the same
+exact head and Euler-Maclaurin tail, on the integral of log_q from A_i + M
+to A_i + c_i less that from M to c_i, with the bounds' terms in the ratio
+form.  Against 60-digit references, over 134 drawn cases (q in [-3, 6],
+two and three counts log-uniform up to 1e12), the worst relative error
+measured is 2.9e-15; subtracting the factorials read up to 3.5e-7 there.
+For large counts the log-multinomial is equivalent to Tsallis entropy of
+the count fractions:
 
     log_q[multinomial] ~ n**(2-q)/(2-q) * S_{2-q}(n_1/n, ..., n_k/n)   (q != 2)
     log_2[multinomial] ~ -log(n) + sum_i log(n_i)                      (q = 2)
@@ -53,23 +71,23 @@ the worst relative error measured is 4.4e-16.  The q-exp-side form
 (1 - sum p_i**q)/(q - 1) equals it only when sum p_i = 1 exactly; near
 q = 1 it divides the rounding of that sum by q - 1, and read 4.0e-7 there.
 
-Only the log-factorial's exact head is summed in numpy; the module imports
-it there, so the entropy, ``q_stirling`` and the count checks run on
-``math`` alone.
+Only the exact heads of the log-factorial and of the multinomial's blocks
+are summed in numpy; the module imports it there, so the entropy,
+``q_stirling`` and the count checks run on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from . import _EXPORTS
-from .core import _finite_or_overflow, _lift, check_index, q_log
-from .errors import RangeOverflow
+from .core import _finite_or_overflow, _lift, check_index, q_log, q_log_of_ratio
 
 __all__ = _EXPORTS["combinatorics"]
 
 
-_HEAD = 1024  # terms summed exactly; the rest is the Euler-Maclaurin tail
+_HEAD = 64  # terms summed exactly; the rest is the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)  # B_2j/(2j)!
 _FIRST_ORDER = 2.0 ** -26  # |q r| below which (q r)**2, the first order's error, is below an ulp
 
@@ -120,53 +138,73 @@ def _check_probabilities(p):
     return values, residual
 
 
-def _tail(q: float, a: float, n: float) -> list:
-    """Terms whose sum is sum_{a<k<=n} log_q(k) to double precision, for
+def _tail(q: float, a: float, n: float, offset: float | None = None) -> list:
+    """Terms whose sum is sum_{a<j<=n} f(j) to double precision, for
     integers n > a >= M: the q-log-form integral from a to n, the
-    half-terms and the B2..B8 corrections."""
-    t = n / a
-    terms = [(n - a) * q_log(q, n), a ** (2.0 - q) * (q_log(q, t) - q_log(q - 1.0, t)),
-             0.5 * q_log(q, n), -0.5 * q_log(q, a)]
-    # f'(x) = x**-q; two more derivatives multiply by (q+i)(q+i+1)/x**2
-    for x, sign in ((n, 1.0), (a, -1.0)):
-        d = x ** -q
-        for j, coeff in enumerate(_BERNOULLI):
-            if j:
-                d = d * (q + 2 * j - 2) * (q + 2 * j - 1) / (x * x)
-            terms.append(sign * coeff * d)
+    half-terms and the B2..B8 corrections.  f(j) is log_q(j) or, given an
+    offset A, the block term log_q(A + j) - log_q(j) = j**(1-q) log_q(1 + A/j),
+    taken at the bounds in that form and integrated as log_q from A + a to
+    A + n less log_q from a to n."""
+    if offset is None:
+        f_n, f_a, spans = q_log(q, n), q_log(q, a), ((a, n, 1.0),)
+    else:
+        f_n = n ** (1.0 - q) * q_log_of_ratio(q, offset + n, n)
+        f_a = a ** (1.0 - q) * q_log_of_ratio(q, offset + a, a)
+        spans = ((offset + a, offset + n, 1.0), (a, n, -1.0))
+    terms = [(n - a) * f_n, 0.5 * f_n, -0.5 * f_a]
+    for lo, hi, sign in spans:
+        t = hi / lo
+        terms.append(sign * lo ** (2.0 - q) * (q_log(q, t) - q_log(q - 1.0, t)))
+        # f'(x) = x**-q; two more derivatives multiply by (q+i)(q+i+1)/x**2
+        for x, side in ((hi, sign), (lo, -sign)):
+            d = x ** -q
+            for j, coeff in enumerate(_BERNOULLI):
+                if j:
+                    d = d * (q + 2 * j - 2) * (q + 2 * j - 1) / (x * x)
+                terms.append(side * coeff * d)
     return terms
 
 
-def _log_q_range(q: float, lo: int, n: int) -> float:
-    """sum of log_q(k) for lo < k <= n: the exact ``fsum`` of the first
-    (at most M) terms plus, past lo + M, the Euler-Maclaurin tail.  A result
-    past the largest double, or a bound that is not a double, raises
-    :class:`~qdeform.errors.RangeOverflow` naming q and n."""
+def _log_q_sum(q: float, n: int, offset: int | None = None) -> float:
+    """sum of f(j) for j = 1..n, f as in :func:`_tail`: the exact ``fsum``
+    of the first M terms (3|q| below q = -M/3) plus the Euler-Maclaurin tail
+    past them; inf or nan where a term or the sum passes the largest double,
+    or a bound is not a double."""
     import numpy as np
 
     from ._array import _q_log_array
 
-    top = min(n, lo + _HEAD)
+    # below q = -M/3 the tail's B2..B8 terms need 3|q| exact terms before them
+    # (at most 1024, reached at q = -341, where log_q(9) passes the largest double)
+    top = min(n, max(_HEAD, min(int(-3.0 * q), 1024)))
+    j = np.arange(1.0, top + 1.0)
     try:
-        head = math.fsum(_q_log_array(q, np.arange(lo + 1, top + 1, dtype=float)).tolist())
-        value = head if n == top else math.fsum([head, *_tail(q, float(top), float(n))])
+        if offset is None:
+            head = _q_log_array(q, j)
+        else:
+            offset = float(offset)
+            with np.errstate(all="ignore"):  # a power past the largest double is inf
+                head = j ** (1.0 - q) * _q_log_array(q, (offset + j) / j)
+        terms = head.tolist()
+        if n > top:
+            terms += _tail(q, float(top), float(n), offset)
+        return math.fsum(terms)
     except (OverflowError, ValueError):  # a term past the largest double, or inf - inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise RangeOverflow("log_q_factorial", q, f"n={n!r}")
-    return value
+        return math.inf
 
 
 def q_log_factorial(q: float, n: int) -> float:
     """log_q(n!_q) = sum of log_q(k) for k = 1..n, in constant time.
 
-    The exact ``fsum`` of the first M = 1024 terms (so n <= M is the exact
-    compensated sum) plus, for n > M, the Euler-Maclaurin tail of the
-    module docstring, within 6.4e-14 relative error.  A result past the
-    largest double, or an n that is not a double, raises
+    The exact ``fsum`` of the first M = 64 terms (3|q| below q = -M/3), so
+    that n <= M is the exact compensated sum, plus the Euler-Maclaurin tail
+    of the module docstring past them, within 6.4e-14 relative error for
+    n <= 1e7 and q in [-3, 6], and 1.0e-13 measured up to n = 1e12.  A
+    result past the largest double, or an n that is not a double, raises
     :class:`~qdeform.errors.RangeOverflow` naming q and n.
     """
-    return _log_q_range(check_index(q), 0, _check_count("n", n))
+    q, n = check_index(q), _check_count("n", n)
+    return _finite_or_overflow("log_q_factorial", q, lambda: f"n={n!r}", lambda: _log_q_sum(q, n))
 
 
 def q_stirling(q: float, n: int) -> float:
@@ -193,14 +231,19 @@ def q_stirling(q: float, n: int) -> float:
 
 
 def q_log_multinomial(q: float, counts) -> float:
-    """log_q of the deformed multinomial, no asymptotics: the sum of
-    log_q(k) from the largest count + 1 to the total, less the other
-    counts' :func:`q_log_factorial`.  The largest block's factorial is never
-    formed, so a total that the largest count nearly fills does not cancel."""
+    """log_q of the deformed multinomial, no asymptotics: with the counts in
+    descending order and A_i the sum of those before count c_i, the sum over
+    i >= 2 of the blocks sum_{j<=c_i} log_q(A_i + j) - log_q(j), each term
+    taken as j**(1-q) log_q(1 + A_i/j).  Every term is positive, so no
+    factorial is subtracted and nothing cancels, and the largest block's
+    factorial is never formed.  A result past the largest double, or a total
+    that is not a double, raises :class:`~qdeform.errors.RangeOverflow`
+    naming q and the total."""
     q = check_index(q)
-    values = sorted(_check_counts(counts))
-    return (_log_q_range(q, values[-1], sum(values))
-            - math.fsum(q_log_factorial(q, c) for c in values[:-1]))
+    values = sorted(_check_counts(counts), reverse=True)
+    total = sum(values)
+    return _finite_or_overflow("log_q_factorial", q, lambda: f"n={total!r}", lambda: math.fsum(
+        [_log_q_sum(q, c, offset) for c, offset in zip(values[1:], accumulate(values))]))
 
 
 def tsallis_entropy(q: float, p) -> float:

@@ -167,7 +167,7 @@ def q_exp(q: float, x: float, cutoff: bool = False) -> float:
         raise DomainViolation("exp_q argument outside domain", 1.0 + d)
     try:
         value = math.exp(x) if q == 1.0 else _drop(q, d)
-        if 0.0 < value < math.inf or d < math.inf:  # 0.0 where exp_q underflows
+        if d < math.inf:  # 0.0 where exp_q underflows
             return value
         # (1-q)*x passed the largest double: log1p of it from ln|1-q| + ln|x|
         return math.exp(_log1p_past(d, math.log(abs(1.0 - q)) + math.log(abs(x))) / (1.0 - q))

@@ -99,7 +99,8 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
     ln y = ln scale + log1p(L)/(1-q), L the bracket less 1, where scale**(1-q),
     exp_q's factor or y is not a normal double.  A bracket at or below 0 raises
     :class:`DomainViolation`, y past the largest double :class:`OverflowError`,
-    and y that rounds to 0 :class:`NonPositiveArgument`, naming q, scale and x.
+    and y that rounds to 0 :class:`NonPositiveArgument`, naming q, scale and x;
+    a non-finite x raises :class:`ValueError` naming x.
     :func:`integrate_ode` is its array form: the scale y0 at x - x0."""
     if not math.isfinite(q := float(q)):
         raise _index_error(q)
@@ -114,8 +115,7 @@ def analytic_solution(q: float, scale: float, direction, x: float) -> float:
             return value
     except (OverflowError, ValueError):  # scale**(1-q) or exp_q's factor past the largest
         pass  # double, or exp_q's argument not finite or out of its domain: the logs decide
-    if not math.isfinite(x):  # named as exp_q's argument, of the sign of d * x
-        raise ValueError(f"argument must be finite, got {d * x!r}")
+    _check_finite_scalar("x", x)  # a non-finite x never takes the fast path
     if q == 1.0:
         ln_factor = d * x
     elif x == 0.0 or (1.0 - q) * (ln_s := math.log(s)) > 1418.0:  # y = s: |L/(1-q)| < e**-708

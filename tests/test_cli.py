@@ -272,7 +272,9 @@ def test_canonicalize_and_verify_match_saved_text(name, argv, capsys):
 #   where it checked it against q_exp(q_log_sum);
 # - sequential_shift_composition, split_probability_invariance and
 #   split_canonical_form read each shift's x-scale as its bracket
-#   1 + (1-q)c, where they read the rounded exp_q(c) to the power 1-q
+#   1 + (1-q)c, where they read the rounded exp_q(c) to the power 1-q;
+# - log_factorial_tail took n = 1025, past the 1024-term exact head, and
+#   now draws n past the 64-term head, in (64, 1024]
 _CHANGED_CASES = {
     0: {"identities/classical_limit_continuity":
             ((1e-4, 1.2500119791613322e-05), (1e-7, 1.1979182783247168e-10)),
@@ -280,7 +282,9 @@ _CHANGED_CASES = {
         "identities/scale_drift_product":
             ((1e-10, 2.660977441258502e-15), (1e-10, 1.466409195894169e-14)),
         "identities/fold_vs_qlog_sum":
-            ((1e-12, 9.34509354488954e-15), (1e-12, 8.799452804539434e-15))},
+            ((1e-12, 9.34509354488954e-15), (1e-12, 8.799452804539434e-15)),
+        "stirling/log_factorial_tail":
+            ((1e-12, 2.6635602311124558e-15), (1e-12, 6.510091180191244e-16))},
     2: {"identities/classical_limit_continuity":
             ((1e-4, 1.2500119791613322e-05), (1e-7, 1.1979182783247168e-10)),
         "identities/q_log_of_ratio": ((1e-12, 2.290366214846693e-14), (1e-12, 0.0)),
@@ -293,7 +297,9 @@ _CHANGED_CASES = {
         "canonical/split_probability_invariance":
             ((1e-12, 6.661338147750939e-16), (1e-12, 8.326672684688674e-16)),
         "canonical/split_canonical_form":
-            ((1e-12, 1.9410522000471856e-15), (1e-12, 2.1729965060854366e-15))},
+            ((1e-12, 1.9410522000471856e-15), (1e-12, 2.1729965060854366e-15)),
+        "stirling/log_factorial_tail":
+            ((1e-12, 2.6635602311124558e-15), (1e-12, 6.510091180191244e-16))},
 }
 
 
@@ -314,6 +320,14 @@ def test_verify_all_matches_saved_report(seed, capsys):
     assert report == saved
     assert rows == [{name: then for name, (then, _) in changed.items()},
                     {name: now for name, (_, now) in changed.items()}]
+
+
+# a block with no sequence once ended the pass: it and every later block were dropped
+def test_block_without_a_sequence_is_named():
+    from qdeform.cli import _csv_text
+
+    with pytest.raises(ValueError, match="block 1 needs at least one sequence"):
+        _csv_text(("a", "b"), [(0, [1.0, 2.0]), (1, 2.0), (2, [3.0])])
 
 
 def test_csv_text_writes_what_csv_writer_writes():

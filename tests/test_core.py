@@ -425,19 +425,18 @@ NOT_A = "could not convert string to float: 'a'"
     (analytic_solution, (1.5, INF, -1, 0.0), NonPositiveArgument,
      "scale must be a positive finite real, got inf"),
     (analytic_solution, (1.5, "a", 1, NAN), ValueError, NOT_A),
-    (analytic_solution, (1.5, 2.0, 1, NAN), ValueError, "argument must be finite, got nan"),
-    (analytic_solution, (1.5, 2.0, -1, INF), ValueError, "argument must be finite, got -inf"),
+    (analytic_solution, (1.5, 2.0, 1, NAN), ValueError, "x must be finite, got nan"),
+    (analytic_solution, (1.5, 2.0, -1, INF), ValueError, "x must be finite, got inf"),
     (analytic_solution, (1.5, 2.0, 1, None), TypeError, NOT_NONE),
     (analytic_solution, (1.5, 1.0, 1, 3.0), DomainViolation,
      "exp_q argument outside domain: constraint value -0.5 <= 0"),
     # scale**(1-q) underflowed to 0 is no error of its own: x is named
-    (analytic_solution, (1001.0, 1e300, 1, NAN), ValueError, "argument must be finite, got nan"),
+    (analytic_solution, (1001.0, 1e300, 1, NAN), ValueError, "x must be finite, got nan"),
     # scale**(1-q) past the largest double: the bracket less 1 is formed in
     # logs, and a non-finite x is named itself
     (analytic_solution, (-0.001, 1.79e308, -1, -1.79e308), RangeOverflow,
      "analytic_solution at q=-0.001 overflows a double (scale=1.79e+308, x=-1.79e+308)"),
-    (analytic_solution, (-1000.0, 1e300, 1, NAN), ValueError,
-     "argument must be finite, got nan"),
+    (analytic_solution, (-1000.0, 1e300, 1, NAN), ValueError, "x must be finite, got nan"),
     (shift_expansion, (None, 1.0), TypeError, NOT_NONE),
     (shift_expansion, (NAN, "a"), ValueError, "deformation index must be finite, got nan"),
     (shift_expansion, (1.5, NAN), ValueError, "shift must be finite, got nan"),

@@ -156,7 +156,7 @@ OVERFLOW_HANDLERS = {
     "dynamics.analytic_solution": _HOT,
     "combinatorics._check_count": "a count check: int() of inf or nan, with ValueError",
     "combinatorics._check_probabilities": "a probability check: the entries' fsum less 1",
-    "combinatorics._log_q_range": "an fsum check that also catches ValueError (inf - inf)",
+    "combinatorics._log_q_sum": "an fsum check that also catches ValueError (inf - inf)",
     "qgaussian.mlp_stationarity": "an fsum check of two results that also catches ValueError",
     "cli._cmd_eval": "names the command-line flags that gave a result past the largest double",
     "cli.main": "turns any input error, an overflow among them, into the one exit-1 line",

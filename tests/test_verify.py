@@ -1,5 +1,6 @@
 """Report plumbing, samplers and quadrature of the seeded verification suites."""
 
+import math
 import warnings
 from collections import Counter
 
@@ -267,14 +268,15 @@ def test_split_cases_fail_on_a_wrong_probability(monkeypatch):
 
 def test_tail_case_fails_on_a_wrong_tail(monkeypatch):
     exact = combinatorics.q_log_factorial
+    # a tail wrong only just past the exact head, or only far past it
+    for lo, hi in ((combinatorics._HEAD, 1024), (1024, math.inf)):
+        def perturbed(q, n, lo=lo, hi=hi):
+            value = exact(q, n)
+            return value * (1.0 + 1e-11) if lo < n <= hi else value
 
-    def perturbed(q, n):
-        value = exact(q, n)
-        return value * (1.0 + 1e-11) if n > 1024 else value
-
-    monkeypatch.setattr(combinatorics, "q_log_factorial", perturbed)
-    failed = {c.name for c in run_suite("stirling", seed=0).cases if not c.passed}
-    assert failed == {"log_factorial_tail"}
+        monkeypatch.setattr(combinatorics, "q_log_factorial", perturbed)
+        failed = {c.name for c in run_suite("stirling", seed=0).cases if not c.passed}
+        assert failed == {"log_factorial_tail"}, (lo, hi)
 
 
 def test_entropy_limit_case_fails_on_the_flipped_deformation(monkeypatch):
