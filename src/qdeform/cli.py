@@ -271,11 +271,15 @@ def _cmd_fig(args) -> int:
     if not math.isfinite(hi - lo):
         raise _CliInputError(f"--grid-max minus --grid-min must be a finite double, "
                              f"got {hi - lo!r}")
-    table = build(scales, q, np.linspace(lo, hi, points))
-    if args.format == "csv":
-        text = _csv_text(table.columns, table.blocks)
-    else:
-        text = _json_table_text(table.columns, table.blocks, table.meta)
+    try:
+        table = build(scales, q, np.linspace(lo, hi, points))
+        if args.format == "csv":
+            text = _csv_text(table.columns, table.blocks)
+        else:
+            text = _json_table_text(table.columns, table.blocks, table.meta)
+    except MemoryError:  # numpy's _ArrayMemoryError among them
+        raise _CliInputError(f"--grid-points {points}: the table does not fit "
+                             f"in memory") from None
     _emit(text, args.out)
     return EXIT_OK
 

@@ -4,13 +4,14 @@ Each suite draws its inputs from ``numpy.random.default_rng(seed)`` (PCG64;
 the seed is recorded in the report) so a report is reproducible
 byte-for-byte.
 
-A suite is a generator: per case it yields the name, the tolerance and the
-errors, one number the case measured or an iterable streaming its per-row
-errors.  One reducer makes them ``max_rel_err``, their maximum, read to the
-last so that later cases draw what they always drew; a NaN is the worst
-error and fails the case.  Trend and ordering checks yield a violation
-count with tolerance 0.5 (zero violations pass), each comparison written
-as the negation of the order it requires, so that a NaN step counts.
+A case is data: its name, its tolerance, its rows and a ``check`` giving
+a row's error or a tuple of them (a case measured once has one row of its
+errors).  One runner checks every row and reduces the errors to
+``max_rel_err``, their maximum, each case's before the next one's rows are
+drawn; a NaN is the worst error and fails the case.  Trend and ordering
+checks measure a violation count with tolerance 0.5 (zero violations
+pass), each comparison written as the negation of the order it requires,
+so that a NaN step counts.
 
 A randomized case draws all of its rows up front with array Generator calls
 and checks each row through the public scalar functions the CLI serves.
@@ -35,8 +36,10 @@ vector to measure the one affine form instead of rebuilding it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,27 +91,40 @@ class SuiteReport:
         }
 
 
-def _max_error(errors) -> float:
-    """A case's ``max_rel_err``: the largest of its errors, one number or an
-    iterable of them, each read once; a NaN is kept as the worst."""
-    if not hasattr(errors, "__iter__"):
-        errors = (errors,)
-    largest = 0.0
-    for err in errors:
-        # a NaN fails every comparison: it is taken, and then kept
-        if not err <= largest and largest == largest:
-            largest = err
-    return float(largest)
+class _Case(NamedTuple):
+    name: str
+    tolerance: float
+    check: Callable  # a row's error, or a tuple of its errors
+    rows: Iterable   # the argument tuples of check
+
+
+def _measured(name: str, tolerance: float, *errors) -> _Case:
+    """A case measured once: its one row holds its errors."""
+    return _Case(name, tolerance, lambda *row: row, (errors,))
+
+
+def _rows(*columns):
+    """Rows of Python numbers, one per entry of each numpy column."""
+    return zip(*(column.tolist() for column in columns))
 
 
 def _run_cases(suite, seed: int) -> tuple:
-    """The CaseResult of every case the suite generator yields, each case's
-    errors reduced before the suite is resumed to draw the next one's rows."""
+    """The CaseResult of every case the suite yields.  Each case's rows are
+    checked before the suite is resumed to draw the next one's; every error
+    is read, and a NaN is kept as the worst."""
     results = []
-    for name, tol, errors in suite(np.random.default_rng(seed)):
-        err = _max_error(errors)
-        results.append(CaseResult(name=name, max_rel_err=err, tolerance=float(tol),
-                                  passed=err < tol))
+    for name, tol, check, rows in suite(np.random.default_rng(seed)):
+        largest = 0.0
+        for row in rows:
+            errors = check(*row)
+            for err in errors if type(errors) is tuple else (errors,):
+                # a NaN fails every comparison: it is taken, and then kept
+                if not err <= largest and largest == largest:
+                    largest = err
+        largest = float(largest)
+        results.append(CaseResult(name=name, max_rel_err=largest, tolerance=float(tol),
+                                  passed=largest < tol))
+        del rows  # this case's rows go before the suite draws the next one's
     return tuple(results)
 
 
@@ -165,120 +181,109 @@ def _sample_rows(n: int, draw, accept) -> list:
 
 
 def _identities(rng):
-    def round_trips():
-        q = _draw_indices(rng, _SAMPLES)
-        x = _draw_exp_args(rng, q)
-        y = _draw_positives(rng, _SAMPLES, 0.05, 20.0)
-        for qi, xi, yi in zip(q.tolist(), x.tolist(), y.tolist()):
-            yield abs(q_log(qi, q_exp(qi, xi)) - xi) / max(1.0, abs(xi))
-            yield abs(q_exp(qi, q_log(qi, yi)) - yi) / yi
-    yield "round_trip", 1e-12, round_trips()
+    def round_trip(q, x, y):
+        return (abs(q_log(q, q_exp(q, x)) - x) / max(1.0, abs(x)),
+                abs(q_exp(q, q_log(q, y)) - y) / y)
+    q = _draw_indices(rng, _SAMPLES)
+    x = _draw_exp_args(rng, q)
+    yield _Case("round_trip", 1e-12, round_trip,
+                _rows(q, x, _draw_positives(rng, _SAMPLES, 0.05, 20.0)))
 
-    def exp_laws():
-        q = _draw_indices(rng, _SAMPLES)
-        x1, x2 = _sample_rows(_SAMPLES, lambda k: rng.uniform(-2.0, 2.0, size=(2, k)),
-                              lambda x1, x2: _in_margin(q, x1, x2, x1 + x2))
-        for qi, x1i, x2i in zip(q.tolist(), x1.tolist(), x2.tolist()):
-            lhs = q_exp(qi, x1i + x2i)
-            rhs = algebra.q_product(qi, q_exp(qi, x1i), q_exp(qi, x2i))
-            yield abs(lhs - rhs) / lhs
-    yield "q_exp_law", 1e-12, exp_laws()
+    def exp_law(q, x1, x2):
+        lhs = q_exp(q, x1 + x2)
+        return abs(lhs - algebra.q_product(q, q_exp(q, x1), q_exp(q, x2))) / lhs
+    q = _draw_indices(rng, _SAMPLES)
+    x1, x2 = _sample_rows(_SAMPLES, lambda k: rng.uniform(-2.0, 2.0, size=(2, k)),
+                          lambda x1, x2: _in_margin(q, x1, x2, x1 + x2))
+    yield _Case("q_exp_law", 1e-12, exp_law, _rows(q, x1, x2))
 
-    def associativity():
-        def products_in_margin(x, y, z):
-            # brackets of x*y, y*z, and of (x*y)*z and x*(y*z): log_q is
-            # additive over q-products, so a bracket is 1 plus its factors' lifts
-            tx, ty, tz = (_lift_array(q, v) for v in (x, y, z))
-            lowest = np.minimum(np.minimum(tx, tz) + ty, tx + ty + tz)
-            return lowest > _BRACKET_MARGIN - 1.0
+    def products_in_margin(x, y, z):
+        # brackets of x*y, y*z, and of (x*y)*z and x*(y*z): log_q is
+        # additive over q-products, so a bracket is 1 plus its factors' lifts
+        tx, ty, tz = (_lift_array(q, v) for v in (x, y, z))
+        lowest = np.minimum(np.minimum(tx, tz) + ty, tx + ty + tz)
+        return lowest > _BRACKET_MARGIN - 1.0
 
-        q = _draw_indices(rng, _SAMPLES)
-        x, y, z = _sample_rows(_SAMPLES, lambda k: _draw_positives(rng, (3, k)),
-                               products_in_margin)
-        for qi, xi, yi, zi in zip(q.tolist(), x.tolist(), y.tolist(), z.tolist()):
-            left = algebra.q_product(qi, algebra.q_product(qi, xi, yi), zi)
-            right = algebra.q_product(qi, xi, algebra.q_product(qi, yi, zi))
-            yield abs(left - right) / max(left, right)
-    yield "q_product_associative", 1e-12, associativity()
+    def associativity(q, x, y, z):
+        left = algebra.q_product(q, algebra.q_product(q, x, y), z)
+        right = algebra.q_product(q, x, algebra.q_product(q, y, z))
+        return abs(left - right) / max(left, right)
+    q = _draw_indices(rng, _SAMPLES)
+    yield _Case("q_product_associative", 1e-12, associativity, _rows(q, *_sample_rows(
+        _SAMPLES, lambda k: _draw_positives(rng, (3, k)), products_in_margin)))
 
-    def shift_expansions():
-        q = _draw_indices(rng, _SAMPLES)
-        c = _draw_exp_args(rng, q)
-        x = _draw_exp_args(rng, q, shift=c)
-        for qi, ci, xi in zip(q.tolist(), c.tolist(), x.tolist()):
-            y_scale, x_scale = dynamics.shift_expansion(qi, ci)
-            lhs = q_exp(qi, xi + ci)
-            rhs = y_scale * q_exp(qi, xi / x_scale)
-            yield abs(lhs - rhs) / lhs
-    yield "shift_expansion", 1e-12, shift_expansions()
+    def shift_expansion(q, c, x):
+        y_scale, x_scale = dynamics.shift_expansion(q, c)
+        lhs = q_exp(q, x + c)
+        return abs(lhs - y_scale * q_exp(q, x / x_scale)) / lhs
+    q = _draw_indices(rng, _SAMPLES)
+    c = _draw_exp_args(rng, q)
+    yield _Case("shift_expansion", 1e-12, shift_expansion,
+                _rows(q, c, _draw_exp_args(rng, q, shift=c)))
 
-    def ratios():
-        # y = x r, x of at most 20 significant bits over 1e+-30 (where log_q x
-        # saturates) and r = 2**k or 1 +- 2**-m, m <= 33: y / x is exactly r
-        q = _draw_indices(rng, _SAMPLES)
-        mantissa, exponent = np.frexp(_draw_positives(rng, _SAMPLES, 1e-30, 1e30))
-        x = np.ldexp(np.round(np.ldexp(mantissa, 20)), exponent - 20)
-        sign = rng.choice([-1, 1], size=(2, _SAMPLES))
-        r = np.where(rng.random(_SAMPLES) < 0.5,
-                     np.ldexp(1.0, sign[0] * rng.integers(1, 41, size=_SAMPLES)),
-                     1.0 + sign[1] * np.ldexp(1.0, -rng.integers(1, 34, size=_SAMPLES)))
-        for qi, yi, xi, ri in zip(q.tolist(), (x * r).tolist(), x.tolist(), r.tolist()):
-            yield abs(q_log_of_ratio(qi, yi, xi) / q_log(qi, ri) - 1.0)
-    yield "q_log_of_ratio", 1e-12, ratios()
+    def ratio(q, y, x, r):
+        return abs(q_log_of_ratio(q, y, x) / q_log(q, r) - 1.0)
+    # y = x r, x of at most 20 significant bits over 1e+-30 (where log_q x
+    # saturates) and r = 2**k or 1 +- 2**-m, m <= 33: y / x is exactly r
+    q = _draw_indices(rng, _SAMPLES)
+    mantissa, exponent = np.frexp(_draw_positives(rng, _SAMPLES, 1e-30, 1e30))
+    x = np.ldexp(np.round(np.ldexp(mantissa, 20)), exponent - 20)
+    sign = rng.choice([-1, 1], size=(2, _SAMPLES))
+    r = np.where(rng.random(_SAMPLES) < 0.5,
+                 np.ldexp(1.0, sign[0] * rng.integers(1, 41, size=_SAMPLES)),
+                 1.0 + sign[1] * np.ldexp(1.0, -rng.integers(1, 34, size=_SAMPLES)))
+    yield _Case("q_log_of_ratio", 1e-12, ratio, _rows(q, x * r, x, r))
 
     violations = 0
     for q in (0.3, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
         values = [q_log(q, y) for y in np.logspace(-2.0, 2.0, 1000)]
         violations += sum(not b > a for a, b in zip(values, values[1:]))
-    yield "q_log_monotone_violations", 0.5, violations
+    yield _measured("q_log_monotone_violations", 0.5, violations)
 
     # against e^x (1 - (1-q) x**2/2), exp_q's first order; exp_{2-q} reads (1-q) x**2
-    def classical_limits():
-        for q in (1.0 - 1e-6, 1.0 + 1e-6):
-            for x in np.linspace(-5.0, 5.0, 201).tolist():
-                ref = math.exp(x) * (1.0 - (1.0 - q) * x * x / 2.0)
-                yield abs(q_exp(q, x) - ref) / ref
-    yield "classical_limit_continuity", 1e-7, classical_limits()
+    def classical_limit(q, x):
+        ref = math.exp(x) * (1.0 - (1.0 - q) * x * x / 2.0)
+        return abs(q_exp(q, x) - ref) / ref
+    yield _Case("classical_limit_continuity", 1e-7, classical_limit,
+                [(q, x) for q in (1.0 - 1e-6, 1.0 + 1e-6)
+                 for x in np.linspace(-5.0, 5.0, 201).tolist()])
 
-    def drift_products():
-        def drifts(k):
-            # one to six shifts a row, zeros after them leaving every sum alone
-            count = rng.integers(1, 7, size=k)
-            shifts = rng.uniform(-1.0, 1.0, size=(k, 6))
-            shifts[np.arange(6) >= count[:, None]] = 0.0
-            return count, shifts
+    def drifts(k):
+        # one to six shifts a row, zeros after them leaving every sum alone
+        count = rng.integers(1, 7, size=k)
+        shifts = rng.uniform(-1.0, 1.0, size=(k, 6))
+        shifts[np.arange(6) >= count[:, None]] = 0.0
+        return count, shifts
 
-        def drift_in_domain(count, shifts):
-            # every partial-sum scale factor positive, the total's above the margin
-            factors = q_exp_bracket(q[:, None], np.cumsum(shifts, axis=1))
-            return (factors > 0.0).all(axis=1) & (factors[:, -1] > _BRACKET_MARGIN)
+    def drift_in_domain(count, shifts):
+        # every partial-sum scale factor positive, the total's above the margin
+        factors = q_exp_bracket(q[:, None], np.cumsum(shifts, axis=1))
+        return (factors > 0.0).all(axis=1) & (factors[:, -1] > _BRACKET_MARGIN)
 
-        q = _draw_indices(rng, 2000)
-        count, shifts = _sample_rows(2000, drifts, drift_in_domain)
-        for qi, k, row in zip(q.tolist(), count.tolist(), shifts.tolist()):
-            seq = algebra.scale_drift_expand(qi, row[:k])
-            product = math.prod(q_exp(qi, o) for o in seq.observed)
-            ref = q_exp(qi, sum(row[:k]))
-            yield abs(product - ref) / ref
-    yield "scale_drift_product", 1e-10, drift_products()
+    def drift_product(q, count, shifts):
+        seq = algebra.scale_drift_expand(q, shifts[:count])
+        product = math.prod(q_exp(q, o) for o in seq.observed)
+        ref = q_exp(q, sum(shifts[:count]))
+        return abs(product - ref) / ref
+    q = _draw_indices(rng, 2000)
+    yield _Case("scale_drift_product", 1e-10, drift_product,
+                _rows(q, *_sample_rows(2000, drifts, drift_in_domain)))
 
-    def folds():
-        def fold_in_margin(count, f):
-            # every step of the left fold keeps its bracket inside the margin
-            brackets = 1.0 + np.cumsum(_lift_array(q[:, None], f), axis=1)
-            steps = np.arange(1, 5) < count[:, None]
-            return (~steps | (brackets[:, 1:] > _BRACKET_MARGIN)).all(axis=1)
+    def fold_in_margin(count, f):
+        # every step of the left fold keeps its bracket inside the margin
+        brackets = 1.0 + np.cumsum(_lift_array(q[:, None], f), axis=1)
+        steps = np.arange(1, 5) < count[:, None]
+        return (~steps | (brackets[:, 1:] > _BRACKET_MARGIN)).all(axis=1)
 
-        q = _draw_indices(rng, 2000)
-        count, f = _sample_rows(
-            2000, lambda k: (rng.integers(1, 6, size=k),
-                             _draw_positives(rng, (k, 5), 0.3, 4.0)), fold_in_margin)
+    def fold(q, count, factors):
         # the closed form against the left fold through the public q_product
-        for qi, k, row in zip(q.tolist(), count.tolist(), f.tolist()):
-            folded = algebra.q_product_fold(qi, row[:k])
-            ref = reduce(partial(algebra.q_product, qi), row[:k])
-            yield abs(folded - ref) / ref
-    yield "fold_vs_qlog_sum", 1e-12, folds()
+        folded = algebra.q_product_fold(q, factors[:count])
+        ref = reduce(partial(algebra.q_product, q), factors[:count])
+        return abs(folded - ref) / ref
+    q = _draw_indices(rng, 2000)
+    yield _Case("fold_vs_qlog_sum", 1e-12, fold, _rows(q, *_sample_rows(
+        2000, lambda k: (rng.integers(1, 6, size=k), _draw_positives(rng, (k, 5), 0.3, 4.0)),
+        fold_in_margin)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,49 +308,43 @@ def _rk4(q, x0, y0, d, x_end, step):
     return xs, np.asarray(ys)
 
 
-def _trajectory_errors(q, direction, x0, y0, x_end, step):
-    """Relative gap of each RK4 point to the analytic solution."""
-    xs, ys = _rk4(q, x0, y0, direction, x_end, step)
+def _trajectory(name: str, q, direction, x0, y0, x_end, step) -> _Case:
+    """The case of the relative gap of each RK4 point to the analytic solution."""
     scale = dynamics.rescale_factor(q, direction * x0, y0)
-    for x, y in zip(xs.tolist(), ys.tolist()):
+
+    def gap(x, y):
         ref = dynamics.analytic_solution(q, scale, direction, x)
-        yield abs(y - ref) / ref
+        return abs(y - ref) / ref
+    return _Case(name, 1e-6, gap, _rows(*_rk4(q, x0, y0, direction, x_end, step)))
 
 
 def _dynamics(rng):
-    yield ("rk4_vs_analytic_decay", 1e-6,
-           _trajectory_errors(1.3, -1, 0.0, 1.0, 5.0, 1e-3))
-    yield ("rk4_vs_analytic_growth", 1e-6,
-           _trajectory_errors(2.0, 1, 0.0, 1.0, 0.5, 1e-3))
+    yield _trajectory("rk4_vs_analytic_decay", 1.3, -1, 0.0, 1.0, 5.0, 1e-3)
+    yield _trajectory("rk4_vs_analytic_growth", 2.0, 1, 0.0, 1.0, 0.5, 1e-3)
 
-    def rescaled_slopes():
+    def rescaled_slope(c):
         q = dynamics.FIG2_INDEX
-        for c in dynamics.FIG2_SCALES:
-            span = 5.0 * c ** (1.0 - q)
-            xs, ys = _rk4(q, 0.0, c, -1, span, 1e-3)
-            xt = xs / c ** (1.0 - q)
-            yt = ys / c
-            slope_fd = (yt[2:] - yt[:-2]) / (xt[2:] - xt[:-2])
-            slope_ode = -yt[1:-1] ** q
-            yield float(np.max(np.abs(slope_fd - slope_ode) / np.abs(slope_ode)))
-    yield "rescaled_trajectory_invariance", 1e-4, rescaled_slopes()
+        xs, ys = _rk4(q, 0.0, c, -1, 5.0 * c ** (1.0 - q), 1e-3)
+        xt, yt = xs / c ** (1.0 - q), ys / c
+        slope_fd = (yt[2:] - yt[:-2]) / (xt[2:] - xt[:-2])
+        slope_ode = -yt[1:-1] ** q
+        return float(np.max(np.abs(slope_fd - slope_ode) / np.abs(slope_ode)))
+    yield _Case("rescaled_trajectory_invariance", 1e-4, rescaled_slope,
+                [(c,) for c in dynamics.FIG2_SCALES])
 
     # two rescaled-coordinate shifts compose into one shift of the deformed
     # sum c1 + c2 + (1-q) c1 c2, whose bracket b1 * b2 stays above the
     # margin when those of c1, c2 and c1 + c2 (b1 + b2 - 1) do
-    def compositions():
-        qs = _draw_indices(rng, 1000)
-        c1s, c2s = _sample_rows(1000, lambda k: rng.uniform(-1.5, 1.5, size=(2, k)),
-                                lambda c1, c2: _in_margin(qs, c1, c2, c1 + c2))
-        for qi, c1, c2 in zip(qs.tolist(), c1s.tolist(), c2s.tolist()):
-            comp_y, comp_x = dynamics.compose_shifts(qi, c1, c2)
-            ref_y, ref_x = dynamics.shift_expansion(
-                qi, c1 + c2 + (1.0 - qi) * c1 * c2)
-            yield abs(comp_y - ref_y) / ref_y
-            yield abs(comp_x - ref_x) / abs(ref_x)
-    yield "sequential_shift_composition", 1e-12, compositions()
+    def composition(q, c1, c2):
+        comp_y, comp_x = dynamics.compose_shifts(q, c1, c2)
+        ref_y, ref_x = dynamics.shift_expansion(q, c1 + c2 + (1.0 - q) * c1 * c2)
+        return abs(comp_y - ref_y) / ref_y, abs(comp_x - ref_x) / abs(ref_x)
+    qs = _draw_indices(rng, 1000)
+    yield _Case("sequential_shift_composition", 1e-12, composition, _rows(qs, *_sample_rows(
+        1000, lambda k: rng.uniform(-1.5, 1.5, size=(2, k)),
+        lambda c1, c2: _in_margin(qs, c1, c2, c1 + c2))))
 
-    yield "fig2_qlog_affine", 1e-9, _qlog_residual(dynamics.fig2_data(), power=1)
+    yield _measured("fig2_qlog_affine", 1e-9, _qlog_residual(dynamics.fig2_data(), power=1))
 
 
 def _qlog_residual(table, power: int) -> float:
@@ -372,32 +371,30 @@ def _stirling(rng):
             exact = _exact_log_factorial(q, n)
             errs.append(abs(combinatorics.q_stirling(q, n) - exact) / abs(exact))
         violations += sum(not b <= a for a, b in zip(errs, errs[1:]))
-    yield "stirling_error_monotone_violations", 0.5, violations
+    yield _measured("stirling_error_monotone_violations", 0.5, violations)
 
     # n just past the exact head is drawn from a jumped copy of the stream,
     # so that the later cases draw what they always drew
     heads = np.random.Generator(rng.bit_generator.jumped()).integers(
         combinatorics._HEAD + 1, 1025, size=8).tolist()
 
-    def tails():
-        for q, head in zip((-1.0, 0.5, 1.0 - 1e-9, 1.0, 1.5, 2.0 - 1e-9, 2.0, 2.5), heads):
-            for n in (head, 4096, 30_000):
-                exact = _exact_log_factorial(q, n)
-                yield abs(combinatorics.q_log_factorial(q, n) - exact) / exact
-    yield "log_factorial_tail", 1e-12, tails()
+    def tail(q, n):
+        exact = _exact_log_factorial(q, n)
+        return abs(combinatorics.q_log_factorial(q, n) - exact) / exact
+    yield _Case("log_factorial_tail", 1e-12, tail, [
+        (q, n) for q, head in zip((-1.0, 0.5, 1.0 - 1e-9, 1.0, 1.5, 2.0 - 1e-9, 2.0, 2.5), heads)
+        for n in (head, 4096, 30_000)])
 
     # S_q = S_1 + (q - 1) dS/dq + O((q - 1)**2), dS/dq = -sum p ln(p)**2 / 2 at
     # q = 1: measured against the first-order term, a flipped deformation
     # S_{2-q} reads 2 (q - 1) dS/dq
-    def entropy_limits():
-        for u in rng.uniform(0.1, 1.0, size=(50, 10)):
-            p = u / u.sum()
-            shannon = combinatorics.tsallis_entropy(1.0, p)
-            slope = -0.5 * math.fsum((p * np.log(p) ** 2).tolist())
-            for q in (1.0 - 1e-6, 1.0 + 1e-6):
-                yield abs(combinatorics.tsallis_entropy(q, p) - shannon
-                          - (q - 1.0) * slope)
-    yield "entropy_classical_limit", 1e-9, entropy_limits()
+    def entropy_limit(p):
+        shannon = combinatorics.tsallis_entropy(1.0, p)
+        slope = -0.5 * math.fsum((p * np.log(p) ** 2).tolist())
+        return tuple(abs(combinatorics.tsallis_entropy(q, p) - shannon - (q - 1.0) * slope)
+                     for q in (1.0 - 1e-6, 1.0 + 1e-6))
+    yield _Case("entropy_classical_limit", 1e-9, entropy_limit,
+                [(u / u.sum(),) for u in rng.uniform(0.1, 1.0, size=(50, 10))])
 
     violations = 0
     for q in (0.5, 1.0, 2.0):
@@ -407,7 +404,7 @@ def _stirling(rng):
             for p in (v / v.sum(axis=1, keepdims=True)).tolist():
                 if not combinatorics.tsallis_entropy(q, p) <= bound + 1e-12:
                     violations += 1
-    yield "uniform_maximality_violations", 0.5, violations
+    yield _measured("uniform_maximality_violations", 0.5, violations)
 
     violations = 0
     for q in (0.5, 1.0, 1.5, 2.0):
@@ -417,7 +414,7 @@ def _stirling(rng):
                 counts = [n * r // sum(ratios) for r in ratios]
                 errs.append(combinatorics.tsallis_correspondence(q, counts)[2])
             violations += sum(not b < a for a, b in zip(errs, errs[1:]))
-    yield "tsallis_correspondence_trend_violations", 0.5, violations
+    yield _measured("tsallis_correspondence_trend_violations", 0.5, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -554,94 +551,85 @@ def _central_differences(model, samples):
 
 
 def _mlp(rng):
-    def masses():
-        for q in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
-            for beta in (0.5, 1.0, 2.0):
-                model = qgaussian.QGaussianModel.from_beta(q, beta)
-                yield abs(_integrate_density(model) - 1.0)
-    yield "pdf_total_mass", 1e-8, masses()
+    def mass(q, beta):
+        return abs(_integrate_density(qgaussian.QGaussianModel.from_beta(q, beta)) - 1.0)
+    yield _Case("pdf_total_mass", 1e-8, mass,
+                [(q, beta) for q in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5) for beta in (0.5, 1.0, 2.0)])
 
-    negative_curvatures = 0
+    # (gradient, curvature, samples) of each set: rows of the gradient case
+    # where the curvature is negative, and violations of the other where not
+    differences = []
+    for q in (0.5, 1.3, 1.7):
+        model = qgaussian.QGaussianModel.from_beta(q, 1.0)
+        if q < 1.0:
+            draws = rng.uniform(-0.5, 0.5, size=(100, 10))
+        else:
+            draws = rng.normal(0.0, 1.0, size=(100, 10))
+        differences += [(*_central_differences(model, s), s) for s in draws]
 
-    def gradients():
-        nonlocal negative_curvatures
-        for q in (0.5, 1.3, 1.7):
-            model = qgaussian.QGaussianModel.from_beta(q, 1.0)
-            if q < 1.0:
-                draws = rng.uniform(-0.5, 0.5, size=(100, 10))
-            else:
-                draws = rng.normal(0.0, 1.0, size=(100, 10))
-            for samples in draws:
-                grad, curv = _central_differences(model, samples)
-                if not curv < 0.0:
-                    negative_curvatures += 1
-                    continue
-                scale = max(1.0, float(np.max(np.abs(samples - np.mean(samples)))))
-                yield abs(grad) / (abs(curv) * scale)
-    yield "mlp_gradient_at_mean", 1e-6, gradients()
-    # counted while the runner reduced the gradients
-    yield "mlp_curvature_negative_violations", 0.5, negative_curvatures
+    def gradient_at_mean(gradient, curvature, samples):
+        scale = max(1.0, float(np.max(np.abs(samples - np.mean(samples)))))
+        return abs(gradient) / (abs(curvature) * scale)
+    yield _Case("mlp_gradient_at_mean", 1e-6, gradient_at_mean,
+                [(g, c, s) for g, c, s in differences if c < 0.0])
+    yield _measured("mlp_curvature_negative_violations", 0.5,
+                    sum(not c < 0.0 for _, c, _ in differences))
 
     # the closed-form likelihood, and the parabola its exact derivatives
     # span, L(theta* + s h) = L(theta*) + s h gradient + h**2 curvature / 2,
     # against the per-sample sum at theta* and theta* +- h, relative to the
     # sum of |terms|; deviations stay within 3/4 of a compact support
-    def parabolas():
-        for q in (0.0, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
-            for beta in (0.5, 1.0, 2.0):
-                model = qgaussian.QGaussianModel.from_beta(q, beta)
-                width = 1.0 / math.sqrt(beta)
-                if q < 1.0:
-                    samples = rng.uniform(-0.5 * width, 0.5 * width,
-                                          size=_LIKELIHOOD_SAMPLES)
-                else:
-                    samples = rng.normal(0.0, width, size=_LIKELIHOOD_SAMPLES)
-                grad, curv = qgaussian.mlp_stationarity(model, samples)
-                theta, h = math.fsum(samples.tolist()) / samples.size, 0.25 * width
-                for s in (0.0, -1.0, 1.0):
-                    terms = _likelihood_terms(model, theta + s * h, samples)
-                    exact, size = math.fsum(terms), math.fsum(map(abs, terms))
-                    if not s:
-                        center = exact
-                    closed = qgaussian.q_log_likelihood(model, theta + s * h, samples)
-                    parabola = center + s * h * grad + 0.5 * (s * h) ** 2 * curv
-                    yield abs(closed - exact) / size
-                    yield abs(parabola - exact) / size
-    yield "likelihood_parabola", 1e-12, parabolas()
+    def parabola(model, samples, theta, step, center, gradient, curvature):
+        terms = _likelihood_terms(model, theta + step, samples)
+        exact, size = math.fsum(terms), math.fsum(map(abs, terms))
+        closed = qgaussian.q_log_likelihood(model, theta + step, samples)
+        fitted = center + step * gradient + 0.5 * step ** 2 * curvature
+        return abs(closed - exact) / size, abs(fitted - exact) / size
+    rows = []
+    for q in (0.0, 0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
+        for beta in (0.5, 1.0, 2.0):
+            model = qgaussian.QGaussianModel.from_beta(q, beta)
+            width = 1.0 / math.sqrt(beta)
+            if q < 1.0:
+                samples = rng.uniform(-0.5 * width, 0.5 * width, size=_LIKELIHOOD_SAMPLES)
+            else:
+                samples = rng.normal(0.0, width, size=_LIKELIHOOD_SAMPLES)
+            derivatives = qgaussian.mlp_stationarity(model, samples)
+            theta, h = math.fsum(samples.tolist()) / samples.size, 0.25 * width
+            center = math.fsum(_likelihood_terms(model, theta, samples))
+            rows += [(model, samples, theta, s * h, center, *derivatives)
+                     for s in (0.0, -1.0, 1.0)]
+    yield _Case("likelihood_parabola", 1e-12, parabola, rows)
 
-    def quadratic_gaps():
+    def quadratic(q):
         grid = np.linspace(-0.3, 0.3, 61)
         h = grid[1] - grid[0]
-        for q in (0.5, 1.0, 1.3, 1.7, 2.0):
-            model = qgaussian.QGaussianModel.from_beta(q, 1.0)
-            lnq = np.asarray([q_log(q, qgaussian.q_gaussian_pdf(model, e))
-                              for e in grid])
-            second = (lnq[2:] - 2.0 * lnq[1:-1] + lnq[:-2]) / (h * h)
-            mid = float(np.median(second))
-            yield float(np.max(np.abs(second - mid) / abs(mid)))
-    yield "lnq_density_quadratic", 1e-6, quadratic_gaps()
+        model = qgaussian.QGaussianModel.from_beta(q, 1.0)
+        lnq = np.asarray([q_log(q, qgaussian.q_gaussian_pdf(model, e)) for e in grid])
+        second = (lnq[2:] - 2.0 * lnq[1:-1] + lnq[:-2]) / (h * h)
+        mid = float(np.median(second))
+        return float(np.max(np.abs(second - mid) / abs(mid)))
+    yield _Case("lnq_density_quadratic", 1e-6, quadratic,
+                [(q,) for q in (0.5, 1.0, 1.3, 1.7, 2.0)])
 
-    def residuals():
-        for q, coeff, offset in ((1.0, -2.0, 0.0), (1.7, -2.0, 0.5),
-                                 (0.5, -3.0, 0.2), (2.0, -1.0, -0.3)):
-            model = qgaussian.QGaussianModel(q=q, ode_coeff=coeff, log_offset=offset)
-            for e in np.linspace(-1.0, 1.0, 41):
-                res = _defining_ode_residual(model, float(e))
-                budget = 1e-5 * abs(coeff * e) + 1e-8
-                yield abs(res) / budget
-    yield "defining_ode_residual", 1.0, residuals()
+    def residual(model, e):
+        budget = 1e-5 * abs(model.ode_coeff * e) + 1e-8
+        return abs(_defining_ode_residual(model, float(e))) / budget
+    models = [qgaussian.QGaussianModel(q=q, ode_coeff=coeff, log_offset=offset)
+              for q, coeff, offset in ((1.0, -2.0, 0.0), (1.7, -2.0, 0.5),
+                                       (0.5, -3.0, 0.2), (2.0, -1.0, -0.3))]
+    yield _Case("defining_ode_residual", 1.0, residual,
+                [(model, e) for model in models for e in np.linspace(-1.0, 1.0, 41)])
 
-    def rescalings():
-        grid = np.linspace(-3.0, 3.0, 201)
-        for c in (1.0, 10.0, 100.0):
-            table = qgaussian.frequency_rescale(
-                qgaussian.FIG3_INDEX, 1.0, q_log(qgaussian.FIG3_INDEX, c), grid)
-            rescaled = table.column("f_rescaled")
-            reference = table.column("reference")
-            yield float(np.max(np.abs(rescaled - reference) / reference))
-    yield "frequency_rescaling_invariance", 1e-12, rescalings()
+    def rescaling(c):
+        table = qgaussian.frequency_rescale(qgaussian.FIG3_INDEX, 1.0, q_log(
+            qgaussian.FIG3_INDEX, c), np.linspace(-3.0, 3.0, 201))
+        reference = table.column("reference")
+        return float(np.max(np.abs(table.column("f_rescaled") - reference) / reference))
+    yield _Case("frequency_rescaling_invariance", 1e-12, rescaling,
+                [(c,) for c in (1.0, 10.0, 100.0)])
 
-    yield "fig3_qlog_parabola", 1e-9, _qlog_residual(qgaussian.fig3_data(), power=2)
+    yield _measured("fig3_qlog_parabola", 1e-9, _qlog_residual(qgaussian.fig3_data(), power=2))
 
 
 # ---------------------------------------------------------------------------
@@ -665,60 +653,60 @@ def _canonical(rng):
     splits = np.array([p for c in c1.tolist()
                        for p in canonical.split_representation(q, xs, c, shift - c)])
     unsplit = canonical.build_distribution(q, xs, shift)
-    yield ("split_probability_invariance", 1e-12,
-           np.max(np.abs(splits - unsplit.probabilities)))
+    yield _measured("split_probability_invariance", 1e-12,
+                    np.max(np.abs(splits - unsplit.probabilities)))
 
     # fit log_q(p) = slope * x + intercept to every split's own probabilities
     design = np.column_stack([xs, np.ones_like(xs)])
     (slopes, intercepts), *_ = np.linalg.lstsq(
         design, _q_log_array(q, splits).T, rcond=None)
     form = canonical.canonical_form(unsplit)
-    yield "split_canonical_form", 1e-12, (
-        np.max(np.abs(slopes - form.slope)) / abs(form.slope),
-        np.max(np.abs(intercepts - form.intercept)) / abs(form.intercept))
+    yield _measured("split_canonical_form", 1e-12,
+                    np.max(np.abs(slopes - form.slope)) / abs(form.slope),
+                    np.max(np.abs(intercepts - form.intercept)) / abs(form.intercept))
 
-    def reconstructions():
-        def point_sets(k):
-            return (rng.integers(2, 12, size=k), rng.uniform(-1.0, 1.0, size=(k, 11)),
-                    rng.uniform(-0.5, 1.5, size=k))
+    def point_sets(k):
+        return (rng.integers(2, 12, size=k), rng.uniform(-1.0, 1.0, size=(k, 11)),
+                rng.uniform(-0.5, 1.5, size=k))
 
-        def points_in_margin(count, pts, shift):
-            used = np.arange(11) < count[:, None]
-            inside = q_exp_bracket(qs[:, None], shift[:, None] - pts) > _BRACKET_MARGIN
-            return (~used | inside).all(axis=1)
+    def points_in_margin(count, pts, shift):
+        used = np.arange(11) < count[:, None]
+        inside = q_exp_bracket(qs[:, None], shift[:, None] - pts) > _BRACKET_MARGIN
+        return (~used | inside).all(axis=1)
 
-        qs = np.resize([0.5, 1.0, 1.5, 2.0], 200)
-        counts, point_rows, shifts = _sample_rows(200, point_sets, points_in_margin)
-        for qi, k, row, shift in zip(qs.tolist(), counts.tolist(),
-                                     point_rows.tolist(), shifts.tolist()):
-            dist = canonical.build_distribution(qi, row[:k], shift)
-            form = canonical.canonical_form(dist)
-            for x, p in zip(dist.xs, dist.probabilities):
-                yield abs(form.reconstruct(x) - p) / p
-    yield "canonical_reconstruction", 1e-10, reconstructions()
+    def reconstruction(q, count, points, shift):
+        dist = canonical.build_distribution(q, points[:count], shift)
+        form = canonical.canonical_form(dist)
+        return tuple(abs(form.reconstruct(x) - p) / p
+                     for x, p in zip(dist.xs, dist.probabilities))
+    qs = np.resize([0.5, 1.0, 1.5, 2.0], 200)
+    yield _Case("canonical_reconstruction", 1e-10, reconstruction,
+                _rows(qs, *_sample_rows(200, point_sets, points_in_margin)))
 
     pts = rng.uniform(-1.0, 1.0, size=8)
     base = canonical.build_distribution(1.0, pts, 0.3)
     other = canonical.build_distribution(1.0, pts, 1.7)
     fa = canonical.canonical_form(base)
     fb = canonical.canonical_form(other)
-    yield "classical_shift_independence", 1e-12, (
-        np.max(np.abs(np.subtract(base.probabilities, other.probabilities))),
-        abs(fa.slope - fb.slope), abs(fa.intercept - fb.intercept))
+    yield _measured("classical_shift_independence", 1e-12,
+                    np.max(np.abs(np.subtract(base.probabilities, other.probabilities))),
+                    abs(fa.slope - fb.slope), abs(fa.intercept - fb.intercept))
 
     dist = canonical.build_distribution(2.0, [0.0, 1.0], 0.0)
     form = canonical.canonical_form(dist)
-    yield "worked_two_point_model", 1e-14, (
-        abs(dist.probabilities[0] - 2.0 / 3.0), abs(dist.probabilities[1] - 1.0 / 3.0),
-        abs(form.slope + 1.5), abs(form.intercept + 0.5))
+    yield _measured("worked_two_point_model", 1e-14,
+                    abs(dist.probabilities[0] - 2.0 / 3.0),
+                    abs(dist.probabilities[1] - 1.0 / 3.0),
+                    abs(form.slope + 1.5), abs(form.intercept + 0.5))
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-# name -> callable(seed) returning the suite's CaseResults; run_suite and
-# run_all look an entry up at call time, so a wrapper put here sees every run
+# name -> callable(seed) returning the CaseResults of the cases the suite
+# yields, each checked row by row by _run_cases; run_suite and run_all look
+# an entry up at call time, so a wrapper put here sees every run
 _SUITES = {
     "identities": partial(_run_cases, _identities),
     "dynamics": partial(_run_cases, _dynamics),

@@ -214,10 +214,10 @@ LIFT_CALLERS = {
     "algebra.q_product_fold.fold": _Q_PRODUCT,
     "combinatorics.tsallis_entropy.entropy": "entries in (0, 1] at an index <= 1 keep "
                                              "the lift in (-1, 0]",
-    "verify._identities.associativity.products_in_margin": "a sampler's acceptance mask "
-                                                           "on the brackets, not values",
-    "verify._identities.folds.fold_in_margin": "a sampler's acceptance mask on the running "
-                                               "brackets, not values",
+    "verify._identities.products_in_margin": "a sampler's acceptance mask on the brackets, "
+                                             "not values",
+    "verify._identities.fold_in_margin": "a sampler's acceptance mask on the running "
+                                         "brackets, not values",
 }
 
 

@@ -214,27 +214,44 @@ def test_a_nan_fails_its_case(module, name, suite, fails, monkeypatch):
     assert failed == fails
 
 
-@pytest.mark.parametrize("errors, worst", [
-    (0.25, 0.25), (3, 3.0), ((), 0.0), ([1e-3, 2e-3, 1e-4], 2e-3),
+def _run_one(case):
+    """The CaseResult of a suite that yields the one case."""
+    (result,) = verify._run_cases(lambda rng: iter([case]), seed=0)
+    return result
+
+
+@pytest.mark.parametrize("case, worst", [
+    pytest.param(verify._measured("one_value", 1.0, 0.25), 0.25, id="one_value"),
+    pytest.param(verify._measured("count", 0.5, 3), 3.0, id="count"),
+    pytest.param(verify._measured("values", 1e-2, 1e-3, 4e-3, 2e-3), 4e-3, id="values"),
+    pytest.param(verify._Case("per_row", 1e-2, lambda err: err, [(1e-3,), (2e-3,), (1e-4,)]),
+                 2e-3, id="per_row"),
+    pytest.param(verify._Case("pairs", 1e-2, lambda a, b: (a, b), [(1e-3, 5e-3), (4e-3, 2e-3)]),
+                 5e-3, id="pairs"),
+    pytest.param(verify._Case("no_rows", 1e-2, lambda err: err, []), 0.0, id="no_rows"),
 ])
-def test_max_error_reduces_one_number_or_many(errors, worst):
-    assert verify._max_error(errors) == worst
-    assert type(verify._max_error(errors)) is float
+def test_run_cases_reduces_a_case_to_its_worst_error(case, worst):
+    result = _run_one(case)
+    assert result == verify.CaseResult(case.name, worst, case.tolerance, worst < case.tolerance)
+    assert type(result.max_rel_err) is float
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])
-def test_max_error_keeps_a_nan_and_reads_every_error(at):
+def test_run_cases_keeps_a_nan_and_checks_every_later_row(at):
     errors = [1e-3, 2e-3, 5e-4, 4e-3, 1e-4]
     errors[at] = float("nan")
-    read = []
+    for pairs in (False, True):
+        checked = []
 
-    def stream():
-        for err in errors:
-            read.append(err)
-            yield err
+        def check(i):
+            checked.append(i)
+            # in a pair, a larger error follows the NaN
+            return (errors[i], 1e-2) if pairs else errors[i]
 
-    assert np.isnan(verify._max_error(stream()))
-    assert len(read) == len(errors)
+        result = _run_one(verify._Case("nan", 1.0, check, [(i,) for i in range(5)]))
+        assert np.isnan(result.max_rel_err)
+        assert not result.passed
+        assert checked == list(range(5))
 
 
 def test_run_suite_and_run_all_reach_suites_through_the_registry(monkeypatch):
